@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Hunt the low-lying zeros of Z(t) and check them against the counting formula.
 
-Z(t) is real on the critical line and flips sign exactly at the zeros,
-so a uniform grid plus bisection finds every zero below a given height.
-The counting formula says how many there should be; the scan refuses to
-return a table that disagrees with it by more than one.
+Z(t) is real on the critical line and flips sign exactly at the zeros.
+The scan samples Z at the Gram points, where theta(g_n) = n pi; between
+two consecutive good Gram points, a block of k Gram intervals holds k
+zeros (Rosser's rule), so blocks that show fewer sign changes are
+subdivided until every zero is bracketed, and Illinois steps refine
+each bracket.  The counting formula printed next to the result is the
+smooth estimate the exact count oscillates around.
 """
 
 import math

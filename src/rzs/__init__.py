@@ -3,8 +3,8 @@ asymptotic correspondence between them.
 
 Three computational layers:
 
-- rzs.zeta: critical-line evaluation of Z(t), zero scanning with a
-  counting-formula audit, and Riemann-von Mangoldt statistics.
+- rzs.zeta: critical-line evaluation of Z(t), zero scanning over
+  Gram blocks, and Riemann-von Mangoldt statistics.
 - rzs.bubble: the one-loop polarization Pi(p), the general
   Feynman-parameter integral, the correlator asymptote, and the
   saddle-point gap equation.

@@ -31,8 +31,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, DomainError, NoSolutionError
 
 __all__ = [
@@ -139,6 +137,9 @@ def feynman_integral(spec: BubbleSpec) -> float:
             f"{FEYNMAN_MASS_RATIO_MIN:g}; integrand too close to singular"
         )
     power = d / 2.0 - a - b
+    # Imported here, not at module top: scipy.integrate costs most of the
+    # start-up time of `import rzs`, and only the two quadrature routes use it.
+    from scipy.integrate import quad
 
     def integrand(x: float) -> float:
         return x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) * (
@@ -291,6 +292,8 @@ def gap_residual(spec: GapEquationSpec, m2: float) -> float:
     _validate_gap_spec(spec)
     if not m2 > 0.0:
         raise DomainError("gap_residual: m2 must be positive")
+    from scipy.integrate import quad  # lazily, as in feynman_integral
+
     tadpole, _ = quad(
         lambda r: r / (r * r + m2), 0.0, spec.cutoff,
         epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200,

@@ -150,7 +150,7 @@ def _cmd_gap(config: RunConfig) -> None:
     _emit(config, text, to_stdout=True)
 
 
-def _scan_upper_for(n_max: int, tol: float) -> float:
+def _scan_upper_for(n_max: int) -> float:
     """Height covering n_max zeros: 1.2x the counting-formula inversion."""
     lo = TWO_PI * 1.001
     hi = T_SUPPORT_MAX
@@ -170,12 +170,12 @@ def _scan_upper_for(n_max: int, tol: float) -> float:
 
 def _cmd_compare(config: RunConfig) -> None:
     workers = _workers_from_env()
-    t_upper = _scan_upper_for(config.n_max, config.tol)
+    t_upper = _scan_upper_for(config.n_max)
     while True:
         table = scan_zeros(0.0, t_upper, config.tol, workers=workers)
         if len(table.zeros) >= config.n_max or t_upper >= T_SUPPORT_MAX:
             break
-        # Audit shortfall: the estimate undershot; extend and rescan.
+        # The counting-formula estimate undershot; extend and rescan.
         t_upper = min(1.1 * t_upper, T_SUPPORT_MAX)
     report = build_report(table, config.mass2, config.n_max)
     fit = log_slope_fit(report)
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--t-max", type=float, required=True,
                          help="upper end of the scan range (scan starts at 0)")
     p_zeros.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                         help="bisection width per zero (default 1e-8)")
+                         help="bracket width per zero (default 1e-8)")
     p_zeros.add_argument("--out-path", required=True, help="output CSV path")
     p_zeros.add_argument("--format", choices=["csv"], default="csv")
 
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--mass2", type=float, default=_DEFAULT_MASS2_COMPARE,
                        help="squared mass (default 2*pi)")
     p_cmp.add_argument("--tol", type=float, default=_DEFAULT_TOL,
-                       help="bisection width per zero (default 1e-8)")
+                       help="bracket width per zero (default 1e-8)")
     p_cmp.add_argument("--out-path", required=True, help="output path")
     p_cmp.add_argument("--format", choices=["json", "csv"], default="json")
 

@@ -20,8 +20,9 @@ class PrecisionError(RzsError):
 
 
 class AuditError(RzsError):
-    """The zero scan could not reconcile its count with the counting
-    formula even at the finest allowed stride."""
+    """The zero scan could not resolve a Gram block: it shows fewer sign
+    changes than Gram intervals even at the finest allowed node spacing,
+    or more than Rosser's rule allows."""
 
 
 class ConvergenceError(RzsError):

@@ -15,22 +15,19 @@ and certifiable there) and by the main sum of the Riemann-Siegel
 expansion plus its first two correction terms above a fixed crossover
 height; the crossover is t = 30.
 
-Zeros are located by a uniform-stride sign-change scan refined by plain
-bisection.  The scan audits itself against the counting formula
-
-    N(T) ~ (T/2pi) ln(T/2pi) - T/2pi + 7/8
-
-and retries with a halved stride when the audit detects a shortfall
-(close pairs of zeros can hide inside one stride cell).  All heights are
-limited to t <= 1e4 and tolerances to >= 1e-8: that is the regime where
-plain double precision keeps every promise made here.
+Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
+Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
+by Rosser's rule a block of k Gram intervals holds exactly k zeros; the
+blocks that show fewer sign changes are subdivided until they show all
+of them.  Every bracket is then refined by bracketed Illinois steps.
+All heights are limited to t <= 1e4 and tolerances to >= 1e-8: that is
+the regime where plain double precision keeps every promise made here.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -64,11 +61,19 @@ TOL_SUPPORT_MIN = 1.0e-8
 # Evaluation crossover: Euler-Maclaurin below, Riemann-Siegel above.
 CROSSOVER_T = 30.0
 
-# Zero-scan stride schedule.  Mean zero spacing 2pi/ln(T/2pi) stays
-# above 0.5 for t <= 1e5, so 0.25 resolves typical spacings and the
-# halving handles close pairs.
-STRIDE_INITIAL = 0.25
+# Zero scan.  A Gram block that does not show one sign change per Gram
+# interval is subdivided until its node spacing reaches STRIDE_FLOOR.
+# Gram points come from _LAMBERT_STEPS Newton steps for Lambert's W,
+# then _GRAM_NEWTON_STEPS on theta, and past t_max in batches of
+# _GRAM_PAD.  A node where Z is exactly 0.0 moves up by _NUDGE, far
+# below any node spacing.  Root refinement may fall _REFINE_SLACK
+# halvings behind plain bisection.
 STRIDE_FLOOR = 1.0 / 1024.0
+_LAMBERT_STEPS = 8
+_GRAM_NEWTON_STEPS = 4
+_GRAM_PAD = 8
+_NUDGE = 1.0e-6 * STRIDE_FLOOR
+_REFINE_SLACK = 3
 
 # Bernoulli numbers B_2, B_4, ..., B_16.
 _BERN2K = (
@@ -366,9 +371,10 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
 def count_zeros(t: float, *, n_correction: float = 7.0 / 8.0) -> ZeroCountEstimate:
     """Counting-formula estimate N(T) = (T/2pi) ln(T/2pi) - T/2pi + c.
 
-    The constant correction defaults to c = 7/8, which makes the scan
-    audit tight at these heights; pass n_correction=0.0 for the bare
-    main term.  Also returns the density D(T) = ln(T/2pi) / 2pi.
+    The constant correction defaults to c = 7/8, with which N(T) - 1
+    matches theta(T)/pi, the smooth count of Gram points, up to O(1/T);
+    pass n_correction=0.0 for the bare main term.  Also returns the
+    density D(T) = ln(T/2pi) / 2pi.
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
@@ -407,76 +413,159 @@ def gamma_asymptotic(n: int) -> float:
 # Zero scan
 # ----------------------------------------------------------------------
 
-def _z_values_chunk(ts: np.ndarray) -> np.ndarray:
-    # Module-level so process pools can pickle it.
-    return _z_values(ts)
-
-
 def _grid_values(ts: np.ndarray, workers: int) -> np.ndarray:
     if workers > 1 and ts.size >= 4096:
         chunks = np.array_split(ts, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_z_values_chunk, chunks))
+            parts = list(pool.map(_z_values, chunks))
         return np.concatenate(parts)
     return _z_values(ts)
 
 
-def _collect_brackets(
-    t_max: float, stride: float, workers: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sign-change cells of Z on the uniform grid covering (0, t_max].
+def _gram_points(ns: np.ndarray) -> np.ndarray:
+    """Gram points g_n, where theta(g_n) = n pi, for integers n >= -1.
 
-    Returns (lo, hi, z_lo) arrays for every cell with a sign change.
+    Starts from the asymptotic inversion g_n ~ 2pi e exp(W((n + 1/8)/e)),
+    W the principal branch of Lambert's W, and polishes it by Newton
+    steps on theta with theta'(t) ~ ln(t/2pi)/2 - 1/(48 t^2).
     """
-    n_cells = int(math.ceil(t_max / stride))
-    ts = stride * np.arange(n_cells + 1)
-    ts[-1] = min(ts[-1], t_max)
-    vals = _grid_values(ts, workers)
-    exact = vals == 0.0
+    ns = np.asarray(ns, dtype=float)
+    z = (ns + 0.125) / math.e
+    w = np.log1p(z)
+    for _ in range(_LAMBERT_STEPS):
+        ew = np.exp(w)
+        w -= (w * ew - z) / (ew * (w + 1.0))
+    ts = TWO_PI * math.e * np.exp(w)
+    for _ in range(_GRAM_NEWTON_STEPS):
+        slope = 0.5 * np.log(ts / TWO_PI) - 1.0 / (48.0 * ts * ts)
+        ts -= (_theta_vec(ts) - math.pi * ns) / slope
+    return ts
+
+
+def _sign_definite(ts: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move every node where Z is exactly 0.0 up by _NUDGE and re-evaluate
+    there: the sign-change bookkeeping needs a strict sign at every node."""
+    exact = zs == 0.0
     if exact.any():
-        # A grid sample landing exactly on a zero would break the
-        # sign-change bookkeeping; nudge such samples by stride/1e6
-        # (inward at the top edge) and re-evaluate.
         ts = ts.copy()
-        shift = stride * 1.0e-6
-        ts[exact] += shift
-        if exact[-1]:
-            ts[-1] = t_max - shift
-        vals = vals.copy()
-        vals[exact] = _z_values(ts[exact])
-    change = vals[:-1] * vals[1:] < 0.0
-    idx = np.nonzero(change)[0]
-    return ts[idx], ts[idx + 1], vals[idx]
+        zs = zs.copy()
+        ts[exact] += _NUDGE
+        zs[exact] = _z_values(ts[exact])
+    return ts, zs
+
+
+def _gram_grid(
+    t_max: float, workers: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gram points g_-1 .. g_B and Z there, B the first good index with g_B >= t_max.
+
+    g_n is good when (-1)^n Z(g_n) > 0.  The counting formula N(T) - 1
+    equals theta(T)/pi up to O(1/T), so it sizes the first batch of Gram
+    points; _GRAM_PAD more follow while none at or past t_max is good.
+    Returns (indices n, heights, Z values, good mask).
+    """
+    ns = np.arange(-1, max(int(count_zeros(t_max).n_estimate), 0) + _GRAM_PAD)
+    gs = _gram_points(ns)
+    gs, zs = _sign_definite(gs, _grid_values(gs, workers))
+    while True:
+        good = np.where(ns % 2 == 0, zs, -zs) > 0.0
+        past = np.flatnonzero(good & (gs >= t_max))
+        if past.size:
+            stop = past[0] + 1
+            return ns[:stop], gs[:stop], zs[:stop], good[:stop]
+        more = np.arange(ns[-1] + 1, ns[-1] + 1 + _GRAM_PAD)
+        g_more = _gram_points(more)
+        g_more, z_more = _sign_definite(g_more, _z_values(g_more))
+        ns = np.concatenate((ns, more))
+        gs = np.concatenate((gs, g_more))
+        zs = np.concatenate((zs, z_more))
+
+
+def _resolve_blocks(
+    ts: np.ndarray, zs: np.ndarray, edges: np.ndarray, edge_n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subdivide Gram blocks until each shows one sign change per Gram interval.
+
+    ts, zs are the sorted nodes and Z there; edges are the node indices
+    of the good Gram points and edge_n their Gram indices, so block j
+    runs from node edges[j] to node edges[j+1] over k = edge_n[j+1] -
+    edge_n[j] Gram intervals and, by Rosser's rule, holds k zeros.  Each
+    level halves every node gap of every block that does not show k
+    sign changes, all at once, with one batched Z call over the new
+    midpoints.  A block still unresolved once its widest gap is <=
+    STRIDE_FLOOR raises AuditError.  Returns the refined (ts, zs).
+    """
+    k = np.diff(edge_n)
+    while True:
+        seen = np.concatenate(([0], np.cumsum(zs[:-1] * zs[1:] < 0.0)))
+        found = seen[edges[1:]] - seen[edges[:-1]]
+        unresolved = np.flatnonzero(found != k)
+        if unresolved.size == 0:
+            return ts, zs
+        lengths = edges[unresolved + 1] - edges[unresolved]
+        gaps = np.concatenate([np.arange(edges[j], edges[j + 1]) for j in unresolved])
+        widths = ts[gaps + 1] - ts[gaps]
+        widest = np.maximum.reduceat(widths, np.cumsum(lengths) - lengths)
+        stuck = widest <= STRIDE_FLOOR
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            j = unresolved[i]
+            raise AuditError(
+                f"scan_zeros: Gram block g_{edge_n[j]}..g_{edge_n[j + 1]} "
+                f"(t in [{ts[edges[j]]:.6f}, {ts[edges[j + 1]]:.6f}]) shows "
+                f"{found[j]} sign changes for {k[j]} Gram intervals at node "
+                f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
+            )
+        mids = 0.5 * (ts[gaps] + ts[gaps + 1])
+        mids, z_mids = _sign_definite(mids, _z_values(mids))
+        edges = edges + np.searchsorted(gaps, edges)
+        ts = np.insert(ts, gaps + 1, mids)
+        zs = np.insert(zs, gaps + 1, z_mids)
 
 
 def _refine_brackets(
-    lo: np.ndarray, hi: np.ndarray, z_lo: np.ndarray, tol: float
+    lo: np.ndarray, hi: np.ndarray, z_lo: np.ndarray, z_hi: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect every bracket until its width is <= tol (batched)."""
-    lo = lo.copy()
-    hi = hi.copy()
-    z_lo = z_lo.copy()
+    """Shrink every bracket to width <= tol by batched Illinois steps.
+
+    A step evaluates Z at the regula falsi point of the endpoint weights,
+    which are the endpoint Z values except that an endpoint kept twice
+    in a row has its weight halved (the Illinois rule).  The point stays
+    at least tol/2 inside the bracket, so a converged guess closes the
+    bracket on the next step.  A bracket that fails to halve often
+    enough to fall more than _REFINE_SLACK halvings behind plain
+    bisection takes bisection steps instead, so none needs more than
+    the bisection count plus _REFINE_SLACK + 2 steps.  Both ends keep a
+    strict sign change throughout.
+    """
+    lo, hi, z_lo, z_hi = lo.copy(), hi.copy(), z_lo.copy(), z_hi.copy()
+    w_lo, w_hi = z_lo.copy(), z_hi.copy()
+    kept = np.zeros(lo.size, dtype=np.int8)  # end kept last step: -1 lo, +1 hi
+    limit = (hi - lo) * 2.0 ** _REFINE_SLACK  # widest width still on schedule
     while True:
-        active = (hi - lo) > tol
-        if not active.any():
+        idx = np.flatnonzero(hi - lo > tol)
+        if idx.size == 0:
             return lo, hi
-        mid = 0.5 * (lo[active] + hi[active])
-        fm = _z_values(mid)
-        exact = fm == 0.0
+        a, b = lo[idx], hi[idx]
+        width = b - a
+        guess = a - w_lo[idx] * width / (w_hi[idx] - w_lo[idx])
+        x = np.where(width > limit[idx], 0.5 * (a + b),
+                     np.clip(guess, a + 0.5 * tol, b - 0.5 * tol))
+        fx = _z_values(x)
+        exact = fx == 0.0
         if exact.any():
-            # Re-pick the 3/4 point of the cell rather than storing a
+            # Re-pick the 3/4 point of the bracket rather than storing a
             # zero endpoint; keeps both endpoint signs strict.
-            mid = mid.copy()
-            sub = np.nonzero(active)[0][exact]
-            mid[exact] = lo[sub] + 0.75 * (hi[sub] - lo[sub])
-            fm[exact] = _z_values(mid[exact])
-        below = z_lo[active] * fm < 0.0
-        idx = np.nonzero(active)[0]
-        hi_idx = idx[below]
-        lo_idx = idx[~below]
-        hi[hi_idx] = mid[below]
-        lo[lo_idx] = mid[~below]
-        z_lo[lo_idx] = fm[~below]
+            x[exact] = a[exact] + 0.75 * width[exact]
+            fx[exact] = _z_values(x[exact])
+        left = z_lo[idx] * fx < 0.0  # sign change in [a, x]: x is the new hi
+        new_hi, new_lo = idx[left], idx[~left]
+        w_lo[new_hi[kept[new_hi] == -1]] *= 0.5
+        w_hi[new_lo[kept[new_lo] == 1]] *= 0.5
+        hi[new_hi], z_hi[new_hi], w_hi[new_hi] = x[left], fx[left], fx[left]
+        lo[new_lo], z_lo[new_lo], w_lo[new_lo] = x[~left], fx[~left], fx[~left]
+        kept[new_hi], kept[new_lo] = -1, 1
+        limit[idx] *= 0.5
 
 
 def scan_zeros(
@@ -484,24 +573,29 @@ def scan_zeros(
     t_max: float,
     tol: float,
     *,
-    initial_stride: float = STRIDE_INITIAL,
     workers: int = 1,
 ) -> ZeroTable:
     """Locate every sign-change zero of Z in (t_min, t_max].
 
     The scan always covers (0, t_max] internally so indices n are global
     counts from t = 0; entries below t_min are dropped from the output
-    only after indexing.  After the grid pass, the zero count over
-    (0, t_max] is audited against the counting formula: a discrepancy
-    beyond 1 (the formula itself oscillates by about that much) means
-    close pairs were missed, and the scan retries with the stride
-    halved, down to a floor of 1/1024.  Each surviving bracket is then
-    refined by plain bisection to width <= tol.
+    only after indexing.
 
-    Disjoint upper ranges may be scanned in separate calls or processes
-    and merged by sorting; grid values are pure functions of t, so the
-    result is deterministic regardless of partitioning.  workers > 1
-    parallelizes the grid pass across that many processes.
+    Z is evaluated once on the Gram points g_n (theta(g_n) = n pi) from
+    g_-1 ~ 9.67 up to the first good one at or above t_max, with t_max
+    itself added as a node so that no bracket crosses it.  Consecutive
+    good Gram points bound Gram blocks.  By Rosser's rule, which holds
+    for every block far beyond t = 1e4 (Brent, Math. Comp. 33, 1979), a
+    block of k Gram intervals holds exactly k zeros.  The blocks showing
+    fewer sign changes are subdivided together, halving their node
+    spacing down to STRIDE_FLOOR; a block still unresolved there raises
+    AuditError.  Z < 0 on (0, 14.13), so g_-1 is good and (0, g_-1]
+    holds no zero: the i-th sign change is zero n = i.  Each bracket is
+    then refined by bracketed Illinois steps to width <= tol.
+
+    Grid values are pure functions of t, so the result is deterministic.
+    workers > 1 spreads the Gram-point evaluation over that many
+    processes.
     """
     t_min = float(t_min)
     t_max = float(t_max)
@@ -518,27 +612,23 @@ def scan_zeros(
         raise PrecisionError(
             f"scan_zeros: t_max = {t_max:g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
-    if not (0.0 < initial_stride <= 1.0):
-        raise DomainError("scan_zeros: initial_stride must lie in (0, 1]")
     workers = int(workers)
     if workers < 1:
         raise DomainError("scan_zeros: workers must be a positive integer")
 
-    target = round(count_zeros(t_max).n_estimate)
-    stride = float(initial_stride)
-    while True:
-        lo, hi, z_lo = _collect_brackets(t_max, stride, workers)
-        if abs(len(lo) - target) <= 1:
-            break
-        if stride <= STRIDE_FLOOR:
-            raise AuditError(
-                f"scan_zeros: found {len(lo)} zeros below t = {t_max:g} but the "
-                f"counting formula expects {target}; stride floor "
-                f"{STRIDE_FLOOR:g} reached"
-            )
-        stride *= 0.5
+    ns, ts, zs, good = _gram_grid(t_max, workers)
+    edges = np.flatnonzero(good)
+    edge_n = ns[edges]
+    at = int(np.searchsorted(ts, t_max))
+    if 0 < at and ts[at] != t_max:
+        t_node, z_node = _sign_definite(np.array([t_max]), _z_values(np.array([t_max])))
+        ts = np.insert(ts, at, t_node)
+        zs = np.insert(zs, at, z_node)
+        edges = edges + (edges >= at)
+    ts, zs = _resolve_blocks(ts, zs, edges, edge_n)
 
-    lo, hi = _refine_brackets(lo, hi, z_lo, tol)
+    idx = np.flatnonzero((zs[:-1] * zs[1:] < 0.0) & (ts[:-1] < t_max))
+    lo, hi = _refine_brackets(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)
     gammas = 0.5 * (lo + hi)
     entries = tuple(
         ZeroEntry(

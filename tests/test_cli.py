@@ -20,7 +20,7 @@ TWO_PI = 2.0 * math.pi
 _RZS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(rzs.__file__)))
 
 
-def _run(args, cwd, env_extra=None):
+def _run(args, cwd, env_extra=None, *, python_args=("-m", "rzs")):
     env = dict(os.environ)
     env.pop("RZS_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -28,7 +28,7 @@ def _run(args, cwd, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "rzs", *args],
+        [sys.executable, *python_args, *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=300,
     )
 
@@ -274,11 +274,23 @@ class TestArgumentHandling:
         assert result.returncode == 2, result.stderr
 
 
+class TestImport:
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # A fresh interpreter, because this test process has SciPy loaded
+        # already (the oracles use it).  Only bubble's two quadrature
+        # routes need scipy.integrate, and they import it when called.
+        code = ("import sys, rzs; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = _run([], tmp_path, python_args=("-c", code))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
 class TestThreadsEnvironment:
     def test_parallel_scan_output_is_identical(self, tmp_path):
-        # 1100 / 0.25 stride crosses the grid-size threshold where the
-        # process pool actually engages.
-        args = ["zeros", "--t-max", "1100", "--out-path", "zeros.csv"]
+        # Below t = 1e4 lie 10,143 Gram points, past the 4096-point grid
+        # size where the process pool actually engages.
+        args = ["zeros", "--t-max", "10000", "--out-path", "zeros.csv"]
         result = _run(args, tmp_path)
         assert result.returncode == 0, result.stderr
         serial = (tmp_path / "zeros.csv").read_bytes()

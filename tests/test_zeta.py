@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
+import functools
+import json
 import math
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rzs.zeta
 from rzs import (
@@ -24,6 +30,15 @@ from rzs import (
 import oracles
 
 TWO_PI = 2.0 * math.pi
+
+# Every zero below t = 3000 from mpmath, committed with the benchmark.
+_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@functools.cache
+def _reference_zeros() -> tuple[float, ...]:
+    data = json.loads(_REFERENCE.read_text())
+    return tuple(float(g) for g in data["full"])
 
 
 # ----------------------------------------------------------------------
@@ -249,13 +264,28 @@ class TestScanZeros:
         assert all(b > a for a, b in zip(gammas, gammas[1:]))
         assert [e.n for e in table_500.zeros] == list(range(1, len(gammas) + 1))
 
-    def test_half_stride_gives_identical_zero_set(self):
-        coarse = scan_zeros(0.0, 250.0, 1.0e-8)
-        fine = scan_zeros(0.0, 250.0, 1.0e-8, initial_stride=0.125)
-        assert len(coarse.zeros) == len(fine.zeros)
-        for a, b in zip(coarse.zeros, fine.zeros):
-            assert a.n == b.n
-            assert abs(a.gamma - b.gamma) <= 1.0e-8
+    def test_matches_brute_force_fine_grid_scan(self):
+        # Reference: sign changes of Z on a uniform grid of stride 1/64
+        # over (0, 250], each bisected to width <= 1e-8; no Gram points.
+        z = rzs.zeta._z_values
+        ts = np.arange(1, 250 * 64 + 1) / 64.0
+        vals = z(ts)
+        cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        lo, hi, z_lo = ts[cells], ts[cells + 1], vals[cells]
+        while (hi - lo).max() > 1.0e-8:
+            mid = 0.5 * (lo + hi)
+            z_mid = z(mid)
+            left = z_lo * z_mid < 0.0
+            hi = np.where(left, mid, hi)
+            z_lo = np.where(left, z_lo, z_mid)
+            lo = np.where(left, lo, mid)
+        reference = 0.5 * (lo + hi)
+
+        table = scan_zeros(0.0, 250.0, 1.0e-8)
+        assert len(table.zeros) == len(reference)
+        assert [e.n for e in table.zeros] == list(range(1, len(reference) + 1))
+        for entry, gamma in zip(table.zeros, reference):
+            assert abs(entry.gamma - gamma) <= 1.0e-8
 
     def test_window_keeps_global_indices(self):
         table = scan_zeros(20.0, 30.0, 1.0e-8)
@@ -269,23 +299,63 @@ class TestScanZeros:
         assert a == b
 
     def test_worker_count_does_not_change_output(self):
-        # 1100/0.25 > 4096 grid points, so two workers really do engage
-        # the process pool; the table must come out bitwise identical.
-        serial = scan_zeros(0.0, 1100.0, 1.0e-8)
-        parallel = scan_zeros(0.0, 1100.0, 1.0e-8, workers=2)
+        # 10,143 Gram points lie below 1e4, more than the 4096 grid points
+        # at which two workers really do engage the process pool; the
+        # table must come out bitwise identical.
+        serial = scan_zeros(0.0, 1.0e4, 1.0e-8)
+        parallel = scan_zeros(0.0, 1.0e4, 1.0e-8, workers=2)
         assert serial == parallel
 
-    def test_audit_failure_raises_at_stride_floor(self, monkeypatch):
-        real = count_zeros(50.0)
+    def test_unresolvable_gram_block_raises_audit_error(self, monkeypatch):
+        # Gram points g_0 = 17.846, g_1 = 23.170 and g_2 = 27.670 are all
+        # good.  Reporting |Z| on (18, 27), which holds the zeros at 21.02
+        # and 25.01 and the Gram point g_1, makes g_1 bad and leaves the
+        # block g_0..g_2 with no sign change for its 2 Gram intervals.
+        real = rzs.zeta._z_values
 
-        def inflated(t, *, n_correction=7.0 / 8.0):
-            class Fake:
-                n_estimate = real.n_estimate + 10.0
-            return Fake()
+        def one_signed(ts):
+            ts = np.asarray(ts, dtype=float)
+            vals = real(ts)
+            inside = (ts > 18.0) & (ts < 27.0)
+            return np.where(inside, np.abs(vals), vals)
 
-        monkeypatch.setattr(rzs.zeta, "count_zeros", inflated)
-        with pytest.raises(AuditError):
+        monkeypatch.setattr(rzs.zeta, "_z_values", one_signed)
+        with pytest.raises(AuditError, match=r"Gram block g_0\.\.g_2 "):
             scan_zeros(0.0, 50.0, 1.0e-8)
+
+    @pytest.mark.parametrize("t_max, count", [(1339.03, 931), (1420.65, 1001)])
+    def test_close_pair_heights_give_exact_counts(self, t_max, count):
+        # mpmath counts at heights just above a close pair of zeros,
+        # which a scan on a uniform grid easily drops.
+        table = scan_zeros(0.0, t_max, 1.0e-8)
+        assert len(table.zeros) == count
+        assert table.zeros[-1].n == count
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(t_max=st.floats(min_value=100.0, max_value=3000.0))
+    def test_count_matches_mpmath_reference(self, t_max):
+        expected = bisect.bisect_right(_reference_zeros(), t_max)
+        assert len(scan_zeros(0.0, t_max, 1.0e-8).zeros) == expected
+
+    def test_deep_scan_cost_and_brackets(self, monkeypatch):
+        real = rzs.zeta._z_values
+        evaluated = []
+
+        def counting(ts):
+            evaluated.append(np.size(ts))
+            return real(ts)
+
+        monkeypatch.setattr(rzs.zeta, "_z_values", counting)
+        table = scan_zeros(0.0, 1.0e4, 1.0e-8)
+        monkeypatch.undo()
+        assert len(table.zeros) == 10142
+        assert sum(evaluated) <= 150_000
+        lo = np.array([e.bracket_lo for e in table.zeros])
+        hi = np.array([e.bracket_hi for e in table.zeros])
+        gamma = np.array([e.gamma for e in table.zeros])
+        assert np.all((lo < gamma) & (gamma < hi))
+        assert np.all(hi - lo <= 1.0e-8)
+        assert np.all(real(lo) * real(hi) < 0.0)
 
     def test_rejects_bad_ranges_and_tolerances(self):
         with pytest.raises(DomainError):
@@ -298,8 +368,6 @@ class TestScanZeros:
             scan_zeros(0.0, 10.0, 1.0e-9)
         with pytest.raises(PrecisionError):
             scan_zeros(0.0, 2.0e4, 1.0e-8)
-        with pytest.raises(DomainError):
-            scan_zeros(0.0, 10.0, 1.0e-8, initial_stride=0.0)
         with pytest.raises(DomainError):
             scan_zeros(0.0, 10.0, 1.0e-8, workers=0)
 
