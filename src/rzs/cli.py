@@ -10,9 +10,7 @@ Five subcommands expose the computational modules:
 
 Output files are written atomically (temp file + rename) and every
 number is serialized with 17 significant digits, so re-running a
-command with identical flags produces byte-identical output.  The
-environment variable RZS_THREADS (positive integer) caps how many
-processes the zero scan may use; output is identical either way.
+command with identical flags produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -68,19 +66,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("RZS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise DomainError(f"RZS_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -105,7 +90,7 @@ def _emit(config: RunConfig, text: str, *, to_stdout: bool) -> None:
 
 
 def _cmd_zeros(config: RunConfig) -> None:
-    table = scan_zeros(0.0, config.t_max, config.tol, workers=_workers_from_env())
+    table = scan_zeros(0.0, config.t_max, config.tol)
     _emit(config, zero_table_to_csv(table), to_stdout=config.out_path is None)
 
 
@@ -151,7 +136,12 @@ def _cmd_gap(config: RunConfig) -> None:
 
 
 def _scan_upper_for(n_max: int) -> float:
-    """Height covering n_max zeros: 1.2x the counting-formula inversion."""
+    """Height covering n_max zeros: where the counting formula reaches n_max + 2.
+
+    The true count differs from the formula by S(T) + O(1/T), and |S(T)|
+    stays below 2 far beyond the supported heights, so two zeros of
+    margin cover n_max without overscanning.  Capped at T_SUPPORT_MAX.
+    """
     lo = TWO_PI * 1.001
     hi = T_SUPPORT_MAX
     if count_zeros(hi).n_estimate < n_max:
@@ -161,18 +151,17 @@ def _scan_upper_for(n_max: int) -> float:
         )
     while hi - lo > 1.0e-6 * hi:
         mid = 0.5 * (lo + hi)
-        if count_zeros(mid).n_estimate < n_max:
+        if count_zeros(mid).n_estimate < n_max + 2:
             lo = mid
         else:
             hi = mid
-    return min(1.2 * hi, T_SUPPORT_MAX)
+    return hi
 
 
 def _cmd_compare(config: RunConfig) -> None:
-    workers = _workers_from_env()
     t_upper = _scan_upper_for(config.n_max)
     while True:
-        table = scan_zeros(0.0, t_upper, config.tol, workers=workers)
+        table = scan_zeros(0.0, t_upper, config.tol)
         if len(table.zeros) >= config.n_max or t_upper >= T_SUPPORT_MAX:
             break
         # The counting-formula estimate undershot; extend and rescan.

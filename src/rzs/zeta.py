@@ -9,11 +9,15 @@ theta is the phase
 
     theta(t) = Im ln Gamma(1/4 + i*t/2) - (t/2) ln pi,
 
-computed from the Stirling series after a recurrence shift.  Z itself is
-evaluated by truncated Euler-Maclaurin summation at low heights (cheap
-and certifiable there) and by the main sum of the Riemann-Siegel
-expansion plus its first two correction terms above a fixed crossover
-height; the crossover is t = 30.
+computed from its real asymptotic series in 1/t from t = 10 up, and
+below that from the Stirling series for ln Gamma after a recurrence
+shift.  Z itself is evaluated by truncated Euler-Maclaurin summation at
+low heights (cheap and certifiable there) and by the main sum of the
+Riemann-Siegel expansion plus its first two correction terms above a
+fixed crossover height; the crossover is t = 30.  The main sum runs
+over the heights sorted by their term count N, one term n at a time
+across the contiguous run of heights that need it, and the correction
+terms come from a degree-24 Chebyshev series of Psi.
 
 Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,19 @@ TOL_SUPPORT_MIN = 1.0e-8
 
 # Evaluation crossover: Euler-Maclaurin below, Riemann-Siegel above.
 CROSSOVER_T = 30.0
+
+# theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
+# first omitted term, 691/2730 * (1 - 2^-11) / 264 * t^-11 ~ 9.6e-4 t^-11,
+# is <= 1e-14 there.  Below it, the shifted Stirling series serves.
+# _THETA_SERIES holds the coefficients of t^-1, t^-3, ..., t^-9.
+THETA_SERIES_T = 10.0
+_THETA_SERIES = (
+    1.0 / 48.0,
+    7.0 / 5760.0,
+    31.0 / 80640.0,
+    127.0 / 430080.0,
+    511.0 / 1216512.0,
+)
 
 # Zero scan.  A Gram block that does not show one sign change per Gram
 # interval is subdivided until its node spacing reaches STRIDE_FLOOR.
@@ -148,7 +164,7 @@ class ZeroCountEstimate:
 
 
 # ----------------------------------------------------------------------
-# theta(t): Stirling series for Im ln Gamma(1/4 + i t/2)
+# theta(t): asymptotic series, or Stirling series for Im ln Gamma(1/4 + i t/2)
 # ----------------------------------------------------------------------
 
 def _log_gamma_imag(z: np.ndarray) -> np.ndarray:
@@ -173,10 +189,26 @@ def _log_gamma_imag(z: np.ndarray) -> np.ndarray:
     return total.imag
 
 
+def _theta_series(ts: np.ndarray) -> np.ndarray:
+    """theta(t) = (t/2) ln(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3) + ...,
+    the real asymptotic series, for heights t >= THETA_SERIES_T."""
+    x = 1.0 / ts
+    x2 = x * x
+    tail = _THETA_SERIES[-1]
+    for coef in _THETA_SERIES[-2::-1]:
+        tail = coef + x2 * tail
+    return 0.5 * ts * (np.log(ts / TWO_PI) - 1.0) - math.pi / 8.0 + x * tail
+
+
 def _theta_vec(ts: np.ndarray) -> np.ndarray:
     """theta on an array of non-negative heights."""
-    z = 0.25 + 0.5j * ts
-    return _log_gamma_imag(z) - 0.5 * ts * LN_PI
+    out = np.empty_like(ts)
+    low = ts < THETA_SERIES_T
+    out[~low] = _theta_series(ts[~low])
+    if low.any():
+        t_low = ts[low]
+        out[low] = _log_gamma_imag(0.25 + 0.5j * t_low) - 0.5 * t_low * LN_PI
+    return out
 
 
 def theta(t: float) -> float:
@@ -270,11 +302,13 @@ def _psi_ref(p: float) -> float:
     return math.cos(TWO_PI * (p * p - p - 0.0625)) / c
 
 
-# Degree-64 Chebyshev interpolant of Psi on [0, 1].  The first-kind
-# nodes never coincide with the removable singularities, and the
-# derivative needed for the second correction term comes from the
-# interpolant, which is accurate to ~1e-13 across the interval.
-_PSI = Chebyshev.interpolate(np.vectorize(_psi_ref), 64, domain=[0.0, 1.0])
+# Chebyshev series of Psi on [0, 1]: the degree-64 interpolant (its
+# first-kind nodes never coincide with the removable singularities)
+# truncated to degree 24.  Its coefficients beyond degree ~20 are
+# rounding noise below 1.4e-14, and the third derivative needed for the
+# second correction term amplifies that noise: Psi''' of the full
+# interpolant is off by ~2e-4, of the truncated series by ~1e-7.
+_PSI = Chebyshev.interpolate(np.vectorize(_psi_ref), 64, domain=[0.0, 1.0]).truncate(25)
 _PSI3 = _PSI.deriv(3)
 
 _RS_ERR_COEF = 0.02  # measured: |error| <= 0.005 * a^{-5/2}; 4x margin
@@ -287,38 +321,48 @@ def _z_rs_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
         Z(t) ~ 2 sum_{n<=N} cos(theta(t) - t ln n)/sqrt(n)
                + (-1)^{N-1} a^{-1/2} [ Psi(p) - Psi'''(p)/(96 pi^2 a) ].
+
+    The heights are sorted once, so for every n the heights with N >= n
+    form one contiguous tail; term n is added across that tail, from
+    tables of ln n and n^{-1/2} shared by all heights, and the results
+    are scattered back to input order.  No temporary is larger than the
+    batch.
     """
-    a = np.sqrt(ts / TWO_PI)
+    order = np.argsort(ts)
+    t = ts[order]
+    a = np.sqrt(t / TWO_PI)
     big_n = np.floor(a).astype(int)
     p = a - big_n
-    th = _theta_vec(ts)
+    th = _theta_vec(t)
 
-    vals = np.empty_like(ts)
-    for n_terms in np.unique(big_n):
-        m = big_n == n_terms
-        ns = np.arange(1, n_terms + 1)
-        phases = np.cos(th[m, None] - ts[m, None] * np.log(ns)[None, :])
-        vals[m] = 2.0 * (phases @ (1.0 / np.sqrt(ns)))
+    ns = np.arange(1, big_n[-1] + 1)
+    ln_n = np.log(ns)
+    rsqrt_n = 1.0 / np.sqrt(ns)
+    main = np.zeros_like(t)
+    for n, start in enumerate(np.searchsorted(big_n, ns)):
+        main[start:] += rsqrt_n[n] * np.cos(th[start:] - t[start:] * ln_n[n])
 
     c0 = _PSI(p)
     c1 = -_PSI3(p) / (96.0 * math.pi ** 2)
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
-    corr = sign * (c0 + c1 / a) / np.sqrt(a)
-    vals = vals + corr
-    errs = _RS_ERR_COEF * a ** (-2.5) + 1.0e-11
+    vals = np.empty_like(ts)
+    vals[order] = 2.0 * main + sign * (c0 + c1 / a) / np.sqrt(a)
+    errs = _RS_ERR_COEF * (ts / TWO_PI) ** (-1.25) + 1.0e-11
     return vals, errs
 
 
-def _z_values(ts: np.ndarray) -> np.ndarray:
-    """Z on an array of heights in [0, T_SUPPORT_MAX]; values only."""
+def _z_values(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z and its error bound on an array of heights in [0, T_SUPPORT_MAX]:
+    Euler-Maclaurin below CROSSOVER_T, Riemann-Siegel from it up."""
     ts = np.asarray(ts, dtype=float)
     vals = np.empty_like(ts)
+    errs = np.empty_like(ts)
     low = ts < CROSSOVER_T
     if low.any():
-        vals[low] = _z_em_vec(ts[low])[0]
+        vals[low], errs[low] = _z_em_vec(ts[low])
     if (~low).any():
-        vals[~low] = _z_rs_vec(ts[~low])[0]
-    return vals
+        vals[~low], errs[~low] = _z_rs_vec(ts[~low])
+    return vals, errs
 
 
 def z_function(t: float, tol: float) -> CriticalLineSample:
@@ -343,13 +387,8 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
             f"z_function: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
     at = abs(t)
-    arr = np.array([at])
-    if at < CROSSOVER_T:
-        vals, errs = _z_em_vec(arr)
-        method = "euler_maclaurin"
-    else:
-        vals, errs = _z_rs_vec(arr)
-        method = "riemann_siegel"
+    vals, errs = _z_values(np.array([at]))
+    method = "euler_maclaurin" if at < CROSSOVER_T else "riemann_siegel"
     est = float(errs[0])
     if est > tol:
         raise PrecisionError(
@@ -413,15 +452,6 @@ def gamma_asymptotic(n: int) -> float:
 # Zero scan
 # ----------------------------------------------------------------------
 
-def _grid_values(ts: np.ndarray, workers: int) -> np.ndarray:
-    if workers > 1 and ts.size >= 4096:
-        chunks = np.array_split(ts, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_z_values, chunks))
-        return np.concatenate(parts)
-    return _z_values(ts)
-
-
 def _gram_points(ns: np.ndarray) -> np.ndarray:
     """Gram points g_n, where theta(g_n) = n pi, for integers n >= -1.
 
@@ -450,13 +480,11 @@ def _sign_definite(ts: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
         ts = ts.copy()
         zs = zs.copy()
         ts[exact] += _NUDGE
-        zs[exact] = _z_values(ts[exact])
+        zs[exact] = _z_values(ts[exact])[0]
     return ts, zs
 
 
-def _gram_grid(
-    t_max: float, workers: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _gram_grid(t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gram points g_-1 .. g_B and Z there, B the first good index with g_B >= t_max.
 
     g_n is good when (-1)^n Z(g_n) > 0.  The counting formula N(T) - 1
@@ -466,7 +494,7 @@ def _gram_grid(
     """
     ns = np.arange(-1, max(int(count_zeros(t_max).n_estimate), 0) + _GRAM_PAD)
     gs = _gram_points(ns)
-    gs, zs = _sign_definite(gs, _grid_values(gs, workers))
+    gs, zs = _sign_definite(gs, _z_values(gs)[0])
     while True:
         good = np.where(ns % 2 == 0, zs, -zs) > 0.0
         past = np.flatnonzero(good & (gs >= t_max))
@@ -475,7 +503,7 @@ def _gram_grid(
             return ns[:stop], gs[:stop], zs[:stop], good[:stop]
         more = np.arange(ns[-1] + 1, ns[-1] + 1 + _GRAM_PAD)
         g_more = _gram_points(more)
-        g_more, z_more = _sign_definite(g_more, _z_values(g_more))
+        g_more, z_more = _sign_definite(g_more, _z_values(g_more)[0])
         ns = np.concatenate((ns, more))
         gs = np.concatenate((gs, g_more))
         zs = np.concatenate((zs, z_more))
@@ -517,7 +545,7 @@ def _resolve_blocks(
                 f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
             )
         mids = 0.5 * (ts[gaps] + ts[gaps + 1])
-        mids, z_mids = _sign_definite(mids, _z_values(mids))
+        mids, z_mids = _sign_definite(mids, _z_values(mids)[0])
         edges = edges + np.searchsorted(gaps, edges)
         ts = np.insert(ts, gaps + 1, mids)
         zs = np.insert(zs, gaps + 1, z_mids)
@@ -551,13 +579,13 @@ def _refine_brackets(
         guess = a - w_lo[idx] * width / (w_hi[idx] - w_lo[idx])
         x = np.where(width > limit[idx], 0.5 * (a + b),
                      np.clip(guess, a + 0.5 * tol, b - 0.5 * tol))
-        fx = _z_values(x)
+        fx = _z_values(x)[0]
         exact = fx == 0.0
         if exact.any():
             # Re-pick the 3/4 point of the bracket rather than storing a
             # zero endpoint; keeps both endpoint signs strict.
             x[exact] = a[exact] + 0.75 * width[exact]
-            fx[exact] = _z_values(x[exact])
+            fx[exact] = _z_values(x[exact])[0]
         left = z_lo[idx] * fx < 0.0  # sign change in [a, x]: x is the new hi
         new_hi, new_lo = idx[left], idx[~left]
         w_lo[new_hi[kept[new_hi] == -1]] *= 0.5
@@ -568,13 +596,7 @@ def _refine_brackets(
         limit[idx] *= 0.5
 
 
-def scan_zeros(
-    t_min: float,
-    t_max: float,
-    tol: float,
-    *,
-    workers: int = 1,
-) -> ZeroTable:
+def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     """Locate every sign-change zero of Z in (t_min, t_max].
 
     The scan always covers (0, t_max] internally so indices n are global
@@ -594,8 +616,6 @@ def scan_zeros(
     then refined by bracketed Illinois steps to width <= tol.
 
     Grid values are pure functions of t, so the result is deterministic.
-    workers > 1 spreads the Gram-point evaluation over that many
-    processes.
     """
     t_min = float(t_min)
     t_max = float(t_max)
@@ -612,16 +632,14 @@ def scan_zeros(
         raise PrecisionError(
             f"scan_zeros: t_max = {t_max:g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
-    workers = int(workers)
-    if workers < 1:
-        raise DomainError("scan_zeros: workers must be a positive integer")
 
-    ns, ts, zs, good = _gram_grid(t_max, workers)
+    ns, ts, zs, good = _gram_grid(t_max)
     edges = np.flatnonzero(good)
     edge_n = ns[edges]
     at = int(np.searchsorted(ts, t_max))
     if 0 < at and ts[at] != t_max:
-        t_node, z_node = _sign_definite(np.array([t_max]), _z_values(np.array([t_max])))
+        node = np.array([t_max])
+        t_node, z_node = _sign_definite(node, _z_values(node)[0])
         ts = np.insert(ts, at, t_node)
         zs = np.insert(zs, at, z_node)
         edges = edges + (edges >= at)

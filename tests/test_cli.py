@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 import rzs
+import rzs.cli
 
 TWO_PI = 2.0 * math.pi
 
@@ -19,10 +22,11 @@ TWO_PI = 2.0 * math.pi
 # inherited relative entry does not resolve in tmp_path).
 _RZS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(rzs.__file__)))
 
+_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
 
 def _run(args, cwd, env_extra=None, *, python_args=("-m", "rzs")):
     env = dict(os.environ)
-    env.pop("RZS_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_RZS_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
@@ -250,9 +254,21 @@ class TestCompareCommand:
         assert result.stderr.startswith("error: ")
         assert not out.exists()
 
+    def test_scan_height_covers_n_max_without_overscan(self):
+        # Every zero up to t = 3001.02 from mpmath, committed with the
+        # benchmark: counts there are exact.  The scan height must hold
+        # n_max zeros and at most 3 more.
+        reference = json.loads(_REFERENCE.read_text())["full"]
+        for n_max in range(1, len(reference) + 1):
+            t_upper = rzs.cli._scan_upper_for(n_max)
+            count = bisect.bisect_right(reference, t_upper)
+            assert count >= n_max, (n_max, t_upper)
+            if t_upper <= reference[-1]:
+                assert count <= n_max + 3, (n_max, t_upper)
+
 
 # ----------------------------------------------------------------------
-# argument handling and environment
+# argument handling and import
 # ----------------------------------------------------------------------
 
 class TestArgumentHandling:
@@ -284,25 +300,3 @@ class TestImport:
         result = _run([], tmp_path, python_args=("-c", code))
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
-
-
-class TestThreadsEnvironment:
-    def test_parallel_scan_output_is_identical(self, tmp_path):
-        # Below t = 1e4 lie 10,143 Gram points, past the 4096-point grid
-        # size where the process pool actually engages.
-        args = ["zeros", "--t-max", "10000", "--out-path", "zeros.csv"]
-        result = _run(args, tmp_path)
-        assert result.returncode == 0, result.stderr
-        serial = (tmp_path / "zeros.csv").read_bytes()
-        result = _run(args, tmp_path, env_extra={"RZS_THREADS": "2"})
-        assert result.returncode == 0, result.stderr
-        assert (tmp_path / "zeros.csv").read_bytes() == serial
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_invalid_thread_counts_fail_cleanly(self, tmp_path, value):
-        out = tmp_path / "zeros.csv"
-        result = _run(["zeros", "--t-max", "30", "--out-path", str(out)],
-                      tmp_path, env_extra={"RZS_THREADS": value})
-        assert result.returncode == 1
-        assert result.stderr.startswith("error: ")
-        assert not out.exists()
