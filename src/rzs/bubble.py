@@ -46,8 +46,6 @@ __all__ = [
     "gap_residual",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 # Below this p^2/m^2 the closed form loses accuracy to the ln(1 + small)
 # cancellation, so pi_closed switches to a 3-term series around p = 0.
 SMALL_P_RATIO = 1.0e-6
@@ -182,7 +180,7 @@ def pi_closed(p: float, m: float) -> float:
         return (1.0 + w / 3.0 + w * w / 5.0) / (math.pi * (p2 + 4.0 * m2))
     f = f_kinematic(m / p)
     log_ratio = 2.0 * math.log((1.0 + f) * p / (2.0 * m))
-    return log_ratio / (TWO_PI * f * p2)
+    return log_ratio / (math.tau * f * p2)
 
 
 def pi_at_zero(m: float) -> float:
@@ -207,7 +205,7 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
     if not m2 > 0.0:
         raise DomainError("correlator_sample: m2 must be positive")
     pi_value = pi_closed(math.sqrt(t), math.sqrt(m2))
-    asymptote = TWO_PI * t / math.log(t / m2) if t > m2 else None
+    asymptote = math.tau * t / math.log(t / m2) if t > m2 else None
     return CorrelatorSample(
         t=t,
         pi_value=pi_value,
@@ -218,16 +216,16 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
 
 
 def _validate_gap_spec(spec: GapEquationSpec) -> None:
-    if not spec.coupling > 0.0:
-        raise DomainError("gap_mass: coupling must be positive")
+    if not 0.0 < spec.coupling < math.inf:
+        raise DomainError("gap_mass: coupling must be positive and finite")
     if isinstance(spec.n_components, bool) or not isinstance(
         spec.n_components, numbers.Integral
     ):
         raise DomainError("gap_mass: n_components must be an integer")
     if spec.n_components < 2:
         raise DomainError("gap_mass: need n_components >= 2")
-    if not spec.cutoff > 0.0:
-        raise DomainError("gap_mass: cutoff must be positive")
+    if not (spec.cutoff > 0.0 and spec.cutoff * spec.cutoff < math.inf):
+        raise DomainError("gap_mass: cutoff must be positive, with a finite square")
 
 
 def _gap_lhs_minus_rhs(m2: float, spec: GapEquationSpec) -> float:
@@ -252,7 +250,14 @@ def gap_mass(spec: GapEquationSpec) -> float:
     """
     _validate_gap_spec(spec)
     lam2 = spec.cutoff * spec.cutoff
-    exponent = 4.0 * math.pi / (spec.n_components * spec.coupling * spec.coupling)
+    ng2 = spec.n_components * spec.coupling * spec.coupling
+    # N g0^2 underflowing to 0 sends the mass to 0, as a large exponent does.
+    exponent = 4.0 * math.pi / ng2 if ng2 > 0.0 else math.inf
+    if exponent == 0.0:
+        raise NoSolutionError(
+            "gap_mass: N g0^2 overflows, so 4pi/(N g0^2) = 0 and the inverted "
+            "mass m^2 is infinite; no physical solution"
+        )
     try:
         denom = math.expm1(exponent)
     except OverflowError:
@@ -299,5 +304,5 @@ def gap_residual(spec: GapEquationSpec, m2: float) -> float:
         epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200,
     )
     lhs = 1.0 / (spec.coupling * spec.coupling)
-    rhs = spec.n_components * tadpole / TWO_PI
+    rhs = spec.n_components * tadpole / math.tau
     return abs(lhs - rhs)

@@ -20,50 +20,17 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bubble import GapEquationSpec, correlator_sample, gap_mass, gap_residual
 from .correspond import build_report, log_slope_fit, report_to_csv, report_to_json
 from .errors import DomainError, RzsError
-from .zeta import (
-    T_SUPPORT_MAX,
-    TWO_PI,
-    count_zeros,
-    scan_zeros,
-    zero_table_to_csv,
-)
+from .zeta import T_SUPPORT_MAX, _fmt, count_zeros, scan_zeros, zero_table_to_csv
 
-__all__ = ["RunConfig", "run", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 _DEFAULT_TOL = 1.0e-8
-_DEFAULT_POINTS = 50
-_DEFAULT_MASS2_BUBBLE = 1.0
-_DEFAULT_MASS2_COMPARE = TWO_PI
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the command plus its numeric parameters."""
-
-    command: str
-    t: float | None = None
-    t_min: float | None = None
-    t_max: float | None = None
-    tol: float = _DEFAULT_TOL
-    mass2: float | None = None
-    points: int = _DEFAULT_POINTS
-    coupling: float | None = None
-    n_components: int | None = None
-    cutoff: float | None = None
-    n_max: int | None = None
-    out_path: str | None = None
-    format: str = "csv"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -82,20 +49,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, text: str, *, to_stdout: bool) -> None:
-    if to_stdout:
-        sys.stdout.write(text)
-    if config.out_path is not None:
-        _atomic_write(config.out_path, text)
+def _print(ns: argparse.Namespace, text: str) -> None:
+    """Print text; with --out-path, also write it there."""
+    sys.stdout.write(text)
+    if ns.out_path is not None:
+        _atomic_write(ns.out_path, text)
 
 
-def _cmd_zeros(config: RunConfig) -> None:
-    table = scan_zeros(0.0, config.t_max, config.tol)
-    _emit(config, zero_table_to_csv(table), to_stdout=config.out_path is None)
+def _cmd_zeros(ns: argparse.Namespace) -> None:
+    table = scan_zeros(0.0, ns.t_max, ns.tol)
+    _atomic_write(ns.out_path, zero_table_to_csv(table))
 
 
-def _cmd_count(config: RunConfig) -> None:
-    est = count_zeros(config.t)
+def _cmd_count(ns: argparse.Namespace) -> None:
+    est = count_zeros(ns.t)
     text = (
         f"t = {_fmt(est.t)}\n"
         f"n_main = {_fmt(est.n_main)}\n"
@@ -103,36 +70,37 @@ def _cmd_count(config: RunConfig) -> None:
         f"n_estimate = {_fmt(est.n_estimate)}\n"
         f"density = {_fmt(est.density)}\n"
     )
-    _emit(config, text, to_stdout=True)
+    _print(ns, text)
 
 
-def _cmd_bubble(config: RunConfig) -> None:
-    if not (0.0 < config.t_min <= config.t_max):
-        raise DomainError("bubble: need 0 < t_min <= t_max for a log-spaced grid")
-    if config.points < 1:
+def _cmd_bubble(ns: argparse.Namespace) -> None:
+    if not (0.0 < ns.t_min <= ns.t_max < math.inf):
+        raise DomainError(
+            "bubble: need finite 0 < t_min <= t_max for a log-spaced grid")
+    if ns.points < 1:
         raise DomainError("bubble: points must be a positive integer")
-    grid = np.geomspace(config.t_min, config.t_max, config.points)
+    grid = np.geomspace(ns.t_min, ns.t_max, ns.points)
     lines = ["t,pi,correlator,asymptote"]
     for t in grid:
-        sample = correlator_sample(float(t), config.mass2)
+        sample = correlator_sample(float(t), ns.mass2)
         asym = "nan" if sample.asymptote is None else _fmt(sample.asymptote)
         lines.append(
             f"{_fmt(sample.t)},{_fmt(sample.pi_value)},"
             f"{_fmt(sample.correlator)},{asym}"
         )
-    _emit(config, "\n".join(lines) + "\n", to_stdout=config.out_path is None)
+    _atomic_write(ns.out_path, "\n".join(lines) + "\n")
 
 
-def _cmd_gap(config: RunConfig) -> None:
+def _cmd_gap(ns: argparse.Namespace) -> None:
     spec = GapEquationSpec(
-        coupling=config.coupling,
-        n_components=config.n_components,
-        cutoff=config.cutoff,
+        coupling=ns.coupling,
+        n_components=ns.n_components,
+        cutoff=ns.cutoff,
     )
     m2 = gap_mass(spec)
     residual = gap_residual(spec, m2)
     text = f"m2 = {_fmt(m2)}\nresidual = {_fmt(residual)}\n"
-    _emit(config, text, to_stdout=True)
+    _print(ns, text)
 
 
 def _scan_upper_for(n_max: int) -> float:
@@ -142,7 +110,7 @@ def _scan_upper_for(n_max: int) -> float:
     stays below 2 far beyond the supported heights, so two zeros of
     margin cover n_max without overscanning.  Capped at T_SUPPORT_MAX.
     """
-    lo = TWO_PI * 1.001
+    lo = math.tau * 1.001
     hi = T_SUPPORT_MAX
     if count_zeros(hi).n_estimate < n_max:
         raise DomainError(
@@ -158,38 +126,21 @@ def _scan_upper_for(n_max: int) -> float:
     return hi
 
 
-def _cmd_compare(config: RunConfig) -> None:
-    t_upper = _scan_upper_for(config.n_max)
+def _cmd_compare(ns: argparse.Namespace) -> None:
+    t_upper = _scan_upper_for(ns.n_max)
     while True:
-        table = scan_zeros(0.0, t_upper, config.tol)
-        if len(table.zeros) >= config.n_max or t_upper >= T_SUPPORT_MAX:
+        table = scan_zeros(0.0, t_upper, ns.tol)
+        if len(table.zeros) >= ns.n_max or t_upper >= T_SUPPORT_MAX:
             break
         # The counting-formula estimate undershot; extend and rescan.
         t_upper = min(1.1 * t_upper, T_SUPPORT_MAX)
-    report = build_report(table, config.mass2, config.n_max)
-    fit = log_slope_fit(report)
-    if config.format == "json":
-        text = report_to_json(report, fit)
+    report = build_report(table, ns.mass2, ns.n_max)
+    if ns.format == "json":
+        # Only the JSON carries the fit, which needs 50 rows.
+        text = report_to_json(report, log_slope_fit(report))
     else:
         text = report_to_csv(report)
-    _emit(config, text, to_stdout=config.out_path is None)
-
-
-_DISPATCH = {
-    "zeros": _cmd_zeros,
-    "count": _cmd_count,
-    "bubble": _cmd_bubble,
-    "gap": _cmd_gap,
-    "compare": _cmd_compare,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one configured command; returns the exit status."""
-    if config.command not in _DISPATCH:
-        raise DomainError(f"unknown command {config.command!r}")
-    _DISPATCH[config.command](config)
-    return 0
+    _atomic_write(ns.out_path, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,53 +154,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zeros = sub.add_parser("zeros", help="scan zeros of Z and emit a CSV table")
+    p_zeros.set_defaults(handler=_cmd_zeros)
     p_zeros.add_argument("--t-max", type=float, required=True,
                          help="upper end of the scan range (scan starts at 0)")
     p_zeros.add_argument("--tol", type=float, default=_DEFAULT_TOL,
                          help="bracket width per zero (default 1e-8)")
     p_zeros.add_argument("--out-path", required=True, help="output CSV path")
-    p_zeros.add_argument("--format", choices=["csv"], default="csv")
 
     p_count = sub.add_parser("count", help="counting-formula estimate at height t")
+    p_count.set_defaults(handler=_cmd_count)
     p_count.add_argument("--t", type=float, required=True, help="height T")
     p_count.add_argument("--out-path", help="also write the printed text here")
 
     p_bubble = sub.add_parser("bubble", help="correlator grid over log-spaced t")
+    p_bubble.set_defaults(handler=_cmd_bubble)
     p_bubble.add_argument("--t-min", type=float, required=True)
     p_bubble.add_argument("--t-max", type=float, required=True)
-    p_bubble.add_argument("--points", type=int, default=_DEFAULT_POINTS,
-                          help=f"grid size (default {_DEFAULT_POINTS})")
-    p_bubble.add_argument("--mass2", type=float, default=_DEFAULT_MASS2_BUBBLE,
+    p_bubble.add_argument("--points", type=int, default=50,
+                          help="grid size (default 50)")
+    p_bubble.add_argument("--mass2", type=float, default=1.0,
                           help="squared mass (default 1.0)")
     p_bubble.add_argument("--out-path", required=True, help="output CSV path")
-    p_bubble.add_argument("--format", choices=["csv"], default="csv")
 
     p_gap = sub.add_parser("gap", help="solve the gap equation for m^2")
+    p_gap.set_defaults(handler=_cmd_gap)
     p_gap.add_argument("--coupling", type=float, required=True, help="g0")
     p_gap.add_argument("--n-components", type=int, required=True, help="N")
     p_gap.add_argument("--cutoff", type=float, required=True, help="Lambda")
     p_gap.add_argument("--out-path", help="also write the printed text here")
 
     p_cmp = sub.add_parser("compare", help="zeros vs correlator report")
+    p_cmp.set_defaults(handler=_cmd_compare)
     p_cmp.add_argument("--n-max", type=int, required=True,
                        help="largest zero index in the report")
-    p_cmp.add_argument("--mass2", type=float, default=_DEFAULT_MASS2_COMPARE,
+    p_cmp.add_argument("--mass2", type=float, default=math.tau,
                        help="squared mass (default 2*pi)")
     p_cmp.add_argument("--tol", type=float, default=_DEFAULT_TOL,
                        help="bracket width per zero (default 1e-8)")
     p_cmp.add_argument("--out-path", required=True, help="output path")
-    p_cmp.add_argument("--format", choices=["json", "csv"], default="json")
+    p_cmp.add_argument("--format", choices=["json", "csv"], default="json",
+                       help="json (with the slope fit) or csv (rows only)")
 
     return parser
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {
-        key: value
-        for key, value in vars(ns).items()
-        if key in RunConfig.__dataclass_fields__ and value is not None
-    }
-    return RunConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -259,10 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return run(_config_from_args(ns))
+        ns.handler(ns)
     except (RzsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

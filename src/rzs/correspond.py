@@ -34,7 +34,7 @@ import numpy as np
 
 from .bubble import correlator_sample
 from .errors import DomainError, InsufficientZerosError
-from .zeta import TWO_PI, ZeroTable, gamma_asymptotic
+from .zeta import ZeroTable, _fmt, gamma_asymptotic
 
 __all__ = [
     "ReportRow",
@@ -67,14 +67,12 @@ class ReportSummary:
     """Deviation statistics over all rows.
 
     mean_rel_dev_per_decade maps the decade exponent e (rows with
-    10^e <= n < 10^{e+1}) to the mean rel_dev in that decade; slope is
-    the fitted slope of gamma_n * ln(n/2pi) against 2 pi n, which tends
-    to 1 as the two asymptotes merge.
+    10^e <= n < 10^{e+1}) to the mean rel_dev in that decade.  The slope
+    of gamma_n * ln(n/2pi) comes from log_slope_fit.
     """
 
     max_rel_dev: float
     mean_rel_dev_per_decade: tuple[tuple[int, float], ...]
-    slope: float
 
 
 @dataclass(frozen=True)
@@ -139,13 +137,9 @@ def build_report(zeros: ZeroTable, m2: float, n_max: int) -> CorrespondenceRepor
         (int(e), float(devs[exponents == e].mean()))
         for e in sorted(set(exponents.tolist()))
     )
-    x = np.array([TWO_PI * r.n for r in rows])
-    y = np.array([r.gamma_n * math.log(r.n / TWO_PI) for r in rows])
-    slope = float(np.polyfit(x, y, 1)[0])
     summary = ReportSummary(
         max_rel_dev=float(devs.max()),
         mean_rel_dev_per_decade=decades,
-        slope=slope,
     )
     return CorrespondenceReport(m2=m2, rows=tuple(rows), summary=summary)
 
@@ -172,7 +166,7 @@ def log_slope_fit(
             f"log_slope_fit: {len(rows)} rows in window, need >= {_FIT_ROWS_MIN}"
         )
     x = np.array([float(r.n) for r in rows])
-    y = np.array([r.gamma_n * math.log(r.n / TWO_PI) for r in rows])
+    y = np.array([r.gamma_n * math.log(r.n / math.tau) for r in rows])
     slope, intercept = np.polyfit(x, y, 1)
     misfit = y - (slope * x + intercept)
     residual = math.sqrt(float(np.mean(misfit * misfit))) / float(np.mean(y))
@@ -183,11 +177,6 @@ def log_slope_fit(
 # ----------------------------------------------------------------------
 # Serialization (text only; file handling lives in the cli module)
 # ----------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    """17 significant digits: round-trips any double exactly."""
-    return format(float(x), ".17g")
-
 
 def report_to_csv(report: CorrespondenceReport) -> str:
     """Rows only, header n,gamma,prediction,asym_prediction,rel_dev."""
@@ -222,8 +211,7 @@ def report_to_json(report: CorrespondenceReport, fit: FitResult | None = None) -
         (
             '"summary":{'
             f'"max_rel_dev":{_fmt(report.summary.max_rel_dev)},'
-            f'"mean_rel_dev_per_decade":{{{decade_items}}},'
-            f'"slope":{_fmt(report.summary.slope)}'
+            f'"mean_rel_dev_per_decade":{{{decade_items}}}'
             "}"
         ),
     ]

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
@@ -52,9 +53,8 @@ __all__ = [
     "zero_table_to_csv",
 ]
 
-TWO_PI = 2.0 * math.pi
 LN_PI = math.log(math.pi)
-LN_2PI = math.log(TWO_PI)
+LN_2PI = math.log(math.tau)
 
 # Supported precision regime: double precision keeps the error model
 # honest only for heights up to 1e4 and tolerances down to 1e-8.
@@ -197,7 +197,7 @@ def _theta_series(ts: np.ndarray) -> np.ndarray:
     tail = _THETA_SERIES[-1]
     for coef in _THETA_SERIES[-2::-1]:
         tail = coef + x2 * tail
-    return 0.5 * ts * (np.log(ts / TWO_PI) - 1.0) - math.pi / 8.0 + x * tail
+    return 0.5 * ts * (np.log(ts / math.tau) - 1.0) - math.pi / 8.0 + x * tail
 
 
 def _theta_vec(ts: np.ndarray) -> np.ndarray:
@@ -295,11 +295,11 @@ def _psi_ref(p: float) -> float:
     cancelled by the numerator; the removable points are handled by
     one l'Hopital step if a sample lands exactly on them.
     """
-    c = math.cos(TWO_PI * p)
+    c = math.cos(math.tau * p)
     if abs(c) < 1.0e-12:
-        return ((2.0 * p - 1.0) * math.sin(TWO_PI * (p * p - p - 0.0625))
-                / math.sin(TWO_PI * p))
-    return math.cos(TWO_PI * (p * p - p - 0.0625)) / c
+        return ((2.0 * p - 1.0) * math.sin(math.tau * (p * p - p - 0.0625))
+                / math.sin(math.tau * p))
+    return math.cos(math.tau * (p * p - p - 0.0625)) / c
 
 
 # Chebyshev series of Psi on [0, 1]: the degree-64 interpolant (its
@@ -330,7 +330,7 @@ def _z_rs_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     order = np.argsort(ts)
     t = ts[order]
-    a = np.sqrt(t / TWO_PI)
+    a = np.sqrt(t / math.tau)
     big_n = np.floor(a).astype(int)
     p = a - big_n
     th = _theta_vec(t)
@@ -347,7 +347,7 @@ def _z_rs_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
     vals = np.empty_like(ts)
     vals[order] = 2.0 * main + sign * (c0 + c1 / a) / np.sqrt(a)
-    errs = _RS_ERR_COEF * (ts / TWO_PI) ** (-1.25) + 1.0e-11
+    errs = _RS_ERR_COEF * (ts / math.tau) ** (-1.25) + 1.0e-11
     return vals, errs
 
 
@@ -407,18 +407,17 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
 # Counting formula and zero-height asymptote
 # ----------------------------------------------------------------------
 
-def count_zeros(t: float, *, n_correction: float = 7.0 / 8.0) -> ZeroCountEstimate:
-    """Counting-formula estimate N(T) = (T/2pi) ln(T/2pi) - T/2pi + c.
+def count_zeros(t: float) -> ZeroCountEstimate:
+    """Counting-formula estimate N(T) = (T/2pi) ln(T/2pi) - T/2pi + 7/8.
 
-    The constant correction defaults to c = 7/8, with which N(T) - 1
-    matches theta(T)/pi, the smooth count of Gram points, up to O(1/T);
-    pass n_correction=0.0 for the bare main term.  Also returns the
-    density D(T) = ln(T/2pi) / 2pi.
+    With the constant correction 7/8, N(T) - 1 matches theta(T)/pi, the
+    smooth count of Gram points, up to O(1/T).  Also returns the density
+    D(T) = ln(T/2pi) / 2pi.
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError("count_zeros: height must be finite and positive")
-    u = t / TWO_PI
+    u = t / math.tau
     log_u = math.log(u)
     n_main = u * log_u - u
     if not math.isfinite(n_main):
@@ -426,9 +425,9 @@ def count_zeros(t: float, *, n_correction: float = 7.0 / 8.0) -> ZeroCountEstima
     return ZeroCountEstimate(
         t=t,
         n_main=n_main,
-        n_correction=float(n_correction),
-        n_estimate=n_main + float(n_correction),
-        density=log_u / TWO_PI,
+        n_correction=7.0 / 8.0,
+        n_estimate=n_main + 7.0 / 8.0,
+        density=log_u / math.tau,
     )
 
 
@@ -445,7 +444,7 @@ def gamma_asymptotic(n: int) -> float:
         raise DomainError(
             f"gamma_asymptotic: n = {n} has n/2pi <= 1, logarithm not positive"
         )
-    return TWO_PI * n / math.log(n / TWO_PI)
+    return math.tau * n / math.log(n / math.tau)
 
 
 # ----------------------------------------------------------------------
@@ -465,9 +464,9 @@ def _gram_points(ns: np.ndarray) -> np.ndarray:
     for _ in range(_LAMBERT_STEPS):
         ew = np.exp(w)
         w -= (w * ew - z) / (ew * (w + 1.0))
-    ts = TWO_PI * math.e * np.exp(w)
+    ts = math.tau * math.e * np.exp(w)
     for _ in range(_GRAM_NEWTON_STEPS):
-        slope = 0.5 * np.log(ts / TWO_PI) - 1.0 / (48.0 * ts * ts)
+        slope = 0.5 * np.log(ts / math.tau) - 1.0 / (48.0 * ts * ts)
         ts -= (_theta_vec(ts) - math.pi * ns) / slope
     return ts
 
@@ -648,23 +647,22 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     idx = np.flatnonzero((zs[:-1] * zs[1:] < 0.0) & (ts[:-1] < t_max))
     lo, hi = _refine_brackets(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)
     gammas = 0.5 * (lo + hi)
-    entries = tuple(
-        ZeroEntry(
-            n=i + 1,
-            gamma=float(gammas[i]),
-            bracket_lo=float(lo[i]),
-            bracket_hi=float(hi[i]),
-            refined_tol=tol,
-        )
-        for i in range(len(gammas))
-        if gammas[i] > t_min
-    )
+    start = int(np.searchsorted(gammas, t_min, "right"))  # gammas ascend
+    entries = tuple(map(
+        ZeroEntry, range(start + 1, gammas.size + 1), gammas[start:].tolist(),
+        lo[start:].tolist(), hi[start:].tolist(), repeat(tol),
+    ))
     return ZeroTable(zeros=entries, t_max=t_max)
 
 
 # ----------------------------------------------------------------------
 # Serialization (text only; file handling lives in the cli module)
 # ----------------------------------------------------------------------
+
+# The one number formatter of every rzs output: 17 significant digits
+# round-trip any double exactly.
+_fmt = "{:.17g}".format
+
 
 def zero_table_to_csv(table: ZeroTable) -> str:
     """ZeroTable as CSV with header n,gamma,bracket_lo,bracket_hi.
@@ -675,6 +673,7 @@ def zero_table_to_csv(table: ZeroTable) -> str:
     lines = ["n,gamma,bracket_lo,bracket_hi"]
     for entry in table.zeros:
         lines.append(
-            f"{entry.n},{entry.gamma:.17g},{entry.bracket_lo:.17g},{entry.bracket_hi:.17g}"
+            f"{entry.n},{_fmt(entry.gamma)},{_fmt(entry.bracket_lo)},"
+            f"{_fmt(entry.bracket_hi)}"
         )
     return "\n".join(lines) + "\n"

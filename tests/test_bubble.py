@@ -267,6 +267,22 @@ class TestGapEquation:
         with pytest.raises(DomainError):
             gap_mass(GapEquationSpec(1.0e-3, 2, 1.0))
 
+    def test_extreme_inputs_raise_instead_of_crashing(self):
+        # Non-finite inputs, and a cutoff whose square overflows.
+        for spec in (GapEquationSpec(math.inf, 3, 1.0),
+                     GapEquationSpec(math.nan, 3, 1.0),
+                     GapEquationSpec(1.0, 3, math.inf),
+                     GapEquationSpec(1.0, 3, math.nan),
+                     GapEquationSpec(1.0, 3, 1.0e200)):
+            with pytest.raises(DomainError):
+                gap_mass(spec)
+        # N g0^2 overflows: the exponent 4 pi/(N g0^2) is 0, m^2 infinite.
+        with pytest.raises(NoSolutionError):
+            gap_mass(GapEquationSpec(1.0e200, 3, 1.0))
+        # N g0^2 underflows to 0: the mass underflows.
+        with pytest.raises(DomainError):
+            gap_mass(GapEquationSpec(1.0e-200, 3, 1.0))
+
     def test_rejects_bad_specs(self):
         with pytest.raises(DomainError):
             gap_mass(GapEquationSpec(0.0, 2, 1.0))

@@ -172,6 +172,15 @@ class TestBubbleCommand:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "bubble.csv").read_bytes() == first
 
+    def test_infinite_t_max_fails_with_one_line(self, tmp_path):
+        out = tmp_path / "bubble.csv"
+        result = _run(["bubble", "--t-min", "1", "--t-max", "inf",
+                       "--out-path", str(out)], tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert not out.exists()
+
     def test_bad_grid_fails_cleanly(self, tmp_path):
         out = tmp_path / "bubble.csv"
         result = _run(["bubble", "--t-min", "0", "--t-max", "10",
@@ -194,6 +203,17 @@ class TestGapCommand:
         values = _parse_kv(result.stdout)
         assert values["m2"] == pytest.approx(25.0, rel=1.0e-8)
         assert values["residual"] <= 1.0e-6 / coupling**2
+
+    @pytest.mark.parametrize("coupling, cutoff", [
+        ("1e200", "1"), ("1", "inf"), ("1", "1e200"),
+    ])
+    def test_extreme_inputs_fail_with_one_line(self, tmp_path, coupling, cutoff):
+        result = _run(["gap", "--coupling", coupling, "--n-components", "3",
+                       "--cutoff", cutoff], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert result.stdout == ""
 
     def test_unphysical_parameters_fail_cleanly(self, tmp_path):
         out = tmp_path / "gap.txt"
@@ -246,6 +266,14 @@ class TestCompareCommand:
         assert lines[0] == "n,gamma,prediction,asym_prediction,rel_dev"
         assert len(lines) == 55  # rows n = 7..60
 
+    def test_csv_needs_no_fit_rows(self, tmp_path):
+        # 14 rows are too few for the slope fit, which only the JSON carries.
+        out = tmp_path / "report.csv"
+        result = _run(["compare", "--n-max", "20", "--format", "csv",
+                       "--out-path", str(out)], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert len(out.read_text().splitlines()) == 15  # header, n = 7..20
+
     def test_too_small_n_max_fails_cleanly(self, tmp_path):
         out = tmp_path / "report.json"
         result = _run(["compare", "--n-max", "5", "--out-path", str(out)],
@@ -278,6 +306,15 @@ class TestArgumentHandling:
 
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         result = _run(["zeros", "--out-path", "x.csv"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["zeros", "--t-max", "60"],
+        ["bubble", "--t-min", "1", "--t-max", "10"],
+    ])
+    def test_csv_only_commands_take_no_format_flag(self, tmp_path, args):
+        result = _run([*args, "--out-path", "x.csv", "--format", "csv"], tmp_path)
         assert result.returncode == 2, result.stderr
         assert not (tmp_path / "x.csv").exists()
 

@@ -197,10 +197,7 @@ class TestCountZeros:
             est = count_zeros(t)
             assert est.n_estimate == est.n_main + est.n_correction
 
-    def test_correction_is_configurable(self):
-        bare = count_zeros(100.0, n_correction=0.0)
-        assert bare.n_correction == 0.0
-        assert bare.n_estimate == bare.n_main
+    def test_correction_is_seven_eighths(self):
         assert count_zeros(100.0).n_correction == 7.0 / 8.0
 
     def test_estimate_monotone_and_density_nonnegative(self):
