@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, NoSolutionError
 
@@ -54,7 +57,27 @@ SMALL_P_RATIO = 1.0e-6
 # at the endpoints; refuse rather than return garbage.
 FEYNMAN_MASS_RATIO_MIN = 1.0e-14
 
-_QUAD_EPSREL = 1.0e-9  # adaptive tolerance on the Feynman x-integral
+_QUAD_EPSREL = 1.0e-9  # relative tolerance of both quadratures
+_QUAD_LIMIT = 200  # most subintervals _quad may use
+
+# The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15, Piessens et
+# al. 1983): the Kronrod nodes, their weights, and the weights of the
+# 7-point Gauss rule on the odd-indexed nodes.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649)
+_WK0 = 0.209482141084727828012999174891714
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975)
+_WG0 = 0.417959183673469387755102040816327
+_KRONROD_NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
+_KRONROD_WEIGHTS = np.array(list(_WK) + [_WK0] + list(reversed(_WK)))
+_GAUSS_WEIGHTS = np.array(list(_WG) + [_WG0] + list(reversed(_WG)))
 
 
 @dataclass(frozen=True)
@@ -98,6 +121,44 @@ def f_kinematic(x: float) -> float:
     return math.sqrt(1.0 + 4.0 * x * x)
 
 
+def _quad(f, a: float, b: float, epsrel: float, limit: int = _QUAD_LIMIT) -> float:
+    """Globally adaptive G7-K15 Gauss-Kronrod quadrature of f over [a, b].
+
+    f maps an array of abscissae to an array of values; each round
+    evaluates the 15 Kronrod nodes of every new subinterval in one call.
+    The estimate is accepted once the summed |K15 - G7| is at most
+    epsrel * |total|; until then every subinterval whose error exceeds
+    its share of that tolerance is bisected.  Raises ConvergenceError
+    when more than `limit` subintervals would be needed.
+    """
+    lo = hi = value = error = np.empty(0)
+    new_lo, new_hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    while True:
+        half = 0.5 * (new_hi - new_lo)
+        y = f((new_lo + half)[:, None] + half[:, None] * _KRONROD_NODES)
+        kronrod = half * (y @ _KRONROD_WEIGHTS)
+        gauss = half * (y[:, 1::2] @ _GAUSS_WEIGHTS)
+        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
+        value = np.concatenate((value, kronrod))
+        error = np.concatenate((error, np.abs(kronrod - gauss)))
+        total = float(value.sum())
+        tol = epsrel * abs(total)
+        err = float(error.sum())
+        if err <= tol:
+            return total
+        split = error > tol / error.size
+        if not math.isfinite(err) or error.size + np.count_nonzero(split) > limit:
+            raise ConvergenceError(
+                f"quadrature: error estimate {err:.3e} above the tolerance "
+                f"{tol:.3e} with {limit} subintervals"
+            )
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        keep = ~split
+        lo, hi, value, error = lo[keep], hi[keep], value[keep], error[keep]
+
+
 def _validate_bubble_spec(spec: BubbleSpec) -> None:
     if not spec.m > 0.0:
         raise DomainError("feynman_integral: m must be positive")
@@ -118,10 +179,11 @@ def _validate_bubble_spec(spec: BubbleSpec) -> None:
 def feynman_integral(spec: BubbleSpec) -> float:
     """General Feynman-parameter form I(alpha, beta, dim, p) at mass m.
 
-    The x-integral runs through adaptive quadrature at relative
-    tolerance 1e-9.  p must be strictly positive (the p = 0 limit is
-    served by pi_at_zero); m^2/p^2 below 1e-14 is rejected because the
-    integrand turns near-singular at the endpoints.
+    The x-integral runs through the adaptive G7-K15 Gauss-Kronrod rule
+    at relative tolerance 1e-9 and raises ConvergenceError when it needs
+    more than 200 subintervals.  p must be strictly positive (the p = 0
+    limit is served by pi_at_zero); m^2/p^2 below 1e-14 is rejected
+    because the integrand turns near-singular at the endpoints.
     """
     _validate_bubble_spec(spec)
     if not spec.p > 0.0:
@@ -135,20 +197,17 @@ def feynman_integral(spec: BubbleSpec) -> float:
             f"{FEYNMAN_MASS_RATIO_MIN:g}; integrand too close to singular"
         )
     power = d / 2.0 - a - b
-    # Imported here, not at module top: scipy.integrate costs most of the
-    # start-up time of `import rzs`, and only the two quadrature routes use it.
-    from scipy.integrate import quad
 
-    def integrand(x: float) -> float:
-        return x ** (a - 1.0) * (1.0 - x) ** (b - 1.0) * (
-            x * (1.0 - x) + mass_ratio
-        ) ** power
+    # Folded onto [0, 1/2] by x -> 1 - x: both endpoint peaks then sit at
+    # x = 0, where x and x(1 - x) keep full relative precision (near x = 1,
+    # 1 - x has only the absolute precision of x).
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return (
+            x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)
+            + x ** (b - 1.0) * (1.0 - x) ** (a - 1.0)
+        ) * (x * (1.0 - x) + mass_ratio) ** power
 
-    result = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=_QUAD_EPSREL,
-                  limit=200, full_output=1)
-    if len(result) > 3:
-        raise ConvergenceError(f"feynman_integral: quadrature failed: {result[3]}")
-    integral = result[0]
+    integral = _quad(integrand, 0.0, 0.5, _QUAD_EPSREL)
     prefactor = (
         (4.0 * math.pi) ** (-d / 2.0)
         * (p * p) ** power
@@ -177,10 +236,17 @@ def pi_closed(p: float, m: float) -> float:
     m2 = m * m
     if p2 / m2 < SMALL_P_RATIO:
         w = p2 / (p2 + 4.0 * m2)
-        return (1.0 + w / 3.0 + w * w / 5.0) / (math.pi * (p2 + 4.0 * m2))
-    f = f_kinematic(m / p)
-    log_ratio = 2.0 * math.log((1.0 + f) * p / (2.0 * m))
-    return log_ratio / (math.tau * f * p2)
+        value = (1.0 + w / 3.0 + w * w / 5.0) / (math.pi * (p2 + 4.0 * m2))
+    else:
+        f = f_kinematic(m / p)
+        log_ratio = 2.0 * math.log((1.0 + f) * p / (2.0 * m))
+        value = log_ratio / (math.tau * f * p2)
+    if value == 0.0:
+        raise DomainError(
+            f"pi_closed: the denominator overflows double precision at "
+            f"p = {p:.6g}, m = {m:.6g}, so Pi(p) would be 0"
+        )
+    return value
 
 
 def pi_at_zero(m: float) -> float:
@@ -218,12 +284,21 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
 def _validate_gap_spec(spec: GapEquationSpec) -> None:
     if not 0.0 < spec.coupling < math.inf:
         raise DomainError("gap_mass: coupling must be positive and finite")
+    if not spec.coupling * spec.coupling > 1.0 / sys.float_info.max:
+        raise DomainError(
+            "gap_mass: coupling g0 so small that g0^2 underflows and 1/g0^2 "
+            "is not finite"
+        )
     if isinstance(spec.n_components, bool) or not isinstance(
         spec.n_components, numbers.Integral
     ):
         raise DomainError("gap_mass: n_components must be an integer")
     if spec.n_components < 2:
         raise DomainError("gap_mass: need n_components >= 2")
+    try:
+        float(spec.n_components)
+    except OverflowError:
+        raise DomainError("gap_mass: n_components too large for a float") from None
     if not (spec.cutoff > 0.0 and spec.cutoff * spec.cutoff < math.inf):
         raise DomainError("gap_mass: cutoff must be positive, with a finite square")
 
@@ -251,8 +326,7 @@ def gap_mass(spec: GapEquationSpec) -> float:
     _validate_gap_spec(spec)
     lam2 = spec.cutoff * spec.cutoff
     ng2 = spec.n_components * spec.coupling * spec.coupling
-    # N g0^2 underflowing to 0 sends the mass to 0, as a large exponent does.
-    exponent = 4.0 * math.pi / ng2 if ng2 > 0.0 else math.inf
+    exponent = 4.0 * math.pi / ng2
     if exponent == 0.0:
         raise NoSolutionError(
             "gap_mass: N g0^2 overflows, so 4pi/(N g0^2) = 0 and the inverted "
@@ -291,18 +365,15 @@ def gap_residual(spec: GapEquationSpec, m2: float) -> float:
     """|LHS - RHS| of the quadrature-form gap equation at mass m2.
 
     The tadpole G = (1/2pi) Int_0^Lambda r dr / (r^2 + m2) is evaluated
-    by adaptive quadrature (not the closed form), so this is an
-    independent back-substitution check on gap_mass.
+    by the adaptive G7-K15 Gauss-Kronrod rule at relative tolerance 1e-9
+    (not the closed form), so this is an independent back-substitution
+    check on gap_mass.  Raises ConvergenceError when the rule cannot
+    reach that tolerance with 200 subintervals.
     """
     _validate_gap_spec(spec)
     if not m2 > 0.0:
         raise DomainError("gap_residual: m2 must be positive")
-    from scipy.integrate import quad  # lazily, as in feynman_integral
-
-    tadpole, _ = quad(
-        lambda r: r / (r * r + m2), 0.0, spec.cutoff,
-        epsabs=0.0, epsrel=_QUAD_EPSREL, limit=200,
-    )
+    tadpole = _quad(lambda r: r / (r * r + m2), 0.0, spec.cutoff, _QUAD_EPSREL)
     lhs = 1.0 / (spec.coupling * spec.coupling)
     rhs = spec.n_components * tadpole / math.tau
     return abs(lhs - rhs)

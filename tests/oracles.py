@@ -11,6 +11,8 @@ different route, so agreement is evidence rather than tautology:
 - pi_momentum_oracle: the bubble as a literal 2D momentum integral in
   polar coordinates -- fixed high-order angular rule, adaptive radial
   quadrature -- instead of the Feynman-parameter form.
+- feynman_oracle: the Feynman-parameter integral by SciPy's QUADPACK
+  routine, split at decades of m^2/p^2 to resolve the endpoint peak.
 - tadpole_oracle: the gap-equation tadpole by adaptive quadrature.
 """
 
@@ -158,6 +160,46 @@ def pi_zero_momentum_oracle(m: float) -> float:
                     epsabs=0.0, epsrel=1.0e-10, limit=200)
     total += 0.5 / (r_cut * r_cut + m2)
     return total / TWO_PI
+
+
+# ----------------------------------------------------------------------
+# General Feynman-parameter integral
+# ----------------------------------------------------------------------
+
+def feynman_oracle(a: float, b: float, d: float, p: float, m: float) -> float:
+    """I(a, b, d, p) at mass m through scipy.integrate.quad.
+
+    The x-integral is folded onto [0, 1/2] (so 1 - x is never formed
+    near 0) and split at r, 10 r, 100 r, ... with r = m^2/p^2, because
+    one QUADPACK pass over [0, 1] misjudges the width-r peak at the
+    endpoints once p >~ 1e4 and reports failure.  Raises RuntimeError
+    when any piece still reports failure, so the oracle never returns
+    an estimate its own routine rejected.
+    """
+    r = (m * m) / (p * p)
+    power = d / 2.0 - a - b
+
+    def integrand(x: float) -> float:
+        return ((x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)
+                 + x ** (b - 1.0) * (1.0 - x) ** (a - 1.0))
+                * (x * (1.0 - x) + r) ** power)
+
+    edges = [0.0]
+    while r * 10.0 ** (len(edges) - 1) < 0.5:
+        edges.append(r * 10.0 ** (len(edges) - 1))
+    edges.append(0.5)
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        result = quad(integrand, lo, hi, epsabs=0.0, epsrel=1.0e-12,
+                      limit=200, full_output=1)
+        if len(result) > 3:
+            raise RuntimeError(f"feynman_oracle: {result[3]}")
+        total += result[0]
+    return (
+        (4.0 * math.pi) ** (-d / 2.0) * (p * p) ** power
+        * math.gamma(a + b - d / 2.0) / (math.gamma(a) * math.gamma(b))
+        * total
+    )
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rzs import (
     pi_at_zero,
     pi_closed,
 )
+from rzs.bubble import _quad
 
 import oracles
 
@@ -86,6 +88,76 @@ class TestFeynmanIntegral:
     def test_extreme_mass_ratio_raises(self):
         with pytest.raises(ConvergenceError):
             feynman_integral(BubbleSpec(1.0, 1.0, 2.0, 1.0e8, 1.0))
+
+    def test_converges_up_to_the_mass_ratio_floor(self):
+        # m^2/p^2 = 1e-14 at p = 1e7 is the smallest ratio accepted.
+        for p in (1.0e5, 1.0e6, 1.0e7):
+            quadrature = feynman_integral(BubbleSpec(1.0, 1.0, 2.0, p, 1.0))
+            assert quadrature == pytest.approx(pi_closed(p, 1.0), rel=1.0e-9)
+
+    @pytest.mark.parametrize("alpha, beta, dim", [
+        (1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (2.0, 1.0, 2.0),
+        (1.0, 1.0, 3.0), (2.0, 2.0, 3.0),
+    ])
+    def test_matches_scipy_oracle(self, alpha, beta, dim):
+        for p in (0.1, 3.0, 100.0, 1.0e4):
+            value = feynman_integral(BubbleSpec(alpha, beta, dim, p, 1.0))
+            reference = oracles.feynman_oracle(alpha, beta, dim, p, 1.0)
+            assert value == pytest.approx(reference, rel=1.0e-9)
+
+
+# ----------------------------------------------------------------------
+# _quad, the Gauss-Kronrod rule behind both quadratures
+# ----------------------------------------------------------------------
+
+class TestQuad:
+    def test_tadpole_matches_closed_form_over_gap_range(self):
+        # The benchmark's gap range: exponent 4 pi/(N g0^2) in [1, 20] and
+        # cutoff in [1, 100], both log-uniform; the tadpole depends on N and
+        # g0 only through m^2 = cutoff^2 / (e^exponent - 1).
+        rng = random.Random(7)
+        for _ in range(2000):
+            exponent = math.exp(rng.uniform(0.0, math.log(20.0)))
+            cutoff = math.exp(rng.uniform(0.0, math.log(100.0)))
+            m2 = cutoff * cutoff / math.expm1(exponent)
+            tadpole = _quad(lambda r: r / (r * r + m2), 0.0, cutoff, 1.0e-9)
+            closed = 0.5 * math.log1p(cutoff * cutoff / m2)
+            assert abs(tadpole - closed) <= 1.0e-9 * closed, (exponent, cutoff)
+
+    def test_degree_13_polynomial_is_exact_in_one_round(self):
+        # G7 integrates degree 13 exactly, so K15 - G7 vanishes at once.
+        coefficients = np.arange(1.0, 15.0)  # 1 + 2x + ... + 14x^13
+        calls = []
+
+        def poly(x):
+            calls.append(x.shape)
+            return np.polynomial.polynomial.polyval(x, coefficients)
+
+        value = _quad(poly, -0.5, 2.0, 1.0e-9)
+        exact = sum(c * (2.0 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
+                    for k, c in enumerate(coefficients))
+        assert calls == [(1, 15)]
+        assert value == pytest.approx(exact, rel=1.0e-14)
+
+    def test_raises_beyond_the_subinterval_limit(self):
+        # 1/x on [0, 1] diverges, so no number of subintervals suffices;
+        # a tighter limit stops the tadpole at exponent 20 sooner.
+        evaluated = []
+
+        def inverse(x):
+            evaluated.append(x.shape[0])
+            return 1.0 / x
+
+        with pytest.raises(ConvergenceError):
+            _quad(inverse, 0.0, 1.0, 1.0e-9)
+        assert 1 + sum(evaluated[1:]) // 2 <= 200
+        m2 = 1.0 / math.expm1(20.0)
+        with pytest.raises(ConvergenceError):
+            _quad(lambda r: r / (r * r + m2), 0.0, 1.0, 1.0e-9, limit=5)
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(ConvergenceError):
+            _quad(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1.0e-9)
 
 
 # ----------------------------------------------------------------------
@@ -217,6 +289,15 @@ class TestCorrelatorSample:
         with pytest.raises(DomainError):
             correlator_sample(1.0, 0.0)
 
+    def test_overflowing_denominator_raises(self):
+        # 2 pi f t overflows above t ~ 2.9e307 (closed form), and
+        # p^2 + 4 m^2 overflows for m^2 near the largest double (series).
+        for t, m2 in ((1.0e308, 1.0), (1.0, 1.7976931348623157e308)):
+            with pytest.raises(DomainError, match="overflows"):
+                correlator_sample(t, m2)
+        with pytest.raises(DomainError, match="overflows"):
+            pi_closed(1.0e200, 1.0)
+
 
 # ----------------------------------------------------------------------
 # gap equation
@@ -282,6 +363,25 @@ class TestGapEquation:
         # N g0^2 underflows to 0: the mass underflows.
         with pytest.raises(DomainError):
             gap_mass(GapEquationSpec(1.0e-200, 3, 1.0))
+
+    def test_residual_raises_when_quadrature_cannot_converge(self):
+        # m2 = 1e-300 puts the tadpole's peak at r ~ 1e-150: more than 200
+        # bisections of [0, 1] away.
+        with pytest.raises(ConvergenceError):
+            gap_residual(GapEquationSpec(1.0, 3, 1.0), 1.0e-300)
+
+    def test_rejects_coupling_whose_square_underflows(self):
+        # g0^2 underflows to 0 (1e-200) or to a subnormal whose inverse
+        # overflows (1e-160), so 1/g0^2 is not a finite double.
+        for coupling in (1.0e-200, 1.0e-160):
+            with pytest.raises(DomainError, match="underflows"):
+                gap_residual(GapEquationSpec(coupling, 3, 1.0), 1.0)
+
+    def test_rejects_component_count_without_float_form(self):
+        huge = int("1" * 401)
+        for call in (gap_mass, lambda spec: gap_residual(spec, 1.0)):
+            with pytest.raises(DomainError, match="n_components"):
+                call(GapEquationSpec(1.0, huge, 1.0))
 
     def test_rejects_bad_specs(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import bisect
 import json
 import math
@@ -181,6 +182,16 @@ class TestBubbleCommand:
         assert result.stderr.count("\n") == 1, result.stderr
         assert not out.exists()
 
+    def test_overflowing_t_max_fails_with_one_line(self, tmp_path):
+        # At t = 1e308 the denominator 2 pi f t of Pi overflows.
+        out = tmp_path / "bubble.csv"
+        result = _run(["bubble", "--t-min", "1", "--t-max", "1e308",
+                       "--out-path", str(out)], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert not out.exists()
+
     def test_bad_grid_fails_cleanly(self, tmp_path):
         out = tmp_path / "bubble.csv"
         result = _run(["bubble", "--t-min", "0", "--t-max", "10",
@@ -210,6 +221,15 @@ class TestGapCommand:
     def test_extreme_inputs_fail_with_one_line(self, tmp_path, coupling, cutoff):
         result = _run(["gap", "--coupling", coupling, "--n-components", "3",
                        "--cutoff", cutoff], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert result.stdout == ""
+
+    def test_huge_component_count_fails_with_one_line(self, tmp_path):
+        # A 401-digit N does not convert to a float.
+        result = _run(["gap", "--coupling", "1", "--n-components", "1" * 401,
+                       "--cutoff", "1"], tmp_path)
         assert result.returncode == 1, result.stdout
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1, result.stderr
@@ -330,10 +350,29 @@ class TestArgumentHandling:
 class TestImport:
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         # A fresh interpreter, because this test process has SciPy loaded
-        # already (the oracles use it).  Only bubble's two quadrature
-        # routes need scipy.integrate, and they import it when called.
-        code = ("import sys, rzs; "
+        # already (the oracles use it).  Both quadratures, the gap
+        # residual and the Feynman integral, must run without SciPy.
+        code = ("import sys, rzs, rzs.cli; "
+                "rzs.cli.main(['gap', '--coupling', '1', '--n-components', '3', "
+                "'--cutoff', '10']); "
+                "rzs.feynman_integral(rzs.BubbleSpec(1.0, 2.0, 2.0, 3.0, 1.0)); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         result = _run([], tmp_path, python_args=("-c", code))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_no_module_imports_scipy(self):
+        # SciPy is a test-only dependency: no module of the package may
+        # import it, at the top or inside a function.
+        offenders = []
+        for path in pathlib.Path(rzs.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno}" for name in names
+                              if name.split(".")[0] == "scipy"]
+        assert offenders == []

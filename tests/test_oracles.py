@@ -40,3 +40,18 @@ def test_tadpole_oracle_matches_logarithm():
 def test_zero_momentum_oracle_matches_quarter_inverse_pi():
     assert oracles.pi_zero_momentum_oracle(1.0) == pytest.approx(
         1.0 / (4.0 * math.pi), rel=1.0e-9)
+
+
+def test_feynman_oracle_matches_closed_forms():
+    # With r = m^2/p^2 and c = sqrt(r + 1/4): I(1, 2, 2, p) is half of
+    # (4 pi p^4)^-1 Int_0^1 (x(1-x) + r)^-2 dx, which is
+    # 1/(2 c^2 r) + ln((c + 1/2)/(c - 1/2)) / (2 c^3); and
+    # I(1, 1, 3, p) = arcsin(1/(2c)) / (4 pi p).
+    for p in (0.1, 3.0, 100.0, 1.0e4):
+        r = 1.0 / (p * p)
+        c = math.sqrt(r + 0.25)
+        j = 1.0 / (2.0 * c * c * r) + math.log((c + 0.5) / (c - 0.5)) / (2.0 * c**3)
+        assert oracles.feynman_oracle(1.0, 2.0, 2.0, p, 1.0) == pytest.approx(
+            0.5 * j / (4.0 * math.pi * p**4), rel=1.0e-12)
+        assert oracles.feynman_oracle(1.0, 1.0, 3.0, p, 1.0) == pytest.approx(
+            math.asin(0.5 / c) / (4.0 * math.pi * p), rel=1.0e-12)
