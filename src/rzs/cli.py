@@ -6,7 +6,7 @@ Five subcommands expose the computational modules:
     count    counting-formula estimate N(T) and density D(T)
     bubble   correlator samples on a log-spaced grid of t; CSV
     gap      solves the gap equation; prints m^2 and the residual
-    compare  scans enough zeros, builds the correspondence report
+    compare  scans to the Gram point g_{n_max+1}, builds the report
 
 Output files are written atomically (temp file + rename) and every
 number is serialized with 17 significant digits, so re-running a
@@ -26,7 +26,9 @@ import numpy as np
 from .bubble import GapEquationSpec, correlator_sample, gap_mass, gap_residual
 from .correspond import build_report, log_slope_fit, report_to_csv, report_to_json
 from .errors import DomainError, RzsError
-from .zeta import T_SUPPORT_MAX, _fmt, count_zeros, scan_zeros, zero_table_to_csv
+from .zeta import (
+    T_SUPPORT_MAX, _fmt, _gram_points, count_zeros, scan_zeros, zero_table_to_csv,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -104,36 +106,23 @@ def _cmd_gap(ns: argparse.Namespace) -> None:
 
 
 def _scan_upper_for(n_max: int) -> float:
-    """Height covering n_max zeros: where the counting formula reaches n_max + 2.
+    """Scan height for n_max zeros: g_{n_max+1}, capped at T_SUPPORT_MAX.
 
-    The true count differs from the formula by S(T) + O(1/T), and |S(T)|
-    stays below 2 far beyond the supported heights, so two zeros of
-    margin cover n_max without overscanning.  Capped at T_SUPPORT_MAX.
+    N(g_n) = n + 1 + S(g_n), and S is -1, 0 or +1 at every Gram point
+    below the supported height, so (0, g_{n_max+1}] holds n_max + 1 to
+    n_max + 3 zeros.  Gram points start at g_-1, so any n_max < 0 scans
+    to g_0 and is left for build_report to reject.
     """
-    lo = math.tau * 1.001
-    hi = T_SUPPORT_MAX
-    if count_zeros(hi).n_estimate < n_max:
+    if count_zeros(T_SUPPORT_MAX).n_estimate < n_max:
         raise DomainError(
             f"compare: n_max = {n_max} needs zeros above the supported "
             f"height {T_SUPPORT_MAX:g}"
         )
-    while hi - lo > 1.0e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if count_zeros(mid).n_estimate < n_max + 2:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return min(float(_gram_points(np.array([max(n_max + 1, 0)]))[0]), T_SUPPORT_MAX)
 
 
 def _cmd_compare(ns: argparse.Namespace) -> None:
-    t_upper = _scan_upper_for(ns.n_max)
-    while True:
-        table = scan_zeros(0.0, t_upper, ns.tol)
-        if len(table.zeros) >= ns.n_max or t_upper >= T_SUPPORT_MAX:
-            break
-        # The counting-formula estimate undershot; extend and rescan.
-        t_upper = min(1.1 * t_upper, T_SUPPORT_MAX)
+    table = scan_zeros(0.0, _scan_upper_for(ns.n_max), ns.tol)
     report = build_report(table, ns.mass2, ns.n_max)
     if ns.format == "json":
         # Only the JSON carries the fit, which needs 50 rows.

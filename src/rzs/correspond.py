@@ -178,14 +178,16 @@ def log_slope_fit(
 # Serialization (text only; file handling lives in the cli module)
 # ----------------------------------------------------------------------
 
+def _row_fields(r: ReportRow) -> str:
+    """n,gamma,prediction,asym_prediction,rel_dev of one row, comma-separated."""
+    return (f"{r.n},{_fmt(r.gamma_n)},{_fmt(r.prediction)},"
+            f"{_fmt(r.asym_prediction)},{_fmt(r.rel_dev)}")
+
+
 def report_to_csv(report: CorrespondenceReport) -> str:
     """Rows only, header n,gamma,prediction,asym_prediction,rel_dev."""
     lines = ["n,gamma,prediction,asym_prediction,rel_dev"]
-    for r in report.rows:
-        lines.append(
-            f"{r.n},{_fmt(r.gamma_n)},{_fmt(r.prediction)},"
-            f"{_fmt(r.asym_prediction)},{_fmt(r.rel_dev)}"
-        )
+    lines.extend(map(_row_fields, report.rows))
     return "\n".join(lines) + "\n"
 
 
@@ -196,11 +198,7 @@ def report_to_json(report: CorrespondenceReport, fit: FitResult | None = None) -
     encoder formats floats its own way).  When a fit is supplied it is
     appended as a "fit" object.
     """
-    row_items = ",".join(
-        f"[{r.n},{_fmt(r.gamma_n)},{_fmt(r.prediction)},"
-        f"{_fmt(r.asym_prediction)},{_fmt(r.rel_dev)}]"
-        for r in report.rows
-    )
+    row_items = ",".join(f"[{_row_fields(r)}]" for r in report.rows)
     decade_items = ",".join(
         f'"{e}":{_fmt(mean)}'
         for e, mean in report.summary.mean_rel_dev_per_decade

@@ -81,9 +81,10 @@ _THETA_SERIES = (
 # interval is subdivided until its node spacing reaches STRIDE_FLOOR.
 # Gram points come from _LAMBERT_STEPS Newton steps for Lambert's W,
 # then _GRAM_NEWTON_STEPS on theta, and past t_max in batches of
-# _GRAM_PAD.  A node where Z is exactly 0.0 moves up by _NUDGE, far
-# below any node spacing.  Root refinement may fall _REFINE_SLACK
-# halvings behind plain bisection.
+# _GRAM_PAD.  A node or refinement point where Z is exactly 0.0 moves
+# up by _NUDGE, far below any node spacing and below half of
+# TOL_SUPPORT_MIN.  Root refinement may fall _REFINE_SLACK halvings
+# behind plain bisection.
 STRIDE_FLOOR = 1.0 / 1024.0
 _LAMBERT_STEPS = 8
 _GRAM_NEWTON_STEPS = 4
@@ -288,27 +289,18 @@ def _z_em_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Riemann-Siegel evaluation, t at or above the crossover
 # ----------------------------------------------------------------------
 
-def _psi_ref(p: float) -> float:
-    """Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p).
-
-    Entire in p: the zeros of the denominator at p = 1/4, 3/4 are
-    cancelled by the numerator; the removable points are handled by
-    one l'Hopital step if a sample lands exactly on them.
-    """
-    c = math.cos(math.tau * p)
-    if abs(c) < 1.0e-12:
-        return ((2.0 * p - 1.0) * math.sin(math.tau * (p * p - p - 0.0625))
-                / math.sin(math.tau * p))
-    return math.cos(math.tau * (p * p - p - 0.0625)) / c
-
-
-# Chebyshev series of Psi on [0, 1]: the degree-64 interpolant (its
-# first-kind nodes never coincide with the removable singularities)
-# truncated to degree 24.  Its coefficients beyond degree ~20 are
-# rounding noise below 1.4e-14, and the third derivative needed for the
-# second correction term amplifies that noise: Psi''' of the full
-# interpolant is off by ~2e-4, of the truncated series by ~1e-7.
-_PSI = Chebyshev.interpolate(np.vectorize(_psi_ref), 64, domain=[0.0, 1.0]).truncate(25)
+# Chebyshev series of Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) on
+# [0, 1]: the degree-64 interpolant truncated to degree 24.  Psi is
+# entire, as the numerator cancels the zeros of the denominator at
+# p = 1/4 and 3/4; the 65 first-kind nodes stay >= 0.0034 away from both
+# removable points.  The coefficients beyond degree ~20 are rounding
+# noise below 1.4e-14, and the third derivative needed for the second
+# correction term amplifies that noise: Psi''' of the full interpolant
+# is off by ~2e-4, of the truncated series by ~1e-7.
+_PSI = Chebyshev.interpolate(
+    lambda p: np.cos(math.tau * (p * p - p - 0.0625)) / np.cos(math.tau * p),
+    64, domain=[0.0, 1.0],
+).truncate(25)
 _PSI3 = _PSI.deriv(3)
 
 _RS_ERR_COEF = 0.02  # measured: |error| <= 0.005 * a^{-5/2}; 4x margin
@@ -562,8 +554,9 @@ def _refine_brackets(
     bracket on the next step.  A bracket that fails to halve often
     enough to fall more than _REFINE_SLACK halvings behind plain
     bisection takes bisection steps instead, so none needs more than
-    the bisection count plus _REFINE_SLACK + 2 steps.  Both ends keep a
-    strict sign change throughout.
+    the bisection count plus _REFINE_SLACK + 2 steps.  A point where Z
+    is exactly 0.0 moves up by _NUDGE < tol/2 and stays inside, so both
+    ends keep a strict sign change throughout.
     """
     lo, hi, z_lo, z_hi = lo.copy(), hi.copy(), z_lo.copy(), z_hi.copy()
     w_lo, w_hi = z_lo.copy(), z_hi.copy()
@@ -578,13 +571,7 @@ def _refine_brackets(
         guess = a - w_lo[idx] * width / (w_hi[idx] - w_lo[idx])
         x = np.where(width > limit[idx], 0.5 * (a + b),
                      np.clip(guess, a + 0.5 * tol, b - 0.5 * tol))
-        fx = _z_values(x)[0]
-        exact = fx == 0.0
-        if exact.any():
-            # Re-pick the 3/4 point of the bracket rather than storing a
-            # zero endpoint; keeps both endpoint signs strict.
-            x[exact] = a[exact] + 0.75 * width[exact]
-            fx[exact] = _z_values(x[exact])[0]
+        x, fx = _sign_definite(x, _z_values(x)[0])
         left = z_lo[idx] * fx < 0.0  # sign change in [a, x]: x is the new hi
         new_hi, new_lo = idx[left], idx[~left]
         w_lo[new_hi[kept[new_hi] == -1]] *= 0.5

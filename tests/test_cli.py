@@ -295,23 +295,33 @@ class TestCompareCommand:
         assert len(out.read_text().splitlines()) == 15  # header, n = 7..20
 
     def test_too_small_n_max_fails_cleanly(self, tmp_path):
+        # Below g_-1 there is no Gram point to scan to; n_max <= -3 must
+        # still end in the one error line of build_report.
         out = tmp_path / "report.json"
-        result = _run(["compare", "--n-max", "5", "--out-path", str(out)],
-                      tmp_path)
-        assert result.returncode == 1
-        assert result.stderr.startswith("error: ")
-        assert not out.exists()
+        for n_max in ("5", "0", "-5"):
+            result = _run(["compare", f"--n-max={n_max}", "--out-path", str(out)],
+                          tmp_path)
+            assert result.returncode == 1
+            assert result.stderr == "error: build_report: need n_max >= 10\n"
+            assert result.stdout == ""
+            assert not out.exists()
 
     def test_scan_height_covers_n_max_without_overscan(self):
-        # Every zero up to t = 3001.02 from mpmath, committed with the
-        # benchmark: counts there are exact.  The scan height must hold
-        # n_max zeros and at most 3 more.
+        # The scan height must hold n_max zeros and at most 3 more, for
+        # every n_max up to the 10142 zeros below the supported height.
+        # Counts up to n_max = 2470 come from every zero up to
+        # t = 3001.02 from mpmath, committed with the benchmark; beyond,
+        # from one full scan, whose counts are exact by Rosser's rule and
+        # match mpmath up to t = 3000.
         reference = json.loads(_REFERENCE.read_text())["full"]
-        for n_max in range(1, len(reference) + 1):
+        scanned = [e.gamma for e in rzs.scan_zeros(0.0, 1.0e4, 1.0e-8).zeros]
+        assert len(scanned) == 10142
+        for n_max in range(1, len(scanned) + 1):
             t_upper = rzs.cli._scan_upper_for(n_max)
-            count = bisect.bisect_right(reference, t_upper)
+            heights = reference if n_max <= len(reference) else scanned
+            count = bisect.bisect_right(heights, t_upper)
             assert count >= n_max, (n_max, t_upper)
-            if t_upper <= reference[-1]:
+            if t_upper <= heights[-1]:
                 assert count <= n_max + 3, (n_max, t_upper)
 
 

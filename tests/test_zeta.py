@@ -340,6 +340,34 @@ class TestScanZeros:
         with pytest.raises(AuditError, match=r"Gram block g_0\.\.g_2 "):
             scan_zeros(0.0, 50.0, 1.0e-8)
 
+    def test_exact_zero_at_refinement_point_keeps_strict_signs(self, monkeypatch):
+        # Report Z = 0.0 exactly at the first refinement point less than
+        # 1e-3 above gamma_1.  Stored as the new lower end, that point
+        # would push the bracket past the zero; instead it moves up by
+        # _NUDGE like a grid node, and the bracket keeps a strict sign
+        # change at both ends.
+        real = rzs.zeta._z_values
+        gamma_1 = _reference_zeros()[0]
+        zeroed = []
+
+        def one_exact_zero(ts):
+            ts = np.asarray(ts, dtype=float)
+            vals, errs = real(ts)
+            if not zeroed and ts.size == 1 and 0.0 < ts[0] - gamma_1 < 1.0e-3:
+                zeroed.append(float(ts[0]))
+                vals = np.zeros_like(vals)
+            return vals, errs
+
+        monkeypatch.setattr(rzs.zeta, "_z_values", one_exact_zero)
+        table = scan_zeros(0.0, 15.0, 1.0e-8)
+        monkeypatch.undo()
+        assert len(zeroed) == 1
+        (entry,) = table.zeros
+        assert abs(entry.gamma - gamma_1) <= 1.0e-8
+        assert entry.bracket_hi - entry.bracket_lo <= 1.0e-8
+        z_ends = real(np.array([entry.bracket_lo, entry.bracket_hi]))[0]
+        assert z_ends[0] * z_ends[1] < 0.0
+
     @pytest.mark.parametrize("t_max, count", [(1339.03, 931), (1420.65, 1001)])
     def test_close_pair_heights_give_exact_counts(self, t_max, count):
         # mpmath counts at heights just above a close pair of zeros,
