@@ -12,89 +12,40 @@ Three computational layers:
   correlator at t = n.
 
 The rzs.cli module exposes all of it as the `rzs` command.
+
+The public names resolve on every access from their home modules (PEP
+562), uncached, so `import rzs` loads no numpy and rzs.<name> is always
+the object its home module holds.
 """
 
-from .bubble import (
-    BubbleSpec,
-    CorrelatorSample,
-    GapEquationSpec,
-    correlator_sample,
-    f_kinematic,
-    feynman_integral,
-    gap_mass,
-    gap_residual,
-    pi_at_zero,
-    pi_closed,
-)
-from .correspond import (
-    CorrespondenceReport,
-    FitResult,
-    ReportRow,
-    ReportSummary,
-    build_report,
-    log_slope_fit,
-    report_to_csv,
-    report_to_json,
-)
-from .errors import (
-    AuditError,
-    ConvergenceError,
-    DomainError,
-    InsufficientZerosError,
-    NoSolutionError,
-    PrecisionError,
-    RzsError,
-)
-from .zeta import (
-    CriticalLineSample,
-    ZeroCountEstimate,
-    ZeroEntry,
-    ZeroTable,
-    count_zeros,
-    gamma_asymptotic,
-    scan_zeros,
-    theta,
-    z_function,
-    zero_table_to_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditError",
-    "BubbleSpec",
-    "ConvergenceError",
-    "CorrelatorSample",
-    "CorrespondenceReport",
-    "CriticalLineSample",
-    "DomainError",
-    "FitResult",
-    "GapEquationSpec",
-    "InsufficientZerosError",
-    "NoSolutionError",
-    "PrecisionError",
-    "ReportRow",
-    "ReportSummary",
-    "RzsError",
-    "ZeroCountEstimate",
-    "ZeroEntry",
-    "ZeroTable",
-    "build_report",
-    "correlator_sample",
-    "count_zeros",
-    "f_kinematic",
-    "feynman_integral",
-    "gamma_asymptotic",
-    "gap_mass",
-    "gap_residual",
-    "log_slope_fit",
-    "pi_at_zero",
-    "pi_closed",
-    "report_to_csv",
-    "report_to_json",
-    "scan_zeros",
-    "theta",
-    "z_function",
-    "zero_table_to_csv",
-    "__version__",
-]
+# Home module of every public name.
+_HOME = {name: module for module, names in (
+    ("bubble", "BubbleSpec CorrelatorSample GapEquationSpec correlator_sample "
+               "f_kinematic feynman_integral gap_mass gap_residual pi_at_zero "
+               "pi_closed"),
+    ("correspond", "CorrespondenceReport FitResult ReportRow ReportSummary "
+                   "build_report log_slope_fit report_to_csv report_to_json"),
+    ("errors", "AuditError ConvergenceError DomainError InsufficientZerosError "
+               "NoSolutionError PrecisionError RzsError"),
+    ("zeta", "CriticalLineSample ZeroCountEstimate ZeroEntry ZeroTable count_zeros "
+             "gamma_asymptotic scan_zeros theta z_function zero_table_to_csv"),
+) for name in names.split()}
+_SUBMODULES = ("bubble", "correspond", "errors", "zeta")
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -1,0 +1,407 @@
+"""The numpy kernels behind rzs.zeta: theta, Z, the Gram points and the scan.
+
+rzs.zeta, which describes the methods, validates arguments and imports
+this module on the first call that needs it, so `import rzs` and the
+commands count, gap and bubble load no numpy.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from numpy.polynomial.chebyshev import Chebyshev
+
+from .errors import AuditError
+from .zeta import CROSSOVER_T, THETA_SERIES_T
+
+LN_PI = math.log(math.pi)
+LN_2PI = math.log(math.tau)
+
+# Coefficients of t^-1, t^-3, ..., t^-9 in the asymptotic series of theta.
+_THETA_SERIES = (
+    1.0 / 48.0,
+    7.0 / 5760.0,
+    31.0 / 80640.0,
+    127.0 / 430080.0,
+    511.0 / 1216512.0,
+)
+
+# Zero scan.  A Gram block that does not show one sign change per Gram
+# interval is subdivided until its node spacing reaches STRIDE_FLOOR.
+# Gram points come from _LAMBERT_STEPS Newton steps for Lambert's W,
+# then _GRAM_NEWTON_STEPS on theta, and past t_max in batches of
+# _GRAM_PAD.  A node or refinement point where Z is exactly 0.0 moves
+# up by _NUDGE, far below any node spacing and below half of
+# TOL_SUPPORT_MIN.  Root refinement may fall _REFINE_SLACK halvings
+# behind plain bisection.
+STRIDE_FLOOR = 1.0 / 1024.0
+_LAMBERT_STEPS = 8
+_GRAM_NEWTON_STEPS = 4
+_GRAM_PAD = 8
+_NUDGE = 1.0e-6 * STRIDE_FLOOR
+_REFINE_SLACK = 3
+
+# Bernoulli numbers B_2, B_4, ..., B_16.
+_BERN2K = (
+    1.0 / 6.0,
+    -1.0 / 30.0,
+    1.0 / 42.0,
+    -1.0 / 30.0,
+    5.0 / 66.0,
+    -691.0 / 2730.0,
+    7.0 / 6.0,
+    -3617.0 / 510.0,
+)
+
+# B_2k / (2k)! for the Euler-Maclaurin tail, k = 1..8; B_18 feeds the
+# truncation bound on the first omitted term.
+_EM_COEF = tuple(
+    b / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN2K)
+)
+_BERN_18 = 43867.0 / 798.0
+
+_STIRLING_SHIFT = 12  # ln Gamma recurrence shift before the series
+
+
+# ----------------------------------------------------------------------
+# theta(t): asymptotic series, or Stirling series for Im ln Gamma(1/4 + i t/2)
+# ----------------------------------------------------------------------
+
+def _log_gamma_imag(z: np.ndarray) -> np.ndarray:
+    """Im ln Gamma(z) for complex z with Re z > 0, elementwise.
+
+    Shift z by the recurrence ln Gamma(z) = ln Gamma(z+s) - sum ln(z+k)
+    so the asymptotic series runs at |z+s| >= 12, where eight Bernoulli
+    terms reach double-precision accuracy.
+    """
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for k in range(_STIRLING_SHIFT):
+        acc += np.log(z + k)
+    zs = z + _STIRLING_SHIFT
+    series = np.zeros_like(z)
+    zpow = zs.copy()
+    z2 = zs * zs
+    for k, b in enumerate(_BERN2K, start=1):
+        series += b / ((2 * k) * (2 * k - 1) * zpow)
+        zpow = zpow * z2
+    total = (zs - 0.5) * np.log(zs) - zs + 0.5 * LN_2PI + series - acc
+    return total.imag
+
+
+def _theta_series(ts: np.ndarray) -> np.ndarray:
+    """theta(t) = (t/2) ln(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3) + ...,
+    the real asymptotic series, for heights t >= THETA_SERIES_T."""
+    x = 1.0 / ts
+    x2 = x * x
+    tail = _THETA_SERIES[-1]
+    for coef in _THETA_SERIES[-2::-1]:
+        tail = coef + x2 * tail
+    return 0.5 * ts * (np.log(ts / math.tau) - 1.0) - math.pi / 8.0 + x * tail
+
+
+def _theta_vec(ts) -> np.ndarray:
+    """theta on an array (or sequence) of non-negative heights."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty_like(ts)
+    low = ts < THETA_SERIES_T
+    out[~low] = _theta_series(ts[~low])
+    if low.any():
+        t_low = ts[low]
+        out[low] = _log_gamma_imag(0.25 + 0.5j * t_low) - 0.5 * t_low * LN_PI
+    return out
+
+
+# ----------------------------------------------------------------------
+# Euler-Maclaurin evaluation of zeta(1/2 + it), t below the crossover
+# ----------------------------------------------------------------------
+
+def _em_order(t: float) -> int:
+    """Truncation point N of the Euler-Maclaurin sum at height t."""
+    return max(20, int(math.ceil(1.2 * t + 10.0)))
+
+
+def _zeta_em_group(ts: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(1/2 + i ts) by Euler-Maclaurin with a shared truncation N.
+
+    Returns (values, truncation bounds).  The remainder after the k = K
+    tail term is bounded by |next term| * |s + 2K + 1| / (sigma + 2K + 1).
+    """
+    s = 0.5 + 1j * ts
+    ns = np.arange(1, n_terms)
+    # sum n^{-s} = n^{-1/2} e^{-i t ln n}
+    phases = np.exp(-1j * np.outer(ts, np.log(ns)))
+    partial = phases @ (1.0 / np.sqrt(ns)).astype(complex)
+    n_pow = float(n_terms) ** (-s)  # N^{-s}
+    value = partial + 0.5 * n_pow + n_pow * n_terms / (s - 1.0)
+
+    # Tail: sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
+    rising = s.copy()
+    q = n_pow / n_terms  # N^{-s-1}
+    n_inv2 = 1.0 / (n_terms * n_terms)
+    for k, coef in enumerate(_EM_COEF, start=1):
+        if k > 1:
+            rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
+        value = value + coef * rising * q
+        q = q * n_inv2
+
+    k_next = len(_EM_COEF) + 1  # first omitted tail index; needs B_18
+    rising_next = rising * (s + (2 * k_next - 3)) * (s + (2 * k_next - 2))
+    coef_next = _BERN_18 / math.factorial(2 * k_next)
+    first_omitted = abs(coef_next) * np.abs(rising_next) * np.abs(q)
+    bound = first_omitted * np.abs(s + (2 * k_next - 1)) / (0.5 + 2 * k_next - 1)
+    return value, bound
+
+
+def _z_em_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z(t) below the crossover, with error estimates, grouped by N."""
+    vals = np.empty_like(ts)
+    errs = np.empty_like(ts)
+    orders = np.array([_em_order(t) for t in ts])
+    th = _theta_vec(ts)
+    for n_terms in np.unique(orders):
+        m = orders == n_terms
+        zeta_vals, bounds = _zeta_em_group(ts[m], int(n_terms))
+        vals[m] = (np.exp(1j * th[m]) * zeta_vals).real
+        # Truncation bound plus a rounding floor for the ~N-term sums.
+        errs[m] = bounds + 1.0e-13
+    return vals, errs
+
+
+# ----------------------------------------------------------------------
+# Riemann-Siegel evaluation, t at or above the crossover
+# ----------------------------------------------------------------------
+
+# Chebyshev series of Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) on
+# [0, 1]: the degree-64 interpolant truncated to degree 24.  Psi is
+# entire, as the numerator cancels the zeros of the denominator at
+# p = 1/4 and 3/4; the 65 first-kind nodes stay >= 0.0034 away from both
+# removable points.  The coefficients beyond degree ~20 are rounding
+# noise below 1.4e-14, and the third derivative needed for the second
+# correction term amplifies that noise: Psi''' of the full interpolant
+# is off by ~2e-4, of the truncated series by ~1e-7.
+_PSI = Chebyshev.interpolate(
+    lambda p: np.cos(math.tau * (p * p - p - 0.0625)) / np.cos(math.tau * p),
+    64, domain=[0.0, 1.0],
+).truncate(25)
+_PSI3 = _PSI.deriv(3)
+
+_RS_ERR_COEF = 0.02  # measured: |error| <= 0.005 * a^{-5/2}; 4x margin
+
+
+def _z_rs_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z(t) by the Riemann-Siegel main sum plus two correction terms.
+
+    With a = sqrt(t/2pi), N = floor(a), p = a - N:
+
+        Z(t) ~ 2 sum_{n<=N} cos(theta(t) - t ln n)/sqrt(n)
+               + (-1)^{N-1} a^{-1/2} [ Psi(p) - Psi'''(p)/(96 pi^2 a) ].
+
+    The heights are sorted once, so for every n the heights with N >= n
+    form one contiguous tail; term n is added across that tail, from
+    tables of ln n and n^{-1/2} shared by all heights, and the results
+    are scattered back to input order.  No temporary is larger than the
+    batch.
+    """
+    order = np.argsort(ts)
+    t = ts[order]
+    a = np.sqrt(t / math.tau)
+    big_n = np.floor(a).astype(int)
+    p = a - big_n
+    th = _theta_vec(t)
+
+    ns = np.arange(1, big_n[-1] + 1)
+    ln_n = np.log(ns)
+    rsqrt_n = 1.0 / np.sqrt(ns)
+    main = np.zeros_like(t)
+    for n, start in enumerate(np.searchsorted(big_n, ns)):
+        main[start:] += rsqrt_n[n] * np.cos(th[start:] - t[start:] * ln_n[n])
+
+    c0 = _PSI(p)
+    c1 = -_PSI3(p) / (96.0 * math.pi ** 2)
+    sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
+    vals = np.empty_like(ts)
+    vals[order] = 2.0 * main + sign * (c0 + c1 / a) / np.sqrt(a)
+    errs = _RS_ERR_COEF * (ts / math.tau) ** (-1.25) + 1.0e-11
+    return vals, errs
+
+
+def _z_values(ts) -> tuple[np.ndarray, np.ndarray]:
+    """Z and its error bound on an array of heights in [0, T_SUPPORT_MAX]:
+    Euler-Maclaurin below CROSSOVER_T, Riemann-Siegel from it up."""
+    ts = np.asarray(ts, dtype=float)
+    vals = np.empty_like(ts)
+    errs = np.empty_like(ts)
+    low = ts < CROSSOVER_T
+    if low.any():
+        vals[low], errs[low] = _z_em_vec(ts[low])
+    if (~low).any():
+        vals[~low], errs[~low] = _z_rs_vec(ts[~low])
+    return vals, errs
+
+
+# ----------------------------------------------------------------------
+# Zero scan
+# ----------------------------------------------------------------------
+
+def _gram_points(ns) -> np.ndarray:
+    """Gram points g_n, where theta(g_n) = n pi, for integers n >= -1.
+
+    Starts from the asymptotic inversion g_n ~ 2pi e exp(W((n + 1/8)/e)),
+    W the principal branch of Lambert's W, and polishes it by Newton
+    steps on theta with theta'(t) ~ ln(t/2pi)/2 - 1/(48 t^2).
+    """
+    ns = np.asarray(ns, dtype=float)
+    z = (ns + 0.125) / math.e
+    w = np.log1p(z)
+    for _ in range(_LAMBERT_STEPS):
+        ew = np.exp(w)
+        w -= (w * ew - z) / (ew * (w + 1.0))
+    ts = math.tau * math.e * np.exp(w)
+    for _ in range(_GRAM_NEWTON_STEPS):
+        slope = 0.5 * np.log(ts / math.tau) - 1.0 / (48.0 * ts * ts)
+        ts -= (_theta_vec(ts) - math.pi * ns) / slope
+    return ts
+
+
+def _sign_definite(ts: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move every node where Z is exactly 0.0 up by _NUDGE and re-evaluate
+    there: the sign-change bookkeeping needs a strict sign at every node."""
+    exact = zs == 0.0
+    if exact.any():
+        ts = ts.copy()
+        zs = zs.copy()
+        ts[exact] += _NUDGE
+        zs[exact] = _z_values(ts[exact])[0]
+    return ts, zs
+
+
+def _gram_grid(
+    t_max: float, n_estimate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gram points g_-1 .. g_B and Z there, B the first good index with g_B >= t_max.
+
+    g_n is good when (-1)^n Z(g_n) > 0.  The counting formula N(T) - 1
+    equals theta(T)/pi up to O(1/T), so n_estimate = N(t_max) sizes the
+    first batch of Gram points; _GRAM_PAD more follow while none at or
+    past t_max is good.  Returns (indices n, heights, Z values, good mask).
+    """
+    ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
+    gs = _gram_points(ns)
+    gs, zs = _sign_definite(gs, _z_values(gs)[0])
+    while True:
+        good = np.where(ns % 2 == 0, zs, -zs) > 0.0
+        past = np.flatnonzero(good & (gs >= t_max))
+        if past.size:
+            stop = past[0] + 1
+            return ns[:stop], gs[:stop], zs[:stop], good[:stop]
+        more = np.arange(ns[-1] + 1, ns[-1] + 1 + _GRAM_PAD)
+        g_more = _gram_points(more)
+        g_more, z_more = _sign_definite(g_more, _z_values(g_more)[0])
+        ns = np.concatenate((ns, more))
+        gs = np.concatenate((gs, g_more))
+        zs = np.concatenate((zs, z_more))
+
+
+def _resolve_blocks(
+    ts: np.ndarray, zs: np.ndarray, edges: np.ndarray, edge_n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subdivide Gram blocks until each shows one sign change per Gram interval.
+
+    ts, zs are the sorted nodes and Z there; edges are the node indices
+    of the good Gram points and edge_n their Gram indices, so block j
+    runs from node edges[j] to node edges[j+1] over k = edge_n[j+1] -
+    edge_n[j] Gram intervals and, by Rosser's rule, holds k zeros.  Each
+    level halves every node gap of every block that does not show k
+    sign changes, all at once, with one batched Z call over the new
+    midpoints.  A block still unresolved once its widest gap is <=
+    STRIDE_FLOOR raises AuditError.  Returns the refined (ts, zs).
+    """
+    k = np.diff(edge_n)
+    while True:
+        seen = np.concatenate(([0], np.cumsum(zs[:-1] * zs[1:] < 0.0)))
+        found = seen[edges[1:]] - seen[edges[:-1]]
+        unresolved = np.flatnonzero(found != k)
+        if unresolved.size == 0:
+            return ts, zs
+        lengths = edges[unresolved + 1] - edges[unresolved]
+        gaps = np.concatenate([np.arange(edges[j], edges[j + 1]) for j in unresolved])
+        widths = ts[gaps + 1] - ts[gaps]
+        widest = np.maximum.reduceat(widths, np.cumsum(lengths) - lengths)
+        stuck = widest <= STRIDE_FLOOR
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            j = unresolved[i]
+            raise AuditError(
+                f"scan_zeros: Gram block g_{edge_n[j]}..g_{edge_n[j + 1]} "
+                f"(t in [{ts[edges[j]]:.6f}, {ts[edges[j + 1]]:.6f}]) shows "
+                f"{found[j]} sign changes for {k[j]} Gram intervals at node "
+                f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
+            )
+        mids = 0.5 * (ts[gaps] + ts[gaps + 1])
+        mids, z_mids = _sign_definite(mids, _z_values(mids)[0])
+        edges = edges + np.searchsorted(gaps, edges)
+        ts = np.insert(ts, gaps + 1, mids)
+        zs = np.insert(zs, gaps + 1, z_mids)
+
+
+def _refine_brackets(
+    lo: np.ndarray, hi: np.ndarray, z_lo: np.ndarray, z_hi: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink every bracket to width <= tol by batched Illinois steps.
+
+    A step evaluates Z at the regula falsi point of the endpoint weights,
+    which are the endpoint Z values except that an endpoint kept twice
+    in a row has its weight halved (the Illinois rule).  The point stays
+    at least tol/2 inside the bracket, so a converged guess closes the
+    bracket on the next step.  A bracket that fails to halve often
+    enough to fall more than _REFINE_SLACK halvings behind plain
+    bisection takes bisection steps instead, so none needs more than
+    the bisection count plus _REFINE_SLACK + 2 steps.  A point where Z
+    is exactly 0.0 moves up by _NUDGE < tol/2 and stays inside, so both
+    ends keep a strict sign change throughout.
+    """
+    lo, hi, z_lo, z_hi = lo.copy(), hi.copy(), z_lo.copy(), z_hi.copy()
+    w_lo, w_hi = z_lo.copy(), z_hi.copy()
+    kept = np.zeros(lo.size, dtype=np.int8)  # end kept last step: -1 lo, +1 hi
+    limit = (hi - lo) * 2.0 ** _REFINE_SLACK  # widest width still on schedule
+    while True:
+        idx = np.flatnonzero(hi - lo > tol)
+        if idx.size == 0:
+            return lo, hi
+        a, b = lo[idx], hi[idx]
+        width = b - a
+        guess = a - w_lo[idx] * width / (w_hi[idx] - w_lo[idx])
+        x = np.where(width > limit[idx], 0.5 * (a + b),
+                     np.clip(guess, a + 0.5 * tol, b - 0.5 * tol))
+        x, fx = _sign_definite(x, _z_values(x)[0])
+        left = z_lo[idx] * fx < 0.0  # sign change in [a, x]: x is the new hi
+        new_hi, new_lo = idx[left], idx[~left]
+        w_lo[new_hi[kept[new_hi] == -1]] *= 0.5
+        w_hi[new_lo[kept[new_lo] == 1]] *= 0.5
+        hi[new_hi], z_hi[new_hi], w_hi[new_hi] = x[left], fx[left], fx[left]
+        lo[new_lo], z_lo[new_lo], w_lo[new_lo] = x[~left], fx[~left], fx[~left]
+        kept[new_hi], kept[new_lo] = -1, 1
+        limit[idx] *= 0.5
+
+
+def _scan_brackets(
+    t_max: float, tol: float, n_estimate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets (lo, hi), ascending and <= tol wide, of every sign change
+    of Z in (0, t_max]: the scan_zeros method; N(t_max) = n_estimate."""
+    ns, ts, zs, good = _gram_grid(t_max, n_estimate)
+    edges = np.flatnonzero(good)
+    edge_n = ns[edges]
+    at = int(np.searchsorted(ts, t_max))
+    if 0 < at and ts[at] != t_max:
+        node = np.array([t_max])
+        t_node, z_node = _sign_definite(node, _z_values(node)[0])
+        ts = np.insert(ts, at, t_node)
+        zs = np.insert(zs, at, z_node)
+        edges = edges + (edges >= at)
+    ts, zs = _resolve_blocks(ts, zs, edges, edge_n)
+
+    idx = np.flatnonzero((zs[:-1] * zs[1:] < 0.0) & (ts[:-1] < t_max))
+    return _refine_brackets(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)

@@ -31,8 +31,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .errors import ConvergenceError, DomainError, NoSolutionError
 
@@ -61,8 +60,8 @@ _QUAD_EPSREL = 1.0e-9  # relative tolerance of both quadratures
 _QUAD_LIMIT = 200  # most subintervals _quad may use
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15, Piessens et
-# al. 1983): the Kronrod nodes, their weights, and the weights of the
-# 7-point Gauss rule on the odd-indexed nodes.
+# al. 1983): the Kronrod nodes in ascending order, their weights, and the
+# weights of the 7-point Gauss rule on the odd-indexed nodes.
 _XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
@@ -75,9 +74,9 @@ _WK0 = 0.209482141084727828012999174891714
 _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975)
 _WG0 = 0.417959183673469387755102040816327
-_KRONROD_NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
-_KRONROD_WEIGHTS = np.array(list(_WK) + [_WK0] + list(reversed(_WK)))
-_GAUSS_WEIGHTS = np.array(list(_WG) + [_WG0] + list(reversed(_WG)))
+_KRONROD_NODES = (*(-x for x in _XK), 0.0, *reversed(_XK))
+_KRONROD_WEIGHTS = (*_WK, _WK0, *reversed(_WK))
+_GAUSS_WEIGHTS = (*_WG, _WG0, *reversed(_WG))
 
 
 @dataclass(frozen=True)
@@ -124,39 +123,39 @@ def f_kinematic(x: float) -> float:
 def _quad(f, a: float, b: float, epsrel: float, limit: int = _QUAD_LIMIT) -> float:
     """Globally adaptive G7-K15 Gauss-Kronrod quadrature of f over [a, b].
 
-    f maps an array of abscissae to an array of values; each round
-    evaluates the 15 Kronrod nodes of every new subinterval in one call.
-    The estimate is accepted once the summed |K15 - G7| is at most
-    epsrel * |total|; until then every subinterval whose error exceeds
-    its share of that tolerance is bisected.  Raises ConvergenceError
-    when more than `limit` subintervals would be needed.
+    f maps one abscissa to one value; it runs at the 15 Kronrod nodes of
+    every subinterval.  The estimate is accepted once the summed
+    |K15 - G7| is at most epsrel * |total|; until then every subinterval
+    whose error exceeds its share of that tolerance is bisected.  Raises
+    ConvergenceError when more than `limit` subintervals would be needed.
     """
-    lo = hi = value = error = np.empty(0)
-    new_lo, new_hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    live = []  # (|K15 - G7|, K15, lo, hi) of every subinterval in use
+    new = [(float(a), float(b))]
     while True:
-        half = 0.5 * (new_hi - new_lo)
-        y = f((new_lo + half)[:, None] + half[:, None] * _KRONROD_NODES)
-        kronrod = half * (y @ _KRONROD_WEIGHTS)
-        gauss = half * (y[:, 1::2] @ _GAUSS_WEIGHTS)
-        lo, hi = np.concatenate((lo, new_lo)), np.concatenate((hi, new_hi))
-        value = np.concatenate((value, kronrod))
-        error = np.concatenate((error, np.abs(kronrod - gauss)))
-        total = float(value.sum())
+        for lo, hi in new:
+            half = 0.5 * (hi - lo)
+            centre = lo + half
+            y = [f(centre + half * x) for x in _KRONROD_NODES]
+            kronrod = half * sum(map(mul, _KRONROD_WEIGHTS, y))
+            gauss = half * sum(map(mul, _GAUSS_WEIGHTS, y[1::2]))
+            live.append((abs(kronrod - gauss), kronrod, lo, hi))
+        total = sum(interval[1] for interval in live)
         tol = epsrel * abs(total)
-        err = float(error.sum())
+        err = sum(interval[0] for interval in live)
         if err <= tol:
             return total
-        split = error > tol / error.size
-        if not math.isfinite(err) or error.size + np.count_nonzero(split) > limit:
+        share = tol / len(live)
+        split = [interval for interval in live if interval[0] > share]
+        if not math.isfinite(err) or len(live) + len(split) > limit:
             raise ConvergenceError(
                 f"quadrature: error estimate {err:.3e} above the tolerance "
                 f"{tol:.3e} with {limit} subintervals"
             )
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        keep = ~split
-        lo, hi, value, error = lo[keep], hi[keep], value[keep], error[keep]
+        live = [interval for interval in live if not interval[0] > share]
+        new = []
+        for _, _, lo, hi in split:
+            mid = 0.5 * (lo + hi)
+            new += ((lo, mid), (mid, hi))
 
 
 def _validate_bubble_spec(spec: BubbleSpec) -> None:
@@ -201,13 +200,18 @@ def feynman_integral(spec: BubbleSpec) -> float:
     # Folded onto [0, 1/2] by x -> 1 - x: both endpoint peaks then sit at
     # x = 0, where x and x(1 - x) keep full relative precision (near x = 1,
     # 1 - x has only the absolute precision of x).
-    def integrand(x: np.ndarray) -> np.ndarray:
+    def integrand(x: float) -> float:
         return (
             x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)
             + x ** (b - 1.0) * (1.0 - x) ** (a - 1.0)
         ) * (x * (1.0 - x) + mass_ratio) ** power
 
-    integral = _quad(integrand, 0.0, 0.5, _QUAD_EPSREL)
+    try:
+        integral = _quad(integrand, 0.0, 0.5, _QUAD_EPSREL)
+    except OverflowError:  # a float power beyond the largest double
+        raise ConvergenceError(
+            "feynman_integral: the integrand overflows double precision"
+        ) from None
     prefactor = (
         (4.0 * math.pi) ** (-d / 2.0)
         * (p * p) ** power
@@ -217,13 +221,20 @@ def feynman_integral(spec: BubbleSpec) -> float:
     return prefactor * integral
 
 
+def _log_quotient(a: float, b: float) -> float:
+    """ln(a/b) for positive a, b; from ln a - ln b where a/b overflows."""
+    quotient = a / b
+    return math.log(quotient) if quotient < math.inf else math.log(a) - math.log(b)
+
+
 def pi_closed(p: float, m: float) -> float:
     """Closed-form bubble Pi(p) for d = 2, alpha = beta = 1.
 
     Uses the identity (1+f)/(f-1) = ((1+f) p / (2m))^2 so no subtraction
     f - 1 ever happens, and a 3-term series in p^2/(p^2 + 4 m^2) below
     p^2/m^2 = 1e-6 where even the rewritten logarithm loses digits.
-    Depends on p only through p^2.
+    Depends on p only through p^2.  Raises DomainError when Pi(p) is 0
+    or infinite in double precision.
     """
     p = float(p)
     m = float(m)
@@ -239,12 +250,12 @@ def pi_closed(p: float, m: float) -> float:
         value = (1.0 + w / 3.0 + w * w / 5.0) / (math.pi * (p2 + 4.0 * m2))
     else:
         f = f_kinematic(m / p)
-        log_ratio = 2.0 * math.log((1.0 + f) * p / (2.0 * m))
+        log_ratio = 2.0 * _log_quotient((1.0 + f) * p, 2.0 * m)
         value = log_ratio / (math.tau * f * p2)
-    if value == 0.0:
+    if not 0.0 < value < math.inf:
         raise DomainError(
-            f"pi_closed: the denominator overflows double precision at "
-            f"p = {p:.6g}, m = {m:.6g}, so Pi(p) would be 0"
+            f"pi_closed: Pi(p) or its denominator overflows double precision "
+            f"at p = {p:.6g}, m = {m:.6g}"
         )
     return value
 
@@ -262,7 +273,8 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
 
     pi_value = Pi(sqrt(t)), correlator = 1/pi_value, and the asymptote
     2 pi t / ln(t/m2) is attached when t > m2 (None otherwise, since the
-    logarithm is not positive there).
+    logarithm is not positive there).  Raises DomainError when a field
+    is 0 or infinite in double precision.
     """
     t = float(t)
     m2 = float(m2)
@@ -271,11 +283,17 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
     if not m2 > 0.0:
         raise DomainError("correlator_sample: m2 must be positive")
     pi_value = pi_closed(math.sqrt(t), math.sqrt(m2))
-    asymptote = math.tau * t / math.log(t / m2) if t > m2 else None
+    correlator = 1.0 / pi_value
+    asymptote = math.tau * t / _log_quotient(t, m2) if t > m2 else None
+    if correlator == math.inf or asymptote == math.inf:
+        raise DomainError(
+            f"correlator_sample: the correlator or its asymptote overflows "
+            f"double precision at t = {t:.6g}, m2 = {m2:.6g}"
+        )
     return CorrelatorSample(
         t=t,
         pi_value=pi_value,
-        correlator=1.0 / pi_value,
+        correlator=correlator,
         asymptote=asymptote,
         m2=m2,
     )

@@ -11,6 +11,9 @@ Five subcommands expose the computational modules:
 Output files are written atomically (temp file + rename) and every
 number is serialized with 17 significant digits, so re-running a
 command with identical flags produces byte-identical output.
+
+Only zeros and compare compute with arrays, so only they load numpy:
+they import correspond and the scan kernels when they run.
 """
 
 from __future__ import annotations
@@ -21,14 +24,9 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .bubble import GapEquationSpec, correlator_sample, gap_mass, gap_residual
-from .correspond import build_report, log_slope_fit, report_to_csv, report_to_json
 from .errors import DomainError, RzsError
-from .zeta import (
-    T_SUPPORT_MAX, _fmt, _gram_points, count_zeros, scan_zeros, zero_table_to_csv,
-)
+from .zeta import T_SUPPORT_MAX, _fmt, count_zeros, scan_zeros, zero_table_to_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -75,16 +73,29 @@ def _cmd_count(ns: argparse.Namespace) -> None:
     _print(ns, text)
 
 
+def _log_grid(t_min: float, t_max: float, points: int) -> list[float]:
+    """t_min (t_max/t_min)^(i/(points-1)) for i < points, both ends exact;
+    one point is [t_min].  Where t_max/t_min overflows, the logarithms
+    are interpolated instead."""
+    ratio = t_max / t_min
+    if ratio < math.inf:
+        inner = [t_min * ratio ** (i / (points - 1)) for i in range(1, points - 1)]
+    else:
+        lo, hi = math.log(t_min), math.log(t_max)
+        inner = [math.exp(lo + (hi - lo) * (i / (points - 1)))
+                 for i in range(1, points - 1)]
+    return [t_min, *inner, t_max][:points]
+
+
 def _cmd_bubble(ns: argparse.Namespace) -> None:
     if not (0.0 < ns.t_min <= ns.t_max < math.inf):
         raise DomainError(
             "bubble: need finite 0 < t_min <= t_max for a log-spaced grid")
     if ns.points < 1:
         raise DomainError("bubble: points must be a positive integer")
-    grid = np.geomspace(ns.t_min, ns.t_max, ns.points)
     lines = ["t,pi,correlator,asymptote"]
-    for t in grid:
-        sample = correlator_sample(float(t), ns.mass2)
+    for t in _log_grid(ns.t_min, ns.t_max, ns.points):
+        sample = correlator_sample(t, ns.mass2)
         asym = "nan" if sample.asymptote is None else _fmt(sample.asymptote)
         lines.append(
             f"{_fmt(sample.t)},{_fmt(sample.pi_value)},"
@@ -113,15 +124,19 @@ def _scan_upper_for(n_max: int) -> float:
     n_max + 3 zeros.  Gram points start at g_-1, so any n_max < 0 scans
     to g_0 and is left for build_report to reject.
     """
+    from ._zkernels import _gram_points
+
     if count_zeros(T_SUPPORT_MAX).n_estimate < n_max:
         raise DomainError(
             f"compare: n_max = {n_max} needs zeros above the supported "
             f"height {T_SUPPORT_MAX:g}"
         )
-    return min(float(_gram_points(np.array([max(n_max + 1, 0)]))[0]), T_SUPPORT_MAX)
+    return min(float(_gram_points([max(n_max + 1, 0)])[0]), T_SUPPORT_MAX)
 
 
 def _cmd_compare(ns: argparse.Namespace) -> None:
+    from .correspond import build_report, log_slope_fit, report_to_csv, report_to_json
+
     table = scan_zeros(0.0, _scan_upper_for(ns.n_max), ns.tol)
     report = build_report(table, ns.mass2, ns.n_max)
     if ns.format == "json":

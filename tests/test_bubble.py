@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -95,6 +96,11 @@ class TestFeynmanIntegral:
             quadrature = feynman_integral(BubbleSpec(1.0, 1.0, 2.0, p, 1.0))
             assert quadrature == pytest.approx(pi_closed(p, 1.0), rel=1.0e-9)
 
+    def test_overflowing_integrand_raises(self):
+        # [x(1 - x) + 1e-14]^-39 is beyond the largest double near x = 0.
+        with pytest.raises(ConvergenceError, match="overflows"):
+            feynman_integral(BubbleSpec(20.0, 20.0, 2.0, 1.0e7, 1.0))
+
     @pytest.mark.parametrize("alpha, beta, dim", [
         (1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (2.0, 1.0, 2.0),
         (1.0, 1.0, 3.0), (2.0, 2.0, 3.0),
@@ -125,39 +131,43 @@ class TestQuad:
             assert abs(tadpole - closed) <= 1.0e-9 * closed, (exponent, cutoff)
 
     def test_degree_13_polynomial_is_exact_in_one_round(self):
-        # G7 integrates degree 13 exactly, so K15 - G7 vanishes at once.
+        # G7 integrates degree 13 exactly, so K15 - G7 vanishes at once:
+        # one subinterval, the integrand called once at each of 15 nodes.
         coefficients = np.arange(1.0, 15.0)  # 1 + 2x + ... + 14x^13
         calls = []
 
         def poly(x):
-            calls.append(x.shape)
-            return np.polynomial.polynomial.polyval(x, coefficients)
+            calls.append(x)
+            return float(np.polynomial.polynomial.polyval(x, coefficients))
 
         value = _quad(poly, -0.5, 2.0, 1.0e-9)
         exact = sum(c * (2.0 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1)
                     for k, c in enumerate(coefficients))
-        assert calls == [(1, 15)]
+        assert len(calls) == 15 and len(set(calls)) == 15
         assert value == pytest.approx(exact, rel=1.0e-14)
 
     def test_raises_beyond_the_subinterval_limit(self):
         # 1/x on [0, 1] diverges, so no number of subintervals suffices;
         # a tighter limit stops the tadpole at exponent 20 sooner.
-        evaluated = []
+        calls = []
 
         def inverse(x):
-            evaluated.append(x.shape[0])
+            calls.append(x)
             return 1.0 / x
 
         with pytest.raises(ConvergenceError):
             _quad(inverse, 0.0, 1.0, 1.0e-9)
-        assert 1 + sum(evaluated[1:]) // 2 <= 200
+        # 15 calls per subinterval; after the first, each bisection adds
+        # a pair of subintervals and removes one.
+        assert len(calls) % 15 == 0
+        assert 1 + (len(calls) // 15 - 1) // 2 <= 200
         m2 = 1.0 / math.expm1(20.0)
         with pytest.raises(ConvergenceError):
             _quad(lambda r: r / (r * r + m2), 0.0, 1.0, 1.0e-9, limit=5)
 
     def test_nan_integrand_raises(self):
         with pytest.raises(ConvergenceError):
-            _quad(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1.0e-9)
+            _quad(lambda x: math.nan, 0.0, 1.0, 1.0e-9)
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +307,46 @@ class TestCorrelatorSample:
                 correlator_sample(t, m2)
         with pytest.raises(DomainError, match="overflows"):
             pi_closed(1.0e200, 1.0)
+
+
+def _mp_pi(t: float, m2: float):
+    """Pi(sqrt(t)) from the textbook closed form ln((1+f)/(f-1)) / (2pi f t),
+    at 700 digits, so f - 1 ~ 2 m2/t keeps its digits down to m2/t = 1e-650."""
+    with mpmath.workdps(700):
+        t, m2 = mpmath.mpf(t), mpmath.mpf(m2)
+        f = mpmath.sqrt(1 + 4 * m2 / t)
+        return mpmath.log((1 + f) / (f - 1)) / (2 * mpmath.pi * f * t)
+
+
+class TestOverflowingRatios:
+    """Inputs where t/m2 or (1 + f) p/(2m) overflows but Pi, the
+    correlator and the asymptote are finite doubles."""
+
+    @pytest.mark.parametrize("t, m2", [(1.0, 1.0e-320), (1.0e299, 1.0e-320),
+                                       (1.0e300, 1.0e-320), (1.0e10, 5.0e-324)])
+    def test_matches_mpmath(self, t, m2):
+        sample = correlator_sample(t, m2)
+        pi_ref = _mp_pi(t, m2)
+        with mpmath.workdps(30):
+            asym_ref = 2 * mpmath.pi * t / mpmath.log(mpmath.mpf(t) / m2)
+        assert abs(sample.pi_value / pi_ref - 1) <= 1.0e-14
+        assert abs(sample.correlator * pi_ref - 1) <= 1.0e-14
+        assert abs(sample.asymptote / asym_ref - 1) <= 1.0e-14
+
+    def test_asymptote_at_unit_t(self):
+        # t/m2 = 1e320 overflows; the asymptote is 2 pi / ln(1e320).
+        asymptote = correlator_sample(1.0, 1.0e-320).asymptote
+        assert asymptote == pytest.approx(0.0085273520826699326, rel=1.0e-15)
+
+    def test_pi_beyond_the_largest_double_raises(self):
+        # Pi ~ 7.8e318 here: its reciprocal, the correlator, would be 0.
+        with pytest.raises(DomainError, match="overflows"):
+            correlator_sample(1.0e-321, 1.0e-320)
+
+    def test_asymptote_beyond_the_largest_double_raises(self):
+        # ln(t/m2) = 2.2e-16, so 2 pi t / ln(t/m2) ~ 2.8e316.
+        with pytest.raises(DomainError, match="asymptote"):
+            correlator_sample(1.0e300, math.nextafter(1.0e300, 0.0))
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,11 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import rzs
@@ -124,6 +126,14 @@ class TestCountCommand:
         assert result.returncode == 1, result.stderr
         assert result.stderr.startswith("error: ")
 
+    def test_subnormal_height_fails_with_one_line(self, tmp_path):
+        # t/2pi underflows to 0 at t = 5e-324.
+        result = _run(["count", "--t", "5e-324"], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert result.stdout == ""
+
 
 # ----------------------------------------------------------------------
 # bubble
@@ -191,6 +201,54 @@ class TestBubbleCommand:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1, result.stderr
         assert not out.exists()
+
+    def test_overflowing_ratio_prints_finite_values(self, tmp_path):
+        # t/m2 and (1 + f) sqrt(t)/(2 sqrt(m2)) overflow at both points.
+        out = tmp_path / "bubble.csv"
+        result = _run(["bubble", "--t-min", "1e299", "--t-max", "1e300",
+                       "--points", "2", "--mass2", "1e-320",
+                       "--out-path", str(out)], tmp_path)
+        assert result.returncode == 0, result.stderr
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [1.0e299, 1.0e300]
+        with mpmath.workdps(700):
+            for t, pi_value, correlator, asymptote in rows:
+                f = mpmath.sqrt(1 + 4 * mpmath.mpf(1.0e-320) / t)
+                pi_ref = mpmath.log((1 + f) / (f - 1)) / (2 * mpmath.pi * f * t)
+                asym_ref = 2 * mpmath.pi * t / mpmath.log(t / mpmath.mpf(1.0e-320))
+                assert abs(pi_value / pi_ref - 1) <= 1.0e-14
+                assert abs(correlator * pi_ref - 1) <= 1.0e-14
+                assert abs(asymptote / asym_ref - 1) <= 1.0e-14
+
+    def test_grid_is_exact_to_8_eps(self):
+        # The benchmark's bubble range: t_min in [1e-3, 1], t_max in
+        # [1e3, 1e8], log-uniform, 50 points.
+        rng = random.Random(20261018)
+        eps = sys.float_info.epsilon
+        with mpmath.workdps(40):
+            for _ in range(1500):
+                t_min = math.exp(rng.uniform(math.log(1.0e-3), 0.0))
+                t_max = math.exp(rng.uniform(math.log(1.0e3), math.log(1.0e8)))
+                grid = rzs.cli._log_grid(t_min, t_max, 50)
+                assert len(grid) == 50
+                assert grid[0] == t_min and grid[-1] == t_max
+                assert all(b > a for a, b in zip(grid, grid[1:]))
+                # t_min (t_max/t_min)^(i/49) as t_min q^i, q = (t_max/t_min)^(1/49).
+                step = (mpmath.mpf(t_max) / t_min) ** (mpmath.mpf(1) / 49)
+                exact = mpmath.mpf(t_min)
+                for i, t in enumerate(grid):
+                    assert abs(t - exact) <= 8 * eps * exact, (t_min, t_max, i)
+                    exact *= step
+
+    def test_grid_sizes_and_overflowing_span(self):
+        assert rzs.cli._log_grid(2.0, 8.0, 1) == [2.0]
+        assert rzs.cli._log_grid(2.0, 8.0, 2) == [2.0, 8.0]
+        assert rzs.cli._log_grid(2.0, 8.0, 3) == [2.0, 4.0, 8.0]
+        # t_max/t_min overflows: the logarithms are interpolated.
+        grid = rzs.cli._log_grid(1.0e-300, 1.0e300, 3)
+        assert grid[0] == 1.0e-300 and grid[-1] == 1.0e300
+        assert grid[1] == pytest.approx(1.0, rel=1.0e-13)
 
     def test_bad_grid_fails_cleanly(self, tmp_path):
         out = tmp_path / "bubble.csv"
@@ -373,16 +431,61 @@ class TestImport:
 
     def test_no_module_imports_scipy(self):
         # SciPy is a test-only dependency: no module of the package may
-        # import it, at the top or inside a function.
+        # import it, at the top or inside a function.  numpy may be
+        # imported only at the top of the two modules that compute with
+        # arrays, which the rest import lazily.
         offenders = []
         for path in pathlib.Path(rzs.__file__).parent.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
                     names = [node.module or ""]
                 else:
                     continue
+                numpy_ok = (path.name in ("_zkernels.py", "correspond.py")
+                            and node in tree.body)
                 offenders += [f"{path.name}:{node.lineno}" for name in names
-                              if name.split(".")[0] == "scipy"]
+                              if name.split(".")[0] == "scipy"
+                              or (name.split(".")[0] == "numpy" and not numpy_ok)]
         assert offenders == []
+
+    def test_short_commands_leave_numpy_unloaded(self, tmp_path):
+        # count, gap and bubble compute with math alone; zeros scans
+        # with the numpy kernels.
+        code = ("import sys, rzs, rzs.cli; main = rzs.cli.main; "
+                "main(['count', '--t', '100']); "
+                "main(['gap', '--coupling', '1', '--n-components', '3', "
+                "'--cutoff', '10']); "
+                "main(['bubble', '--t-min', '0.5', '--t-max', '1e6', "
+                "'--out-path', 'bubble.csv']); "
+                "print('numpy' in sys.modules); "
+                "main(['zeros', '--t-max', '50', '--out-path', 'zeros.csv']); "
+                "print('numpy' in sys.modules)")
+        result = _run([], tmp_path, python_args=("-c", code))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-2:] == ["False", "True"]
+
+    def test_public_names_resolve_to_their_home_modules(self):
+        homes = {"rzs.bubble", "rzs.correspond", "rzs.errors", "rzs.zeta"}
+        for name in rzs.__all__:
+            obj = getattr(rzs, name)
+            if name == "__version__":
+                continue
+            assert obj.__module__ in homes, name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+        for module in ("bubble", "correspond", "errors", "zeta"):
+            assert getattr(rzs, module) is sys.modules[f"rzs.{module}"]
+
+    def test_dir_and_star_import_cover_all(self):
+        assert set(rzs.__all__) <= set(dir(rzs))
+        namespace = {}
+        exec("from rzs import *", namespace)
+        assert set(rzs.__all__) <= set(namespace)
+        assert namespace["scan_zeros"] is rzs.zeta.scan_zeros
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rzs.no_such_name
+        assert not hasattr(rzs, "_zkernels_typo")

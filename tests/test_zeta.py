@@ -9,11 +9,13 @@ import math
 import pathlib
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rzs._zkernels
 import rzs.zeta
 from rzs import (
     AuditError,
@@ -171,11 +173,11 @@ class TestRiemannSiegelKernel:
         ts = np.sort(np.exp(rng.uniform(math.log(30.0), math.log(1.0e4), 800)))
         assert set(np.floor(np.sqrt(ts / TWO_PI)).astype(int)) == set(range(2, 40))
         perm = rng.permutation(ts.size)
-        vals, errs = rzs.zeta._z_rs_vec(ts)
-        shuffled_vals, shuffled_errs = rzs.zeta._z_rs_vec(ts[perm])
+        vals, errs = rzs._zkernels._z_rs_vec(ts)
+        shuffled_vals, shuffled_errs = rzs._zkernels._z_rs_vec(ts[perm])
         assert np.array_equal(shuffled_vals, vals[perm])
         assert np.array_equal(shuffled_errs, errs[perm])
-        single = np.array([rzs.zeta._z_rs_vec(ts[i:i + 1])[0][0] for i in perm])
+        single = np.array([rzs._zkernels._z_rs_vec(ts[i:i + 1])[0][0] for i in perm])
         assert np.max(np.abs(single - shuffled_vals)) <= 1.0e-13
 
 
@@ -217,6 +219,14 @@ class TestCountZeros:
             with pytest.raises(DomainError):
                 count_zeros(bad)
 
+    def test_rejects_heights_with_subnormal_ratio(self):
+        # t/2pi below the smallest normal double: at 5e-324 it is 0 and
+        # math.log(0) used to fail with a bare ValueError.
+        for bad in (5.0e-324, 1.0e-310, math.tau * 1.0e-308):
+            with pytest.raises(DomainError, match="normal"):
+                count_zeros(bad)
+        assert math.isfinite(count_zeros(math.tau * 2.3e-308).density)
+
 
 # ----------------------------------------------------------------------
 # gamma_asymptotic
@@ -247,6 +257,17 @@ class TestGammaAsymptotic:
             gamma_asymptotic(7.5)
         with pytest.raises(DomainError):
             gamma_asymptotic(True)
+
+    def test_rejects_index_without_float_form(self):
+        with pytest.raises(DomainError, match="float"):
+            gamma_asymptotic(10**400)
+
+    def test_finite_where_two_pi_n_overflows(self):
+        # 2 pi n overflows above n ~ 2.9e307; the quotient does not.
+        n = 10**308
+        with mpmath.workdps(30):
+            exact = float(2 * mpmath.pi * n / mpmath.log(n / (2 * mpmath.pi)))
+        assert gamma_asymptotic(n) == pytest.approx(exact, rel=1.0e-14)
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +312,7 @@ class TestScanZeros:
         # Reference: sign changes of Z on a uniform grid of stride 1/64
         # over (0, 250], each bisected to width <= 1e-8; no Gram points.
         def z(ts):
-            return rzs.zeta._z_values(ts)[0]
+            return rzs._zkernels._z_values(ts)[0]
 
         ts = np.arange(1, 250 * 64 + 1) / 64.0
         vals = z(ts)
@@ -328,7 +349,7 @@ class TestScanZeros:
         # good.  Reporting |Z| on (18, 27), which holds the zeros at 21.02
         # and 25.01 and the Gram point g_1, makes g_1 bad and leaves the
         # block g_0..g_2 with no sign change for its 2 Gram intervals.
-        real = rzs.zeta._z_values
+        real = rzs._zkernels._z_values
 
         def one_signed(ts):
             ts = np.asarray(ts, dtype=float)
@@ -336,7 +357,7 @@ class TestScanZeros:
             inside = (ts > 18.0) & (ts < 27.0)
             return np.where(inside, np.abs(vals), vals), errs
 
-        monkeypatch.setattr(rzs.zeta, "_z_values", one_signed)
+        monkeypatch.setattr(rzs._zkernels, "_z_values", one_signed)
         with pytest.raises(AuditError, match=r"Gram block g_0\.\.g_2 "):
             scan_zeros(0.0, 50.0, 1.0e-8)
 
@@ -346,7 +367,7 @@ class TestScanZeros:
         # would push the bracket past the zero; instead it moves up by
         # _NUDGE like a grid node, and the bracket keeps a strict sign
         # change at both ends.
-        real = rzs.zeta._z_values
+        real = rzs._zkernels._z_values
         gamma_1 = _reference_zeros()[0]
         zeroed = []
 
@@ -358,7 +379,7 @@ class TestScanZeros:
                 vals = np.zeros_like(vals)
             return vals, errs
 
-        monkeypatch.setattr(rzs.zeta, "_z_values", one_exact_zero)
+        monkeypatch.setattr(rzs._zkernels, "_z_values", one_exact_zero)
         table = scan_zeros(0.0, 15.0, 1.0e-8)
         monkeypatch.undo()
         assert len(zeroed) == 1
@@ -383,14 +404,14 @@ class TestScanZeros:
         assert len(scan_zeros(0.0, t_max, 1.0e-8).zeros) == expected
 
     def test_deep_scan_cost_and_brackets(self, monkeypatch):
-        real = rzs.zeta._z_values
+        real = rzs._zkernels._z_values
         evaluated = []
 
         def counting(ts):
             evaluated.append(np.size(ts))
             return real(ts)
 
-        monkeypatch.setattr(rzs.zeta, "_z_values", counting)
+        monkeypatch.setattr(rzs._zkernels, "_z_values", counting)
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
         monkeypatch.undo()
         assert len(table.zeros) == 10142
@@ -401,6 +422,11 @@ class TestScanZeros:
         assert np.all((lo < gamma) & (gamma < hi))
         assert np.all(hi - lo <= 1.0e-8)
         assert np.all(real(lo)[0] * real(hi)[0] < 0.0)
+
+    def test_scan_below_two_pi_is_empty(self):
+        # t_max/2pi may be subnormal; the scan still covers (0, t_max].
+        for t_max in (1.0e-310, 1.0, 6.0):
+            assert scan_zeros(0.0, t_max, 1.0e-8).zeros == ()
 
     def test_rejects_bad_ranges_and_tolerances(self):
         with pytest.raises(DomainError):
