@@ -24,7 +24,7 @@ print()
 print("p -> 0 limit: Pi(0) = 1/(4 pi m^2)")
 print(f"  pi_at_zero(1)      = {pi_at_zero(1.0):.15f}")
 print(f"  1/(4 pi)           = {1.0 / (4.0 * math.pi):.15f}")
-print(f"  pi_closed(1e-3, 1) = {pi_closed(1.0e-3, 1.0):.15f}   (series branch)")
+print(f"  pi_closed(1e-3, 1) = {pi_closed(1.0e-3, 1.0):.15f}   (the same formula as at any p)")
 print()
 
 print("correlator against its own asymptote 2*pi*t/ln(t/m^2):")

@@ -117,17 +117,15 @@ def _theta_vec(ts) -> np.ndarray:
 # Euler-Maclaurin evaluation of zeta(1/2 + it), t below the crossover
 # ----------------------------------------------------------------------
 
-def _em_order(t: float) -> int:
-    """Truncation point N of the Euler-Maclaurin sum at height t."""
-    return max(20, int(math.ceil(1.2 * t + 10.0)))
+def _z_em_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z(t) below the crossover by Euler-Maclaurin, with error bounds.
 
-
-def _zeta_em_group(ts: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(1/2 + i ts) by Euler-Maclaurin with a shared truncation N.
-
-    Returns (values, truncation bounds).  The remainder after the k = K
-    tail term is bounded by |next term| * |s + 2K + 1| / (sigma + 2K + 1).
+    The whole batch shares one truncation N = max(20, ceil(1.2 t + 10)),
+    that of its largest height: a larger N only tightens the bound, and
+    a single height keeps its own N.  The remainder after the k = K tail
+    term is bounded by |next term| * |s + 2K + 1| / (sigma + 2K + 1).
     """
+    n_terms = max(20, math.ceil(1.2 * ts.max() + 10.0))
     s = 0.5 + 1j * ts
     ns = np.arange(1, n_terms)
     # sum n^{-s} = n^{-1/2} e^{-i t ln n}
@@ -151,22 +149,8 @@ def _zeta_em_group(ts: np.ndarray, n_terms: int) -> tuple[np.ndarray, np.ndarray
     coef_next = _BERN_18 / math.factorial(2 * k_next)
     first_omitted = abs(coef_next) * np.abs(rising_next) * np.abs(q)
     bound = first_omitted * np.abs(s + (2 * k_next - 1)) / (0.5 + 2 * k_next - 1)
-    return value, bound
-
-
-def _z_em_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z(t) below the crossover, with error estimates, grouped by N."""
-    vals = np.empty_like(ts)
-    errs = np.empty_like(ts)
-    orders = np.array([_em_order(t) for t in ts])
-    th = _theta_vec(ts)
-    for n_terms in np.unique(orders):
-        m = orders == n_terms
-        zeta_vals, bounds = _zeta_em_group(ts[m], int(n_terms))
-        vals[m] = (np.exp(1j * th[m]) * zeta_vals).real
-        # Truncation bound plus a rounding floor for the ~N-term sums.
-        errs[m] = bounds + 1.0e-13
-    return vals, errs
+    # Truncation bound plus a rounding floor for the ~N-term sums.
+    return (np.exp(1j * _theta_vec(ts)) * value).real, bound + 1.0e-13
 
 
 # ----------------------------------------------------------------------

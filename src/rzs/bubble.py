@@ -48,10 +48,6 @@ __all__ = [
     "gap_residual",
 ]
 
-# Below this p^2/m^2 the closed form loses accuracy to the ln(1 + small)
-# cancellation, so pi_closed switches to a 3-term series around p = 0.
-SMALL_P_RATIO = 1.0e-6
-
 # m^2/p^2 below this makes the Feynman-parameter integrand near-singular
 # at the endpoints; refuse rather than return garbage.
 FEYNMAN_MASS_RATIO_MIN = 1.0e-14
@@ -182,14 +178,15 @@ def feynman_integral(spec: BubbleSpec) -> float:
     at relative tolerance 1e-9 and raises ConvergenceError when it needs
     more than 200 subintervals.  p must be strictly positive (the p = 0
     limit is served by pi_at_zero); m^2/p^2 below 1e-14 is rejected
-    because the integrand turns near-singular at the endpoints.
+    because the integrand turns near-singular at the endpoints.  Raises
+    DomainError when I is 0 or infinite in double precision.
     """
     _validate_bubble_spec(spec)
     if not spec.p > 0.0:
         raise DomainError("feynman_integral: p must be positive (see pi_at_zero)")
     a, b, d = float(spec.alpha), float(spec.beta), float(spec.dim)
     p, m = float(spec.p), float(spec.m)
-    mass_ratio = (m * m) / (p * p)
+    mass_ratio = m / p * m / p  # never forms m^2 or p^2, which may underflow
     if mass_ratio < FEYNMAN_MASS_RATIO_MIN:
         raise ConvergenceError(
             f"feynman_integral: m^2/p^2 = {mass_ratio:.3e} below "
@@ -212,13 +209,22 @@ def feynman_integral(spec: BubbleSpec) -> float:
         raise ConvergenceError(
             "feynman_integral: the integrand overflows double precision"
         ) from None
-    prefactor = (
-        (4.0 * math.pi) ** (-d / 2.0)
-        * (p * p) ** power
-        * math.gamma(a + b - d / 2.0)
-        / (math.gamma(a) * math.gamma(b))
-    )
-    return prefactor * integral
+    try:
+        value = (
+            (4.0 * math.pi) ** (-d / 2.0)
+            * p ** (2.0 * power)
+            * math.gamma(a + b - d / 2.0)
+            / (math.gamma(a) * math.gamma(b))
+            * integral
+        )
+    except OverflowError:  # a float power or Gamma beyond the largest double
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"feynman_integral: I underflows or overflows double precision "
+            f"at p = {p:.6g}, m = {m:.6g}"
+        )
+    return value
 
 
 def _log_quotient(a: float, b: float) -> float:
@@ -230,31 +236,31 @@ def _log_quotient(a: float, b: float) -> float:
 def pi_closed(p: float, m: float) -> float:
     """Closed-form bubble Pi(p) for d = 2, alpha = beta = 1.
 
-    Uses the identity (1+f)/(f-1) = ((1+f) p / (2m))^2 so no subtraction
-    f - 1 ever happens, and a 3-term series in p^2/(p^2 + 4 m^2) below
-    p^2/m^2 = 1e-6 where even the rewritten logarithm loses digits.
-    Depends on p only through p^2.  Raises DomainError when Pi(p) is 0
-    or infinite in double precision.
+    With s = hypot(p, 2m) = f p, the logarithm's argument is
+    (1+f)/(f-1) = 1 + x, x = (p/m) (p+s)/(2m), so
+
+        Pi(p) = log1p(x) / (2 pi p s)
+
+    at every p, with no subtraction and no p^2 or m^2 formed; where x
+    overflows, ln(1+x) = ln p + ln((p+s)/2) - 2 ln m.  Once p/m is below
+    the smallest normal double, x keeps only subnormal precision.  Even
+    in p.  Raises DomainError when Pi(p) is 0 or infinite in double
+    precision.
     """
-    p = float(p)
+    p = abs(float(p))
     m = float(m)
     if not m > 0.0:
         raise DomainError("pi_closed: m must be positive")
     if p == 0.0 or not math.isfinite(p):
         raise DomainError("pi_closed: p must be nonzero and finite (see pi_at_zero)")
-    p = abs(p)
-    p2 = p * p
-    m2 = m * m
-    if p2 / m2 < SMALL_P_RATIO:
-        w = p2 / (p2 + 4.0 * m2)
-        value = (1.0 + w / 3.0 + w * w / 5.0) / (math.pi * (p2 + 4.0 * m2))
-    else:
-        f = f_kinematic(m / p)
-        log_ratio = 2.0 * _log_quotient((1.0 + f) * p, 2.0 * m)
-        value = log_ratio / (math.tau * f * p2)
+    s = math.hypot(p, 2.0 * m)
+    x = p / m * ((p + s) / (2.0 * m))
+    log_x1 = (math.log1p(x) if x < math.inf
+              else math.log(p) + math.log((p + s) / 2.0) - 2.0 * math.log(m))
+    value = log_x1 / p / s / math.tau
     if not 0.0 < value < math.inf:
         raise DomainError(
-            f"pi_closed: Pi(p) or its denominator overflows double precision "
+            f"pi_closed: Pi(p) underflows or overflows double precision "
             f"at p = {p:.6g}, m = {m:.6g}"
         )
     return value
@@ -299,10 +305,18 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
     )
 
 
-def _validate_gap_spec(spec: GapEquationSpec) -> None:
-    if not 0.0 < spec.coupling < math.inf:
+def _validate_gap_spec(spec: GapEquationSpec) -> tuple[float, float, float]:
+    """Check the spec; return its coupling, N and cutoff as floats."""
+    try:
+        coupling, n, cutoff = map(
+            float, (spec.coupling, spec.n_components, spec.cutoff))
+    except OverflowError:  # an integer beyond the largest double
+        raise DomainError(
+            "gap_mass: coupling, n_components or cutoff too large for a float"
+        ) from None
+    if not 0.0 < coupling < math.inf:
         raise DomainError("gap_mass: coupling must be positive and finite")
-    if not spec.coupling * spec.coupling > 1.0 / sys.float_info.max:
+    if not coupling * coupling > 1.0 / sys.float_info.max:
         raise DomainError(
             "gap_mass: coupling g0 so small that g0^2 underflows and 1/g0^2 "
             "is not finite"
@@ -313,21 +327,9 @@ def _validate_gap_spec(spec: GapEquationSpec) -> None:
         raise DomainError("gap_mass: n_components must be an integer")
     if spec.n_components < 2:
         raise DomainError("gap_mass: need n_components >= 2")
-    try:
-        float(spec.n_components)
-    except OverflowError:
-        raise DomainError("gap_mass: n_components too large for a float") from None
-    if not (spec.cutoff > 0.0 and spec.cutoff * spec.cutoff < math.inf):
+    if not (cutoff > 0.0 and cutoff * cutoff < math.inf):
         raise DomainError("gap_mass: cutoff must be positive, with a finite square")
-
-
-def _gap_lhs_minus_rhs(m2: float, spec: GapEquationSpec) -> float:
-    """1/g0^2 - N ln(1 + Lambda^2/m^2) / 4pi; increasing in m2."""
-    lam2 = spec.cutoff * spec.cutoff
-    return (
-        1.0 / (spec.coupling * spec.coupling)
-        - spec.n_components * math.log1p(lam2 / m2) / (4.0 * math.pi)
-    )
+    return coupling, n, cutoff
 
 
 def gap_mass(spec: GapEquationSpec) -> float:
@@ -335,16 +337,14 @@ def gap_mass(spec: GapEquationSpec) -> float:
 
         1/g0^2 = N * (1/4pi) * ln((Lambda^2 + m^2) / m^2)
 
-    The root is found by bracketed bisection to 1e-10 relative width.
-    Solutions with m^2 > Lambda^2 (which the closed-form inversion
-    m^2 = Lambda^2 / (e^{4pi/(N g0^2)} - 1) produces when the exponent
-    drops below ln 2) are unphysical at this cutoff and raise
-    NoSolutionError rather than being returned silently.
+    The root is the exact inversion m^2 = Lambda^2 / expm1(4pi/(N g0^2)).
+    Solutions with m^2 > Lambda^2 (where the exponent drops below ln 2)
+    are unphysical at this cutoff and raise NoSolutionError rather than
+    being returned silently; a mass that underflows raises DomainError.
     """
-    _validate_gap_spec(spec)
-    lam2 = spec.cutoff * spec.cutoff
-    ng2 = spec.n_components * spec.coupling * spec.coupling
-    exponent = 4.0 * math.pi / ng2
+    coupling, n, cutoff = _validate_gap_spec(spec)
+    lam2 = cutoff * cutoff
+    exponent = 4.0 * math.pi / (n * coupling * coupling)
     if exponent == 0.0:
         raise NoSolutionError(
             "gap_mass: N g0^2 overflows, so 4pi/(N g0^2) = 0 and the inverted "
@@ -354,7 +354,8 @@ def gap_mass(spec: GapEquationSpec) -> float:
         denom = math.expm1(exponent)
     except OverflowError:
         denom = math.inf
-    if not math.isfinite(denom) or lam2 / denom == 0.0:
+    m2 = lam2 / denom
+    if m2 == 0.0:  # also where expm1 overflowed
         raise DomainError(
             "gap_mass: mass underflows double precision at this coupling"
         )
@@ -362,21 +363,10 @@ def gap_mass(spec: GapEquationSpec) -> float:
     # when rounding lands the exponent a hair below ln 2.
     if denom < 1.0 - 1.0e-12:
         raise NoSolutionError(
-            f"gap_mass: inverted mass m^2 = {lam2 / denom:.6g} exceeds the "
+            f"gap_mass: inverted mass m^2 = {m2:.6g} exceeds the "
             f"squared cutoff {lam2:.6g}; no physical solution"
         )
-
-    hi = lam2 * (1.0 + 1.0e-9)
-    lo = 0.5 * hi
-    while _gap_lhs_minus_rhs(lo, spec) > 0.0:
-        lo *= 0.5
-    while hi - lo > 1.0e-10 * lo:
-        mid = 0.5 * (lo + hi)
-        if _gap_lhs_minus_rhs(mid, spec) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return m2
 
 
 def gap_residual(spec: GapEquationSpec, m2: float) -> float:
@@ -388,10 +378,10 @@ def gap_residual(spec: GapEquationSpec, m2: float) -> float:
     check on gap_mass.  Raises ConvergenceError when the rule cannot
     reach that tolerance with 200 subintervals.
     """
-    _validate_gap_spec(spec)
+    coupling, n, cutoff = _validate_gap_spec(spec)
     if not m2 > 0.0:
         raise DomainError("gap_residual: m2 must be positive")
-    tadpole = _quad(lambda r: r / (r * r + m2), 0.0, spec.cutoff, _QUAD_EPSREL)
-    lhs = 1.0 / (spec.coupling * spec.coupling)
-    rhs = spec.n_components * tadpole / math.tau
+    tadpole = _quad(lambda r: r / (r * r + m2), 0.0, cutoff, _QUAD_EPSREL)
+    lhs = 1.0 / (coupling * coupling)
+    rhs = n * tadpole / math.tau
     return abs(lhs - rhs)

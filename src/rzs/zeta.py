@@ -226,9 +226,8 @@ def gamma_asymptotic(n: int) -> float:
         x = float(n)
     except OverflowError:
         raise DomainError("gamma_asymptotic: n too large for a float") from None
-    value = math.tau * x / math.log(x / math.tau)
-    # 2 pi n overflows above n ~ 2.9e307, where the quotient is still finite.
-    return value if value < math.inf else x / math.log(x / math.tau) * math.tau
+    # n / ln(n/2pi) first: 2 pi n would overflow above n ~ 2.9e307.
+    return math.tau * (x / math.log(x / math.tau))
 
 
 # ----------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_criterion_5_gap_equation_routes_agree():
     ok = worst <= 1.0e-6 and elapsed <= 1.0
     line = _verdict(
         5, ok,
-        f"closed-form inversion vs bisection vs quadrature "
+        f"closed-form inversion vs gap_mass vs quadrature "
         f"back-substitution on 3 parameter triples, worst rel dev "
         f"{worst:.2e} (bound 1e-6); {elapsed:.3f}s (limit 1s)",
     )

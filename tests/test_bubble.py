@@ -15,6 +15,7 @@ from rzs import (
     DomainError,
     GapEquationSpec,
     NoSolutionError,
+    RzsError,
     correlator_sample,
     f_kinematic,
     feynman_integral,
@@ -199,8 +200,8 @@ class TestPiClosed:
                                                        rel=1.0e-5)
 
     def test_series_and_closed_branches_meet(self):
-        # The series takes over below p^2/m^2 = 1e-6; both branches
-        # must agree through the switchover.
+        # Near p^2/m^2 = 1e-6 ln[(1+f)/(f-1)] cancels catastrophically
+        # unless formed as log1p; Pi must stay continuous there.
         below = pi_closed(0.999999e-3, 1.0)
         above = pi_closed(1.000001e-3, 1.0)
         assert below == pytest.approx(above, rel=1.0e-10)
@@ -221,6 +222,20 @@ class TestPiClosed:
                 scaled = pi_closed(lam * p, lam * m)
                 assert scaled == pytest.approx(pi_closed(p, m) / lam**2,
                                                rel=1.0e-12)
+
+    def test_matches_mpmath_over_twenty_four_decades(self):
+        # One formula at every momentum: p/m in [1e-12, 1e12] and m in
+        # [1e-2, 1e2], log-uniform.
+        rng = random.Random(1515)
+        for _ in range(2000):
+            m = 10.0 ** rng.uniform(-2.0, 2.0)
+            p = m * 10.0 ** rng.uniform(-12.0, 12.0)
+            value = pi_closed(p, m)
+            with mpmath.workdps(60):
+                p2, m2 = mpmath.mpf(p) ** 2, mpmath.mpf(m) ** 2
+                f = mpmath.sqrt(1 + 4 * m2 / p2)
+                exact = mpmath.log((1 + f) / (f - 1)) / (2 * mpmath.pi * f * p2)
+                assert abs(value / exact - 1) <= 1.0e-15, (p, m)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -300,8 +315,9 @@ class TestCorrelatorSample:
             correlator_sample(1.0, 0.0)
 
     def test_overflowing_denominator_raises(self):
-        # 2 pi f t overflows above t ~ 2.9e307 (closed form), and
-        # p^2 + 4 m^2 overflows for m^2 near the largest double (series).
+        # At t = 1e308 the asymptote 2 pi t / ln t overflows; at m^2 near
+        # the largest double Pi ~ 4e-310, whose reciprocal overflows; and
+        # at p = 1e200 Pi ~ 1.5e-398 underflows to 0.
         for t, m2 in ((1.0e308, 1.0), (1.0, 1.7976931348623157e308)):
             with pytest.raises(DomainError, match="overflows"):
                 correlator_sample(t, m2)
@@ -342,6 +358,27 @@ class TestOverflowingRatios:
         # Pi ~ 7.8e318 here: its reciprocal, the correlator, would be 0.
         with pytest.raises(DomainError, match="overflows"):
             correlator_sample(1.0e-321, 1.0e-320)
+
+    def test_mass_whose_square_underflows(self):
+        # m^2 = 1e-340 is 0.0 in double precision; Pi itself is not.
+        value = pi_closed(1.0, 1.0e-170)
+        assert value == pytest.approx(124.59905180950272, rel=1.0e-15)
+        with mpmath.workdps(40):
+            exact = _mp_pi(1.0, mpmath.mpf(1.0e-170) ** 2)
+            assert abs(value / exact - 1) <= 1.0e-15
+
+    def test_pi_of_tiny_momentum_and_mass_beyond_the_largest_double_raises(self):
+        # Pi ~ 1/(4 pi m^2) ~ 7.96e338 at p = 1e-200, m = 1e-170.
+        with pytest.raises(DomainError, match="overflows"):
+            pi_closed(1.0e-200, 1.0e-170)
+
+    def test_feynman_integral_with_tiny_momentum_and_mass(self):
+        # I = Pi(1, 1) / p^2 ~ 8e338 at p = m = 1e-170 overflows; at
+        # 1e-100 it is an ordinary number, 6.85e198.
+        with pytest.raises(RzsError):
+            feynman_integral(BubbleSpec(1.0, 1.0, 2.0, 1.0e-170, 1.0e-170))
+        value = feynman_integral(BubbleSpec(1.0, 1.0, 2.0, 1.0e-100, 1.0e-100))
+        assert value == pytest.approx(pi_closed(1.0e-100, 1.0e-100), rel=1.0e-9)
 
     def test_asymptote_beyond_the_largest_double_raises(self):
         # ln(t/m2) = 2.2e-16, so 2 pi t / ln(t/m2) ~ 2.8e316.
@@ -413,6 +450,34 @@ class TestGapEquation:
         # N g0^2 underflows to 0: the mass underflows.
         with pytest.raises(DomainError):
             gap_mass(GapEquationSpec(1.0e-200, 3, 1.0))
+
+    def test_integer_cutoff_without_a_float_square_raises(self):
+        # 10**200 has a float form but its square does not; 10**400 has
+        # neither.
+        for cutoff in (10**200, 10**400):
+            spec = GapEquationSpec(1.0, 3, cutoff)
+            with pytest.raises(DomainError, match="cutoff"):
+                gap_mass(spec)
+            with pytest.raises(DomainError, match="cutoff"):
+                gap_residual(spec, 1.0)
+
+    def test_matches_mpmath_over_the_benchmark_gap_range(self):
+        # 1,000 triples from the benchmark's gap range: exponent
+        # 4 pi/(N g0^2) in [1, 20] and cutoff in [1, 100], log-uniform.
+        rng = random.Random(4096)
+        for _ in range(1000):
+            n = rng.randint(2, 8)
+            exponent = math.exp(rng.uniform(0.0, math.log(20.0)))
+            coupling = math.sqrt(4.0 * math.pi / (n * exponent))
+            cutoff = math.exp(rng.uniform(0.0, math.log(100.0)))
+            m2 = gap_mass(GapEquationSpec(coupling, n, cutoff))
+            with mpmath.workdps(40):
+                inv_g2 = 1 / mpmath.mpf(coupling) ** 2
+                lam2 = mpmath.mpf(cutoff) ** 2
+                exact = lam2 / mpmath.expm1(4 * mpmath.pi * inv_g2 / n)
+                rhs = n * mpmath.log1p(lam2 / m2) / (4 * mpmath.pi)
+                assert abs(m2 / exact - 1) <= 1.0e-14, (coupling, n, cutoff)
+                assert abs(inv_g2 - rhs) <= 1.0e-15 * inv_g2, (coupling, n, cutoff)
 
     def test_residual_raises_when_quadrature_cannot_converge(self):
         # m2 = 1e-300 puts the tadpole's peak at r ~ 1e-150: more than 200

@@ -489,3 +489,24 @@ class TestImport:
         with pytest.raises(AttributeError, match="no_such_name"):
             rzs.no_such_name
         assert not hasattr(rzs, "_zkernels_typo")
+
+
+# ----------------------------------------------------------------------
+# demos
+# ----------------------------------------------------------------------
+
+_DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+class TestDemos:
+    def test_all_four_demos_are_found(self):
+        assert [demo.name for demo in _DEMOS] == [
+            "bubble_routes.py", "mass_gap.py", "zero_hunt.py",
+            "zeros_meet_bubble.py"]
+
+    @pytest.mark.parametrize("demo", _DEMOS, ids=lambda demo: demo.name)
+    def test_demo_runs_cleanly(self, demo, tmp_path):
+        result = _run([], tmp_path, python_args=(str(demo),))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout

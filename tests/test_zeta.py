@@ -181,6 +181,20 @@ class TestRiemannSiegelKernel:
         assert np.max(np.abs(single - shuffled_vals)) <= 1.0e-13
 
 
+class TestEulerMaclaurinKernel:
+    def test_shuffled_batch_agrees_with_single_heights(self):
+        # A batch shares the truncation N of its largest height; each
+        # single height uses its own.  Both must agree within the error
+        # estimates they report.
+        rng = np.random.default_rng(1737)
+        ts = rng.permutation(np.concatenate((rng.uniform(0.0, 30.0, 300), [29.999])))
+        vals, errs = rzs._zkernels._z_values(ts)
+        for t, value, err in zip(ts, vals, errs):
+            single = z_function(float(t), 1.0e-9)
+            assert single.method == "euler_maclaurin"
+            assert abs(value - single.z_value) <= err + single.est_abs_error, t
+
+
 # ----------------------------------------------------------------------
 # count_zeros
 # ----------------------------------------------------------------------
@@ -261,6 +275,15 @@ class TestGammaAsymptotic:
     def test_rejects_index_without_float_form(self):
         with pytest.raises(DomainError, match="float"):
             gamma_asymptotic(10**400)
+
+    def test_matches_mpmath_at_every_compare_row(self):
+        # n = 7 .. 10,142, every index rzs compare reports below t = 1e4.
+        worst = 0.0
+        with mpmath.workdps(30):
+            for n in range(7, 10143):
+                exact = 2 * mpmath.pi * n / mpmath.log(n / (2 * mpmath.pi))
+                worst = max(worst, abs(gamma_asymptotic(n) / exact - 1))
+        assert worst <= 1.4e-15
 
     def test_finite_where_two_pi_n_overflows(self):
         # 2 pi n overflows above n ~ 2.9e307; the quotient does not.
