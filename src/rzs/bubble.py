@@ -186,8 +186,9 @@ def feynman_integral(spec: BubbleSpec) -> float:
         raise DomainError("feynman_integral: p must be positive (see pi_at_zero)")
     a, b, d = float(spec.alpha), float(spec.beta), float(spec.dim)
     p, m = float(spec.p), float(spec.m)
-    mass_ratio = m / p * m / p  # never forms m^2 or p^2, which may underflow
-    if mass_ratio < FEYNMAN_MASS_RATIO_MIN:
+    ratio = m / p
+    mass_ratio = ratio * ratio  # never forms m^2 or p^2, which may over- or underflow
+    if ratio < math.sqrt(FEYNMAN_MASS_RATIO_MIN):
         raise ConvergenceError(
             f"feynman_integral: m^2/p^2 = {mass_ratio:.3e} below "
             f"{FEYNMAN_MASS_RATIO_MIN:g}; integrand too close to singular"
@@ -236,16 +237,12 @@ def _log_quotient(a: float, b: float) -> float:
 def pi_closed(p: float, m: float) -> float:
     """Closed-form bubble Pi(p) for d = 2, alpha = beta = 1.
 
-    With s = hypot(p, 2m) = f p, the logarithm's argument is
-    (1+f)/(f-1) = 1 + x, x = (p/m) (p+s)/(2m), so
-
-        Pi(p) = log1p(x) / (2 pi p s)
-
-    at every p, with no subtraction and no p^2 or m^2 formed; where x
-    overflows, ln(1+x) = ln p + ln((p+s)/2) - 2 ln m.  Once p/m is below
-    the smallest normal double, x keeps only subnormal precision.  Even
-    in p.  Raises DomainError when Pi(p) is 0 or infinite in double
-    precision.
+    With s = hypot(p, 2m) = f p, (1+f)/(f-1) = 1 + x for x = p y,
+    y = (p+s)/(2m)/m, so Pi(p) = [log1p(x)/x] y / (2 pi s) at every p: no
+    subtraction, no p^2 or m^2, and no digit lost where p/m is subnormal
+    (log1p(x)/x is 1 there).  Where x overflows, ln(1+x) = ln p +
+    ln((p+s)/2) - 2 ln m.  Even in p.  Raises DomainError when Pi(p) is 0
+    or infinite in double precision.
     """
     p = abs(float(p))
     m = float(m)
@@ -254,10 +251,13 @@ def pi_closed(p: float, m: float) -> float:
     if p == 0.0 or not math.isfinite(p):
         raise DomainError("pi_closed: p must be nonzero and finite (see pi_at_zero)")
     s = math.hypot(p, 2.0 * m)
-    x = p / m * ((p + s) / (2.0 * m))
-    log_x1 = (math.log1p(x) if x < math.inf
-              else math.log(p) + math.log((p + s) / 2.0) - 2.0 * math.log(m))
-    value = log_x1 / p / s / math.tau
+    y = (p + s) / (2.0 * m) / m  # x / p, formed without p
+    x = p * y
+    if x < math.inf:
+        value = (math.log1p(x) / x if x else 1.0) * y / s / math.tau
+    else:  # ln(1 + x) = ln p + ln((p+s)/2) - 2 ln m
+        log_x1 = math.log(p) + math.log((p + s) / 2.0) - 2.0 * math.log(m)
+        value = log_x1 / p / s / math.tau
     if not 0.0 < value < math.inf:
         raise DomainError(
             f"pi_closed: Pi(p) underflows or overflows double precision "
@@ -305,15 +305,19 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
     )
 
 
+def _gap_float(value, name: str) -> float:
+    """A gap-spec field as a float; DomainError for a non-number or overflow."""
+    if not isinstance(value, numbers.Real):
+        raise DomainError(f"gap_mass: {name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest double
+        raise DomainError(f"gap_mass: {name} too large for a float") from None
+
+
 def _validate_gap_spec(spec: GapEquationSpec) -> tuple[float, float, float]:
     """Check the spec; return its coupling, N and cutoff as floats."""
-    try:
-        coupling, n, cutoff = map(
-            float, (spec.coupling, spec.n_components, spec.cutoff))
-    except OverflowError:  # an integer beyond the largest double
-        raise DomainError(
-            "gap_mass: coupling, n_components or cutoff too large for a float"
-        ) from None
+    coupling = _gap_float(spec.coupling, "coupling")
     if not 0.0 < coupling < math.inf:
         raise DomainError("gap_mass: coupling must be positive and finite")
     if not coupling * coupling > 1.0 / sys.float_info.max:
@@ -321,12 +325,13 @@ def _validate_gap_spec(spec: GapEquationSpec) -> tuple[float, float, float]:
             "gap_mass: coupling g0 so small that g0^2 underflows and 1/g0^2 "
             "is not finite"
         )
-    if isinstance(spec.n_components, bool) or not isinstance(
-        spec.n_components, numbers.Integral
-    ):
+    n = spec.n_components
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError("gap_mass: n_components must be an integer")
-    if spec.n_components < 2:
+    if n < 2:
         raise DomainError("gap_mass: need n_components >= 2")
+    n = _gap_float(n, "n_components")
+    cutoff = _gap_float(spec.cutoff, "cutoff")
     if not (cutoff > 0.0 and cutoff * cutoff < math.inf):
         raise DomainError("gap_mass: cutoff must be positive, with a finite square")
     return coupling, n, cutoff

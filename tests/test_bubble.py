@@ -367,6 +367,24 @@ class TestOverflowingRatios:
             exact = _mp_pi(1.0, mpmath.mpf(1.0e-170) ** 2)
             assert abs(value / exact - 1) <= 1.0e-15
 
+    def test_matches_mpmath_where_the_mass_ratio_is_subnormal(self):
+        # p/m in [1e-330, 1e-300], below the smallest normal double, where
+        # Pi is close to 1/(4 pi m^2); m stays below 1e150 so Pi is a
+        # normal double.  p enters Pi through x = p y only, and
+        # log1p(x)/x is exactly 1 there, so no digit is lost.
+        cases = [(1.0e-320, 3.0), (1.0e-200, 1.0e130)]
+        rng = random.Random(330)
+        for _ in range(200):
+            log_ratio = rng.uniform(-330.0, -300.0)
+            log_p = rng.uniform(-320.0, 150.0 + log_ratio)
+            cases.append((10.0 ** log_p, 10.0 ** (log_p - log_ratio)))
+        for p, m in cases:
+            exact = _mp_pi(mpmath.mpf(p) ** 2, mpmath.mpf(m) ** 2)
+            assert abs(pi_closed(p, m) / exact - 1) <= 1.0e-15, (p, m)
+        # The same regime through the CLI's route, t = 5e-324, m2 = 1e306.
+        sample = correlator_sample(5.0e-324, 1.0e306)
+        assert abs(sample.pi_value / _mp_pi(5.0e-324, 1.0e306) - 1) <= 1.0e-15
+
     def test_pi_of_tiny_momentum_and_mass_beyond_the_largest_double_raises(self):
         # Pi ~ 1/(4 pi m^2) ~ 7.96e338 at p = 1e-200, m = 1e-170.
         with pytest.raises(DomainError, match="overflows"):
@@ -497,6 +515,18 @@ class TestGapEquation:
         for call in (gap_mass, lambda spec: gap_residual(spec, 1.0)):
             with pytest.raises(DomainError, match="n_components"):
                 call(GapEquationSpec(1.0, huge, 1.0))
+
+    def test_non_numbers_raise_domain_error(self):
+        # Every field is checked for its type before it becomes a float,
+        # in the order coupling, n_components, cutoff.
+        for spec, field in ((GapEquationSpec(1.0, None, 1.0), "n_components"),
+                            (GapEquationSpec("1.0", 3, 1.0), "coupling"),
+                            (GapEquationSpec(1.0, 3, "10"), "cutoff"),
+                            (GapEquationSpec(-1.0, 10**400, 1.0), "coupling"),
+                            (GapEquationSpec(10**400, 3, 1.0), "coupling")):
+            for call in (gap_mass, lambda spec: gap_residual(spec, 1.0)):
+                with pytest.raises(DomainError, match=field):
+                    call(spec)
 
     def test_rejects_bad_specs(self):
         with pytest.raises(DomainError):
