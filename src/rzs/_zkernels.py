@@ -29,18 +29,14 @@ _THETA_SERIES = (
 
 # Zero scan.  A Gram block that does not show one sign change per Gram
 # interval is subdivided until its node spacing reaches STRIDE_FLOOR.
-# Gram points come from _LAMBERT_STEPS Newton steps for Lambert's W,
-# then _GRAM_NEWTON_STEPS on theta, and past t_max in batches of
-# _GRAM_PAD.  A node or refinement point where Z is exactly 0.0 moves
-# up by _NUDGE, far below any node spacing and below half of
-# TOL_SUPPORT_MIN.  Root refinement may fall _REFINE_SLACK halvings
-# behind plain bisection.
+# Gram points come from _GRAM_NEWTON_STEPS Newton steps on theta, and
+# past t_max in batches of _GRAM_PAD.  A node or refinement point where
+# Z is exactly 0.0 moves up by _NUDGE, far below any node spacing and
+# below half of TOL_SUPPORT_MIN.
 STRIDE_FLOOR = 1.0 / 1024.0
-_LAMBERT_STEPS = 8
-_GRAM_NEWTON_STEPS = 4
+_GRAM_NEWTON_STEPS = 6
 _GRAM_PAD = 8
 _NUDGE = 1.0e-6 * STRIDE_FLOOR
-_REFINE_SLACK = 3
 
 # Bernoulli numbers B_2, B_4, ..., B_16.
 _BERN2K = (
@@ -232,30 +228,26 @@ def _z_values(ts) -> tuple[np.ndarray, np.ndarray]:
 def _gram_points(ns) -> np.ndarray:
     """Gram points g_n, where theta(g_n) = n pi, for integers n >= -1.
 
-    Starts from the asymptotic inversion g_n ~ 2pi e exp(W((n + 1/8)/e)),
-    W the principal branch of Lambert's W, and polishes it by Newton
-    steps on theta with theta'(t) ~ ln(t/2pi)/2 - 1/(48 t^2).
+    Newton steps on theta, theta'(t) ~ ln(t/2pi)/2 - 1/(48 t^2), from
+    t_0 = 2pi(n + 1/8 + e).  As theta ~ pi(u ln u - u - 1/8), u = t/2pi, and
+    u ln u - u >= u - e, t_0 lies above g_n, where theta is increasing and
+    convex, so every step moves down onto g_n without overshooting.
     """
     ns = np.asarray(ns, dtype=float)
-    z = (ns + 0.125) / math.e
-    w = np.log1p(z)
-    for _ in range(_LAMBERT_STEPS):
-        ew = np.exp(w)
-        w -= (w * ew - z) / (ew * (w + 1.0))
-    ts = math.tau * math.e * np.exp(w)
+    ts = math.tau * (ns + 0.125 + math.e)
     for _ in range(_GRAM_NEWTON_STEPS):
         slope = 0.5 * np.log(ts / math.tau) - 1.0 / (48.0 * ts * ts)
         ts -= (_theta_vec(ts) - math.pi * ns) / slope
     return ts
 
 
-def _sign_definite(ts: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move every node where Z is exactly 0.0 up by _NUDGE and re-evaluate
-    there: the sign-change bookkeeping needs a strict sign at every node."""
+def _sign_definite(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes ts and Z there, every node where Z is exactly 0.0 moved up
+    by _NUDGE: the sign-change bookkeeping needs a strict sign at every node."""
+    zs = _z_values(ts)[0]
     exact = zs == 0.0
     if exact.any():
         ts = ts.copy()
-        zs = zs.copy()
         ts[exact] += _NUDGE
         zs[exact] = _z_values(ts[exact])[0]
     return ts, zs
@@ -272,8 +264,7 @@ def _gram_grid(
     past t_max is good.  Returns (indices n, heights, Z values, good mask).
     """
     ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
-    gs = _gram_points(ns)
-    gs, zs = _sign_definite(gs, _z_values(gs)[0])
+    gs, zs = _sign_definite(_gram_points(ns))
     while True:
         good = np.where(ns % 2 == 0, zs, -zs) > 0.0
         past = np.flatnonzero(good & (gs >= t_max))
@@ -281,8 +272,7 @@ def _gram_grid(
             stop = past[0] + 1
             return ns[:stop], gs[:stop], zs[:stop], good[:stop]
         more = np.arange(ns[-1] + 1, ns[-1] + 1 + _GRAM_PAD)
-        g_more = _gram_points(more)
-        g_more, z_more = _sign_definite(g_more, _z_values(g_more)[0])
+        g_more, z_more = _sign_definite(_gram_points(more))
         ns = np.concatenate((ns, more))
         gs = np.concatenate((gs, g_more))
         zs = np.concatenate((zs, z_more))
@@ -324,7 +314,7 @@ def _resolve_blocks(
                 f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
             )
         mids = 0.5 * (ts[gaps] + ts[gaps + 1])
-        mids, z_mids = _sign_definite(mids, _z_values(mids)[0])
+        mids, z_mids = _sign_definite(mids)
         edges = edges + np.searchsorted(gaps, edges)
         ts = np.insert(ts, gaps + 1, mids)
         zs = np.insert(zs, gaps + 1, z_mids)
@@ -338,28 +328,22 @@ def _refine_brackets(
     A step evaluates Z at the regula falsi point of the endpoint weights,
     which are the endpoint Z values except that an endpoint kept twice
     in a row has its weight halved (the Illinois rule).  The point stays
-    at least tol/2 inside the bracket, so a converged guess closes the
-    bracket on the next step.  A bracket that fails to halve often
-    enough to fall more than _REFINE_SLACK halvings behind plain
-    bisection takes bisection steps instead, so none needs more than
-    the bisection count plus _REFINE_SLACK + 2 steps.  A point where Z
-    is exactly 0.0 moves up by _NUDGE < tol/2 and stays inside, so both
-    ends keep a strict sign change throughout.
+    at least tol/2 inside the bracket, so every step shrinks the bracket
+    by at least tol/2, and a converged guess closes it on the next step.
+    A point where Z is exactly 0.0 moves up by _NUDGE < tol/2 and stays
+    inside, so both ends keep a strict sign change throughout.
     """
     lo, hi, z_lo, z_hi = lo.copy(), hi.copy(), z_lo.copy(), z_hi.copy()
     w_lo, w_hi = z_lo.copy(), z_hi.copy()
     kept = np.zeros(lo.size, dtype=np.int8)  # end kept last step: -1 lo, +1 hi
-    limit = (hi - lo) * 2.0 ** _REFINE_SLACK  # widest width still on schedule
     while True:
         idx = np.flatnonzero(hi - lo > tol)
         if idx.size == 0:
             return lo, hi
         a, b = lo[idx], hi[idx]
-        width = b - a
-        guess = a - w_lo[idx] * width / (w_hi[idx] - w_lo[idx])
-        x = np.where(width > limit[idx], 0.5 * (a + b),
-                     np.clip(guess, a + 0.5 * tol, b - 0.5 * tol))
-        x, fx = _sign_definite(x, _z_values(x)[0])
+        guess = a - w_lo[idx] * (b - a) / (w_hi[idx] - w_lo[idx])
+        x = np.clip(guess, a + 0.5 * tol, b - 0.5 * tol)
+        x, fx = _sign_definite(x)
         left = z_lo[idx] * fx < 0.0  # sign change in [a, x]: x is the new hi
         new_hi, new_lo = idx[left], idx[~left]
         w_lo[new_hi[kept[new_hi] == -1]] *= 0.5
@@ -367,7 +351,6 @@ def _refine_brackets(
         hi[new_hi], z_hi[new_hi], w_hi[new_hi] = x[left], fx[left], fx[left]
         lo[new_lo], z_lo[new_lo], w_lo[new_lo] = x[~left], fx[~left], fx[~left]
         kept[new_hi], kept[new_lo] = -1, 1
-        limit[idx] *= 0.5
 
 
 def _scan_brackets(
@@ -380,8 +363,7 @@ def _scan_brackets(
     edge_n = ns[edges]
     at = int(np.searchsorted(ts, t_max))
     if 0 < at and ts[at] != t_max:
-        node = np.array([t_max])
-        t_node, z_node = _sign_definite(node, _z_values(node)[0])
+        t_node, z_node = _sign_definite(np.array([t_max]))
         ts = np.insert(ts, at, t_node)
         zs = np.insert(zs, at, z_node)
         edges = edges + (edges >= at)

@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, NoSolutionError
 
@@ -52,7 +52,8 @@ __all__ = [
 # at the endpoints; refuse rather than return garbage.
 FEYNMAN_MASS_RATIO_MIN = 1.0e-14
 
-_QUAD_EPSREL = 1.0e-9  # relative tolerance of both quadratures
+_QUAD_EPSREL = 1.0e-9  # relative tolerance of the Feynman-parameter quadrature
+_TADPOLE_EPSREL = 1.0e-12  # relative tolerance of the gap tadpole quadrature
 _QUAD_LIMIT = 200  # most subintervals _quad may use
 
 # The 15-point Gauss-Kronrod rule on [-1, 1] (QUADPACK's qk15, Piessens et
@@ -75,8 +76,7 @@ _KRONROD_WEIGHTS = (*_WK, _WK0, *reversed(_WK))
 _GAUSS_WEIGHTS = (*_WG, _WG0, *reversed(_WG))
 
 
-@dataclass(frozen=True)
-class BubbleSpec:
+class BubbleSpec(NamedTuple):
     """Parameters (alpha, beta, dim, p, m) of the integral I(a,b,d,p)."""
 
     alpha: float
@@ -86,8 +86,7 @@ class BubbleSpec:
     m: float
 
 
-@dataclass(frozen=True)
-class CorrelatorSample:
+class CorrelatorSample(NamedTuple):
     """A point (t, Pi, Pi^{-1}, asymptote) at squared momentum t = p^2.
 
     asymptote is None (the undefined marker) when t <= m2, where the
@@ -101,8 +100,7 @@ class CorrelatorSample:
     m2: float
 
 
-@dataclass(frozen=True)
-class GapEquationSpec:
+class GapEquationSpec(NamedTuple):
     """Gap-equation inputs: coupling g0, component count N, cutoff."""
 
     coupling: float
@@ -176,14 +174,14 @@ def feynman_integral(spec: BubbleSpec) -> float:
 
     The x-integral runs through the adaptive G7-K15 Gauss-Kronrod rule
     at relative tolerance 1e-9 and raises ConvergenceError when it needs
-    more than 200 subintervals.  p must be strictly positive (the p = 0
+    more than 200 subintervals.  p must be positive and finite (the p = 0
     limit is served by pi_at_zero); m^2/p^2 below 1e-14 is rejected
     because the integrand turns near-singular at the endpoints.  Raises
     DomainError when I is 0 or infinite in double precision.
     """
     _validate_bubble_spec(spec)
-    if not spec.p > 0.0:
-        raise DomainError("feynman_integral: p must be positive (see pi_at_zero)")
+    if not 0.0 < spec.p < math.inf:
+        raise DomainError("feynman_integral: need finite p > 0 (see pi_at_zero)")
     a, b, d = float(spec.alpha), float(spec.beta), float(spec.dim)
     p, m = float(spec.p), float(spec.m)
     ratio = m / p
@@ -267,11 +265,19 @@ def pi_closed(p: float, m: float) -> float:
 
 
 def pi_at_zero(m: float) -> float:
-    """The p -> 0 limit of the bubble: Pi(0) = 1 / (4 pi m^2)."""
+    """The p -> 0 limit of the bubble: Pi(0) = 1 / (4 pi m^2).
+
+    Formed as 1/(4 pi m)/m, never m^2.  Raises DomainError when Pi(0) is
+    0 or infinite in double precision.
+    """
     m = float(m)
     if not m > 0.0:
         raise DomainError("pi_at_zero: m must be positive")
-    return 1.0 / (4.0 * math.pi * m * m)
+    value = 1.0 / (4.0 * math.pi * m) / m
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"pi_at_zero: Pi(0) is 0 or infinite in double precision at m = {m:.6g}")
+    return value
 
 
 def correlator_sample(t: float, m2: float) -> CorrelatorSample:
@@ -377,16 +383,19 @@ def gap_mass(spec: GapEquationSpec) -> float:
 def gap_residual(spec: GapEquationSpec, m2: float) -> float:
     """|LHS - RHS| of the quadrature-form gap equation at mass m2.
 
-    The tadpole G = (1/2pi) Int_0^Lambda r dr / (r^2 + m2) is evaluated
-    by the adaptive G7-K15 Gauss-Kronrod rule at relative tolerance 1e-9
-    (not the closed form), so this is an independent back-substitution
-    check on gap_mass.  Raises ConvergenceError when the rule cannot
-    reach that tolerance with 200 subintervals.
+    The tadpole G = (1/2pi) Int_0^Lambda r dr / (r^2 + m2) becomes, with
+    r = m sinh v, G = (1/2pi) Int_0^asinh(Lambda/m) tanh v dv: a smooth,
+    bounded integrand over a logarithmic range.  It is evaluated by the
+    adaptive G7-K15 Gauss-Kronrod rule at relative tolerance 1e-12 (not
+    the closed form), so this is an independent back-substitution check
+    on gap_mass.  Raises ConvergenceError when the rule cannot reach that
+    tolerance with 200 subintervals.
     """
     coupling, n, cutoff = _validate_gap_spec(spec)
     if not m2 > 0.0:
         raise DomainError("gap_residual: m2 must be positive")
-    tadpole = _quad(lambda r: r / (r * r + m2), 0.0, cutoff, _QUAD_EPSREL)
+    v_max = math.asinh(cutoff / math.sqrt(m2))
+    tadpole = _quad(math.tanh, 0.0, v_max, _TADPOLE_EPSREL)
     lhs = 1.0 / (coupling * coupling)
     rhs = n * tadpole / math.tau
     return abs(lhs - rhs)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +50,7 @@ _N_ROW_MIN = 7  # smallest index with ln(n/2pi) > 0
 _FIT_ROWS_MIN = 50
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One paired observation at index n."""
 
     n: int
@@ -62,8 +60,7 @@ class ReportRow:
     rel_dev: float
 
 
-@dataclass(frozen=True)
-class ReportSummary:
+class ReportSummary(NamedTuple):
     """Deviation statistics over all rows.
 
     mean_rel_dev_per_decade maps the decade exponent e (rows with
@@ -75,8 +72,7 @@ class ReportSummary:
     mean_rel_dev_per_decade: tuple[tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """Rows plus summary for one mass value m2."""
 
     m2: float

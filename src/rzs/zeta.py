@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
 
@@ -72,8 +72,7 @@ THETA_SERIES_T = 10.0
 # Domain types
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriticalLineSample:
+class CriticalLineSample(NamedTuple):
     """One evaluation of Z on the critical line.
 
     method records which path produced the value ("euler_maclaurin" or
@@ -87,8 +86,7 @@ class CriticalLineSample:
     est_abs_error: float
 
 
-@dataclass(frozen=True)
-class ZeroEntry:
+class ZeroEntry(NamedTuple):
     """One located zero: global index, refined height, final bracket."""
 
     n: int
@@ -98,16 +96,14 @@ class ZeroEntry:
     refined_tol: float
 
 
-@dataclass(frozen=True)
-class ZeroTable:
+class ZeroTable(NamedTuple):
     """Ordered zeros with bracketing metadata, up to height t_max."""
 
     zeros: tuple[ZeroEntry, ...]
     t_max: float
 
 
-@dataclass(frozen=True)
-class ZeroCountEstimate:
+class ZeroCountEstimate(NamedTuple):
     """Counting-formula value N(T) split into main term and correction,
     plus the local density D(T) = ln(T/2pi) / 2pi."""
 

@@ -24,6 +24,7 @@ from rzs import (
     pi_at_zero,
     pi_closed,
 )
+import rzs.cli
 from rzs.bubble import _quad
 
 import oracles
@@ -82,6 +83,10 @@ class TestFeynmanIntegral:
     def test_rejects_zero_momentum(self):
         with pytest.raises(DomainError, match="pi_at_zero"):
             feynman_integral(BubbleSpec(1.0, 1.0, 2.0, 0.0, 1.0))
+
+    def test_rejects_infinite_momentum(self):
+        with pytest.raises(DomainError, match="finite"):
+            feynman_integral(BubbleSpec(1.0, 1.0, 2.0, math.inf, 1.0))
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(DomainError):
@@ -266,6 +271,20 @@ class TestPiAtZero:
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(DomainError):
             pi_at_zero(0.0)
+
+    def test_matches_mpmath_where_the_mass_squared_underflows(self):
+        # m^2 = 9e-310 is subnormal; Pi(0) ~ 8.8e307 is still finite.
+        m = 3.0e-155
+        with mpmath.workdps(40):
+            exact = 1 / (4 * mpmath.pi * mpmath.mpf(m) ** 2)
+            assert abs(pi_at_zero(m) / exact - 1) <= 1.0e-15
+
+    @pytest.mark.parametrize("m", [1.0e-170, 2.0e-160, 1.0e200, math.inf])
+    def test_zero_or_infinite_value_raises(self, m):
+        # m^2 underflows to 0 (1e-170) or Pi(0) overflows (2e-160);
+        # Pi(0) underflows to 0 (1e200, inf).  pi_closed raises alike.
+        with pytest.raises(DomainError, match="pi_at_zero"):
+            pi_at_zero(m)
 
 
 # ----------------------------------------------------------------------
@@ -497,11 +516,32 @@ class TestGapEquation:
                 assert abs(m2 / exact - 1) <= 1.0e-14, (coupling, n, cutoff)
                 assert abs(inv_g2 - rhs) <= 1.0e-15 * inv_g2, (coupling, n, cutoff)
 
-    def test_residual_raises_when_quadrature_cannot_converge(self):
-        # m2 = 1e-300 puts the tadpole's peak at r ~ 1e-150: more than 200
-        # bisections of [0, 1] away.
-        with pytest.raises(ConvergenceError):
-            gap_residual(GapEquationSpec(1.0, 3, 1.0), 1.0e-300)
+    def test_residual_matches_mpmath_at_a_vanishing_mass(self):
+        # m2 = 1e-300 puts the tadpole's peak at r ~ 1e-150; in v, with
+        # r = m sinh v, the integrand tanh v is smooth on [0, 346].
+        spec = GapEquationSpec(1.0, 3, 1.0)
+        with mpmath.workdps(40):
+            tadpole = mpmath.log1p(1 / mpmath.mpf(1.0e-300)) / (4 * mpmath.pi)
+            exact = abs(1 - 3 * tadpole)
+            assert abs(gap_residual(spec, 1.0e-300) - exact) <= 1.0e-15 * exact
+
+    def test_printed_residual_over_the_benchmark_gap_range(self, capsys):
+        # 1,000 triples drawn as the benchmark's cli-short draws its gap
+        # commands: N in 2..8, exponent 4 pi/(N g0^2) in [1, 20] and
+        # cutoff in [1, 100], both log-uniform.
+        rng = random.Random(5)
+        for _ in range(1000):
+            n = rng.randint(2, 8)
+            exponent = math.exp(rng.uniform(0.0, math.log(20.0)))
+            coupling = math.sqrt(4.0 * math.pi / (n * exponent))
+            cutoff = math.exp(rng.uniform(0.0, math.log(100.0)))
+            assert rzs.cli.main(["gap", "--coupling", repr(coupling),
+                                 "--n-components", str(n),
+                                 "--cutoff", repr(cutoff)]) == 0
+            printed = capsys.readouterr().out.splitlines()[1]
+            assert printed.startswith("residual = ")
+            residual = float(printed.removeprefix("residual = "))
+            assert residual <= 1.0e-15 / (coupling * coupling), (coupling, n, cutoff)
 
     def test_rejects_coupling_whose_square_underflows(self):
         # g0^2 underflows to 0 (1e-200) or to a subnormal whose inverse
