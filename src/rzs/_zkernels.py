@@ -13,7 +13,14 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .errors import AuditError
-from .zeta import CROSSOVER_T, THETA_SERIES_T
+
+# Evaluation crossover: Euler-Maclaurin below, Riemann-Siegel above.
+CROSSOVER_T = 30.0
+
+# theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
+# first omitted term, 691/2730 * (1 - 2^-11) / 264 * t^-11 ~ 9.6e-4 t^-11,
+# is <= 1e-14 there.  Below it, the shifted Stirling series serves.
+THETA_SERIES_T = 10.0
 
 LN_PI = math.log(math.pi)
 LN_2PI = math.log(math.tau)
@@ -29,10 +36,10 @@ _THETA_SERIES = (
 
 # Zero scan.  A Gram block that does not show one sign change per Gram
 # interval is subdivided until its node spacing reaches STRIDE_FLOOR.
-# Gram points come from _GRAM_NEWTON_STEPS Newton steps on theta, and
-# past t_max in batches of _GRAM_PAD.  A node or refinement point where
-# Z is exactly 0.0 moves up by _NUDGE, far below any node spacing and
-# below half of TOL_SUPPORT_MIN.
+# Gram points come from _GRAM_NEWTON_STEPS Newton steps on theta, up to
+# _GRAM_PAD past N(t_max) - 1 ~ theta(t_max)/pi.  A node or refinement
+# point where Z is exactly 0.0 moves up by _NUDGE, far below any node
+# spacing and below half of TOL_SUPPORT_MIN.
 STRIDE_FLOOR = 1.0 / 1024.0
 _GRAM_NEWTON_STEPS = 6
 _GRAM_PAD = 8
@@ -253,31 +260,6 @@ def _sign_definite(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ts, zs
 
 
-def _gram_grid(
-    t_max: float, n_estimate: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gram points g_-1 .. g_B and Z there, B the first good index with g_B >= t_max.
-
-    g_n is good when (-1)^n Z(g_n) > 0.  The counting formula N(T) - 1
-    equals theta(T)/pi up to O(1/T), so n_estimate = N(t_max) sizes the
-    first batch of Gram points; _GRAM_PAD more follow while none at or
-    past t_max is good.  Returns (indices n, heights, Z values, good mask).
-    """
-    ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
-    gs, zs = _sign_definite(_gram_points(ns))
-    while True:
-        good = np.where(ns % 2 == 0, zs, -zs) > 0.0
-        past = np.flatnonzero(good & (gs >= t_max))
-        if past.size:
-            stop = past[0] + 1
-            return ns[:stop], gs[:stop], zs[:stop], good[:stop]
-        more = np.arange(ns[-1] + 1, ns[-1] + 1 + _GRAM_PAD)
-        g_more, z_more = _sign_definite(_gram_points(more))
-        ns = np.concatenate((ns, more))
-        gs = np.concatenate((gs, g_more))
-        zs = np.concatenate((zs, z_more))
-
-
 def _resolve_blocks(
     ts: np.ndarray, zs: np.ndarray, edges: np.ndarray, edge_n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -357,17 +339,32 @@ def _scan_brackets(
     t_max: float, tol: float, n_estimate: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brackets (lo, hi), ascending and <= tol wide, of every sign change
-    of Z in (0, t_max]: the scan_zeros method; N(t_max) = n_estimate."""
-    ns, ts, zs, good = _gram_grid(t_max, n_estimate)
-    edges = np.flatnonzero(good)
-    edge_n = ns[edges]
+    of Z in (0, t_max]: the scan_zeros method; N(t_max) = n_estimate.
+
+    One batched Z call covers the Gram points and t_max, a node unless it
+    is <= g_-1 or a Gram point.  Below 1e4 no 3 consecutive Gram points
+    are bad, so the batch holds g_B, the first good one at or past t_max;
+    a batch without it raises AuditError.
+    """
+    ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
+    ts = _gram_points(ns)
+    parity = np.where(ns % 2 == 0, 1.0, -1.0)  # 0.0 at t_max: never good
     at = int(np.searchsorted(ts, t_max))
-    if 0 < at and ts[at] != t_max:
-        t_node, z_node = _sign_definite(np.array([t_max]))
-        ts = np.insert(ts, at, t_node)
-        zs = np.insert(zs, at, z_node)
-        edges = edges + (edges >= at)
-    ts, zs = _resolve_blocks(ts, zs, edges, edge_n)
+    if 0 < at < ts.size and ts[at] != t_max:
+        ts = np.insert(ts, at, t_max)
+        ns = np.insert(ns, at, 0)
+        parity = np.insert(parity, at, 0.0)
+    ts, zs = _sign_definite(ts)
+    good = parity * zs > 0.0
+    past = np.flatnonzero(good & (ts >= t_max))
+    if past.size == 0:
+        raise AuditError(
+            f"scan_zeros: no good Gram point among g_{ns[0]}..g_{ns[-1]} "
+            f"(t in [{ts[0]:.6f}, {ts[-1]:.6f}]) at or past t_max = {t_max:g}"
+        )
+    stop = past[0] + 1
+    edges = np.flatnonzero(good[:stop])
+    ts, zs = _resolve_blocks(ts[:stop], zs[:stop], edges, ns[edges])
 
     idx = np.flatnonzero((zs[:-1] * zs[1:] < 0.0) & (ts[:-1] < t_max))
     return _refine_brackets(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)

@@ -33,7 +33,7 @@ import sys
 from operator import mul
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, NoSolutionError
+from .errors import ConvergenceError, DomainError, NoSolutionError, _integer
 
 __all__ = [
     "BubbleSpec",
@@ -152,23 +152,6 @@ def _quad(f, a: float, b: float, epsrel: float, limit: int = _QUAD_LIMIT) -> flo
             new += ((lo, mid), (mid, hi))
 
 
-def _validate_bubble_spec(spec: BubbleSpec) -> None:
-    if not spec.m > 0.0:
-        raise DomainError("feynman_integral: m must be positive")
-    if spec.p < 0.0:
-        raise DomainError("feynman_integral: p must be non-negative")
-    if not spec.alpha + spec.beta - spec.dim / 2.0 > 0.0:
-        raise DomainError(
-            "feynman_integral: need alpha + beta - dim/2 > 0 for the "
-            "Gamma prefactor to converge"
-        )
-    if spec.alpha < 1.0 or spec.beta < 1.0:
-        raise DomainError(
-            "feynman_integral: exponents below 1 give endpoint-singular "
-            "integrands; this implementation restricts to alpha, beta >= 1"
-        )
-
-
 def feynman_integral(spec: BubbleSpec) -> float:
     """General Feynman-parameter form I(alpha, beta, dim, p) at mass m.
 
@@ -179,9 +162,20 @@ def feynman_integral(spec: BubbleSpec) -> float:
     because the integrand turns near-singular at the endpoints.  Raises
     DomainError when I is 0 or infinite in double precision.
     """
-    _validate_bubble_spec(spec)
+    if not spec.m > 0.0:
+        raise DomainError("feynman_integral: m must be positive")
     if not 0.0 < spec.p < math.inf:
         raise DomainError("feynman_integral: need finite p > 0 (see pi_at_zero)")
+    if not spec.alpha + spec.beta - spec.dim / 2.0 > 0.0:
+        raise DomainError(
+            "feynman_integral: need alpha + beta - dim/2 > 0 for the "
+            "Gamma prefactor to converge"
+        )
+    if spec.alpha < 1.0 or spec.beta < 1.0:
+        raise DomainError(
+            "feynman_integral: exponents below 1 give endpoint-singular "
+            "integrands; this implementation restricts to alpha, beta >= 1"
+        )
     a, b, d = float(spec.alpha), float(spec.beta), float(spec.dim)
     p, m = float(spec.p), float(spec.m)
     ratio = m / p
@@ -331,9 +325,7 @@ def _validate_gap_spec(spec: GapEquationSpec) -> tuple[float, float, float]:
             "gap_mass: coupling g0 so small that g0^2 underflows and 1/g0^2 "
             "is not finite"
         )
-    n = spec.n_components
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError("gap_mass: n_components must be an integer")
+    n = _integer("gap_mass: n_components", spec.n_components)
     if n < 2:
         raise DomainError("gap_mass: need n_components >= 2")
     n = _gap_float(n, "n_components")

@@ -26,13 +26,12 @@ caveat rather than resolving it.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .bubble import correlator_sample
-from .errors import DomainError, InsufficientZerosError
+from .errors import DomainError, InsufficientZerosError, _integer
 from .zeta import ZeroTable, _fmt, gamma_asymptotic
 
 __all__ = [
@@ -92,9 +91,7 @@ def build_report(zeros: ZeroTable, m2: float, n_max: int) -> CorrespondenceRepor
     The zero table must carry global indices starting at 1 (a full scan
     from t = 0) and hold at least n_max entries.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise DomainError("build_report: n_max must be an integer")
-    n_max = int(n_max)
+    n_max = _integer("build_report: n_max", n_max)
     if n_max < 10:
         raise DomainError("build_report: need n_max >= 10")
     if not m2 > 0.0:
@@ -149,13 +146,13 @@ def log_slope_fit(
     """Least squares of y = gamma_n * ln(n/2pi) against x = n.
 
     If the identification holds asymptotically, y grows linearly with
-    slope near 2 pi.  The optional window [n_min, n_max] restricts the
-    fit (defaults cover the whole report); at least 50 rows must
-    survive the restriction.  residual is the root-mean-square misfit
-    relative to mean(y).
+    slope near 2 pi.  The optional integer window [n_min, n_max] limits
+    the fit (defaults cover the whole report); at least 50 rows must
+    survive it.  residual is the root-mean-square misfit relative to
+    mean(y).
     """
-    lo = report.rows[0].n if n_min is None else int(n_min)
-    hi = report.rows[-1].n if n_max is None else int(n_max)
+    lo = report.rows[0].n if n_min is None else _integer("log_slope_fit: n_min", n_min)
+    hi = report.rows[-1].n if n_max is None else _integer("log_slope_fit: n_max", n_max)
     rows = [r for r in report.rows if lo <= r.n <= hi]
     if len(rows) < _FIT_ROWS_MIN:
         raise DomainError(

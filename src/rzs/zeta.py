@@ -34,12 +34,11 @@ rzs._zkernels, on their first call; counting zeros loads no numpy.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, _integer
 
 __all__ = [
     "CriticalLineSample",
@@ -58,14 +57,6 @@ __all__ = [
 # honest only for heights up to 1e4 and tolerances down to 1e-8.
 T_SUPPORT_MAX = 1.0e4
 TOL_SUPPORT_MIN = 1.0e-8
-
-# Evaluation crossover: Euler-Maclaurin below, Riemann-Siegel above.
-CROSSOVER_T = 30.0
-
-# theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
-# first omitted term, 691/2730 * (1 - 2^-11) / 264 * t^-11 ~ 9.6e-4 t^-11,
-# is <= 1e-14 there.  Below it, the shifted Stirling series serves.
-THETA_SERIES_T = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -138,15 +129,16 @@ def theta(t: float) -> float:
 
 
 def z_function(t: float, tol: float) -> CriticalLineSample:
-    """Evaluate Z(t) with a certified absolute error bound <= tol.
+    """Evaluate Z(t) with an absolute error bound est_abs_error <= tol.
 
-    Dispatches to Euler-Maclaurin below t = 30 and Riemann-Siegel above.
-    Even in t (Z(-t) = Z(t)), so negative heights are served through
-    their absolute value; theta_value keeps its odd sign.  Raises
-    PrecisionError when the tolerance is unreachable at this height
-    with the configured term counts: the Euler-Maclaurin floor sits
-    near 1e-13, the Riemann-Siegel truncation near 0.02 (t/2pi)^{-5/4},
-    so tight tolerances are only servable below the crossover.
+    Dispatches to Euler-Maclaurin below t = 30, whose bound is a proven
+    truncation bound plus a rounding floor near 1e-13, and Riemann-Siegel
+    above, whose bound 0.02 (t/2pi)^{-5/4} rests on a measured
+    coefficient, not a proof.  Even in t (Z(-t) = Z(t)), so negative
+    heights are served through their absolute value; theta_value keeps
+    its odd sign.  Raises PrecisionError when the tolerance is
+    unreachable at this height with the configured term counts, so tight
+    tolerances are only servable below the crossover.
     """
     t = float(t)
     tol = float(tol)
@@ -158,7 +150,7 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
         raise PrecisionError(
             f"z_function: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
-    from ._zkernels import _z_values
+    from ._zkernels import CROSSOVER_T, _z_values
 
     at = abs(t)
     vals, errs = _z_values([at])
@@ -211,9 +203,7 @@ def gamma_asymptotic(n: int) -> float:
     Meaningful only once the logarithm is positive, which needs n >= 7;
     smaller n raise DomainError.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise DomainError("gamma_asymptotic: n must be a positive integer")
-    n = int(n)
+    n = _integer("gamma_asymptotic: n", n)
     if n <= 6:
         raise DomainError(
             f"gamma_asymptotic: n = {n} has n/2pi <= 1, logarithm not positive"
@@ -237,19 +227,19 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     counts from t = 0; entries below t_min are dropped from the output
     only after indexing.
 
-    Z is evaluated once on the Gram points g_n (theta(g_n) = n pi) from
-    g_-1 ~ 9.67 up to the first good one at or above t_max, with t_max
-    itself added as a node so that no bracket crosses it.  Consecutive
-    good Gram points bound Gram blocks.  By Rosser's rule, which holds
-    for every block far beyond t = 1e4 (Brent, Math. Comp. 33, 1979), a
-    block of k Gram intervals holds exactly k zeros.  The blocks showing
-    fewer sign changes are subdivided together, halving their node
-    spacing down to STRIDE_FLOOR; a block still unresolved there raises
-    AuditError.  Z < 0 on (0, 14.13), so g_-1 is good and (0, g_-1]
-    holds no zero: the i-th sign change is zero n = i.  Each bracket is
-    then refined by bracketed Illinois steps to width <= tol.
+    Z is evaluated in one batch on the Gram points g_n (theta(g_n) = n pi)
+    from g_-1 ~ 9.67 on and on t_max, a node so that no bracket crosses
+    it; the grid ends at the first good one at or above t_max.
+    Consecutive good Gram points bound Gram blocks.  By Rosser's rule,
+    which holds for every block far beyond t = 1e4 (Brent, Math. Comp.
+    33, 1979), a block of k Gram intervals holds exactly k zeros.  The
+    blocks showing fewer sign changes are subdivided together, halving
+    their node spacing down to STRIDE_FLOOR; a block still unresolved
+    there raises AuditError.  Z < 0 on (0, 14.13), so g_-1 is good and
+    (0, g_-1] holds no zero: the i-th sign change is zero n = i.  Each
+    bracket is then refined by bracketed Illinois steps to width <= tol.
 
-    Grid values are pure functions of t, so the result is deterministic.
+    Equal arguments give equal batches, so the result is deterministic.
     """
     t_min = float(t_min)
     t_max = float(t_max)

@@ -84,6 +84,10 @@ class TestFeynmanIntegral:
         with pytest.raises(DomainError, match="pi_at_zero"):
             feynman_integral(BubbleSpec(1.0, 1.0, 2.0, 0.0, 1.0))
 
+    def test_rejects_negative_momentum(self):
+        with pytest.raises(DomainError, match="p > 0"):
+            feynman_integral(BubbleSpec(1.0, 1.0, 2.0, -1.0, 1.0))
+
     def test_rejects_infinite_momentum(self):
         with pytest.raises(DomainError, match="finite"):
             feynman_integral(BubbleSpec(1.0, 1.0, 2.0, math.inf, 1.0))
@@ -111,7 +115,7 @@ class TestFeynmanIntegral:
         (1.0, 1.0, 2.0), (1.0, 2.0, 2.0), (2.0, 1.0, 2.0),
         (1.0, 1.0, 3.0), (2.0, 2.0, 3.0),
     ])
-    def test_matches_scipy_oracle(self, alpha, beta, dim):
+    def test_matches_tanh_sinh_oracle(self, alpha, beta, dim):
         for p in (0.1, 3.0, 100.0, 1.0e4):
             value = feynman_integral(BubbleSpec(alpha, beta, dim, p, 1.0))
             reference = oracles.feynman_oracle(alpha, beta, dim, p, 1.0)

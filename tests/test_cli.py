@@ -417,9 +417,9 @@ class TestArgumentHandling:
 
 class TestImport:
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # A fresh interpreter, because this test process has SciPy loaded
-        # already (the oracles use it).  Both quadratures, the gap
-        # residual and the Feynman integral, must run without SciPy.
+        # A fresh interpreter, so that nothing this test process loaded
+        # counts.  Both quadratures, the gap residual and the Feynman
+        # integral, must run without SciPy.
         code = ("import sys, rzs, rzs.cli; "
                 "rzs.cli.main(['gap', '--coupling', '1', '--n-components', '3', "
                 "'--cutoff', '10']); "
@@ -430,13 +430,19 @@ class TestImport:
         assert result.stdout.splitlines()[-1] == "[]"
 
     def test_no_module_imports_scipy(self):
-        # SciPy is a test-only dependency: no module of the package may
-        # import it, at the top or inside a function.  numpy may be
-        # imported only at the top of the two modules that compute with
-        # arrays, which the rest import lazily.  Records are named
-        # tuples, so nothing imports dataclasses.
+        # SciPy is no dependency, not even of the tests: no module of the
+        # package, the tests or the demos may import it, at the top or
+        # inside a function.  In the package, numpy may be imported only
+        # at the top of the two modules that compute with arrays, which
+        # the rest import lazily, and records are named tuples, so
+        # nothing imports dataclasses.
+        package = pathlib.Path(rzs.__file__).parent
+        root = pathlib.Path(__file__).resolve().parents[1]
+        paths = [*package.rglob("*.py"), *root.glob("tests/*.py"),
+                 *root.glob("demos/*.py")]
         offenders = []
-        for path in pathlib.Path(rzs.__file__).parent.rglob("*.py"):
+        for path in paths:
+            in_package = package in path.parents
             tree = ast.parse(path.read_text(), str(path))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
@@ -445,12 +451,14 @@ class TestImport:
                     names = [node.module or ""]
                 else:
                     continue
-                numpy_ok = (path.name in ("_zkernels.py", "correspond.py")
-                            and node in tree.body)
+                numpy_ok = not in_package or (
+                    path.name in ("_zkernels.py", "correspond.py")
+                    and node in tree.body)
+                banned = ("scipy", "dataclasses") if in_package else ("scipy",)
                 offenders += [f"{path.name}:{node.lineno}" for name in names
-                              if name.split(".")[0] in ("scipy", "dataclasses")
+                              if name.split(".")[0] in banned
                               or (name.split(".")[0] == "numpy" and not numpy_ok)]
-        assert offenders == []
+        assert len(paths) > 20 and offenders == []
 
     def test_short_commands_leave_numpy_unloaded(self, tmp_path):
         # count, gap and bubble compute with math alone; zeros scans

@@ -115,8 +115,9 @@ class TestBuildReport:
             build_report(full_table, 0.0, 100)
         with pytest.raises(DomainError):
             build_report(full_table, TWO_PI, 9)
-        with pytest.raises(DomainError):
-            build_report(full_table, TWO_PI, 100.5)
+        for n_max in (100.5, 100.0, math.nan, math.inf, True):
+            with pytest.raises(DomainError, match="n_max must be an integer"):
+                build_report(full_table, TWO_PI, n_max)
 
     def test_rejects_table_without_global_indexing(self, full_table):
         shifted = ZeroTable(zeros=full_table.zeros[1:], t_max=full_table.t_max)
@@ -176,6 +177,14 @@ class TestLogSlopeFit:
         early = log_slope_fit(report_2pi, n_min=100, n_max=1000)
         late = log_slope_fit(report_2pi, n_min=1000, n_max=5000)
         assert late.residual < early.residual
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 10.7, True])
+    @pytest.mark.parametrize("side", ["n_min", "n_max"])
+    def test_rejects_non_integer_window_bounds(self, report_2pi, side, bound):
+        # nan, inf, a fraction and a bool all raise the one DomainError
+        # that build_report gives a non-integer n_max.
+        with pytest.raises(DomainError, match=f"{side} must be an integer"):
+            log_slope_fit(report_2pi, **{side: bound})
 
     def test_minimum_row_count(self, report_2pi):
         with pytest.raises(DomainError):

@@ -66,7 +66,7 @@ class TestTheta:
             assert abs(theta(t) - oracles.theta_oracle(t)) < 1.0e-10
 
     def test_continuous_across_series_switch(self):
-        t0, eps = rzs.zeta.THETA_SERIES_T, 1.0e-9
+        t0, eps = rzs._zkernels.THETA_SERIES_T, 1.0e-9
         slope = 0.5 * math.log(t0 / TWO_PI) - 1.0 / (48.0 * t0 * t0)
         jump = theta(t0 + eps) - theta(t0 - eps) - slope * 2.0 * eps
         assert abs(jump) <= 1.0e-12
@@ -125,7 +125,7 @@ class TestZFunction:
         rng = random.Random(1859)
         for _ in range(50):
             t = rng.uniform(1.0, 80.0)
-            tol = 1.0e-10 if t < rzs.zeta.CROSSOVER_T else 3.0e-3
+            tol = 1.0e-10 if t < rzs._zkernels.CROSSOVER_T else 3.0e-3
             sample = z_function(t, tol)
             ref, bound = oracles.zeta_oracle(t)
             assert abs(abs(sample.z_value) - abs(ref)) <= 2.0 * tol
@@ -137,7 +137,7 @@ class TestZFunction:
 
     def test_error_estimate_covers_true_error(self):
         for t in (2.0, 14.0, 29.9, 31.0, 45.0, 60.0, 77.0):
-            tol = 1.0e-9 if t < rzs.zeta.CROSSOVER_T else 1.0e-2
+            tol = 1.0e-9 if t < rzs._zkernels.CROSSOVER_T else 1.0e-2
             sample = z_function(t, tol)
             ref, bound = oracles.z_oracle(t)
             assert abs(sample.z_value - ref) <= sample.est_abs_error + bound
@@ -315,6 +315,17 @@ class TestGramPoints:
                 ref = float(mpmath.grampoint(n))
             assert abs(g - ref) <= max(1.0e-12, 3.0 * np.spacing(ref)), n
 
+    def test_at_most_two_consecutive_bad_gram_points(self):
+        # The scan evaluates Z on g_-1 .. g_{N(t_max)+7} in one batch and
+        # needs a good Gram point ((-1)^n Z(g_n) > 0) at or past t_max
+        # among them: below 1e4 no three consecutive Gram points are bad.
+        ns = np.arange(-1, 10160)
+        zs = rzs._zkernels._z_values(rzs._zkernels._gram_points(ns))[0]
+        bad = np.where(ns % 2 == 0, zs, -zs) <= 0.0
+        assert bad.sum() == 841
+        assert (bad[:-1] & bad[1:]).any()
+        assert not (bad[:-2] & bad[1:-1] & bad[2:]).any()
+
     def test_theta_residual_over_the_supported_range(self):
         ns = np.arange(-1, 10150)
         gs = rzs._zkernels._gram_points(ns)
@@ -410,6 +421,22 @@ class TestScanZeros:
         with pytest.raises(AuditError, match=r"Gram block g_0\.\.g_2 "):
             scan_zeros(0.0, 50.0, 1.0e-8)
 
+    def test_no_good_gram_point_past_t_max_raises_audit_error(self, monkeypatch):
+        # Flip Z so that every Gram point above 40 is bad: the one batch
+        # of Gram points holds no good one at or past t_max = 50.
+        real = rzs._zkernels._z_values
+
+        def all_bad_above_40(ts):
+            ts = np.asarray(ts, dtype=float)
+            vals, errs = real(ts)
+            n = np.rint(rzs._zkernels._theta_vec(ts) / math.pi)
+            parity = np.where(n % 2 == 0, 1.0, -1.0)
+            return np.where(ts > 40.0, -parity * np.abs(vals), vals), errs
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", all_bad_above_40)
+        with pytest.raises(AuditError, match=r"no good Gram point .* t_max = 50"):
+            scan_zeros(0.0, 50.0, 1.0e-8)
+
     def test_exact_zero_at_refinement_point_keeps_strict_signs(self, monkeypatch):
         # Report Z = 0.0 exactly at the first refinement point less than
         # 1e-3 above gamma_1.  Stored as the new lower end, that point
@@ -464,12 +491,13 @@ class TestScanZeros:
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
         monkeypatch.undo()
         assert len(table.zeros) == 10142
-        # 84,225 evaluations in 21 batched calls.  The scan refines every
-        # zero of the supported range at the smallest tol, and each
-        # Illinois round is one call, so the call count also bounds the
-        # refinement steps of any zero.
+        # 84,225 evaluations in 20 batched calls: one over the Gram points
+        # and t_max, 5 block subdivision levels and 14 Illinois rounds.
+        # The scan refines every zero of the supported range at the
+        # smallest tol, and each Illinois round is one call, so the call
+        # count also bounds the refinement steps of any zero.
         assert sum(evaluated) <= 85_026
-        assert len(evaluated) <= 24
+        assert len(evaluated) <= 20
         lo = np.array([e.bracket_lo for e in table.zeros])
         hi = np.array([e.bracket_hi for e in table.zeros])
         gamma = np.array([e.gamma for e in table.zeros])
