@@ -30,13 +30,13 @@ import mpmath
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-LN_2PI = math.log(TWO_PI)
 
 
 def _quad(f, points) -> float:
     """Int f over [points[0], points[-1]], split at every point, with f
     evaluated in floats."""
     return float(mpmath.quad(lambda u: f(float(u)), points))
+
 
 # ----------------------------------------------------------------------
 # theta via Binet's second integral:
