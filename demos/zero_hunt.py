@@ -19,23 +19,24 @@ T_MAX = 100.0
 print(f"scanning 0 < t <= {T_MAX:g} ...")
 table = scan_zeros(0.0, T_MAX, 1.0e-8)
 estimate = count_zeros(T_MAX)
-print(f"found {len(table.zeros)} zeros; counting formula expects "
+print(f"found {len(table.gamma)} zeros; counting formula expects "
       f"{estimate.n_estimate:.3f}")
 print()
 
 print("  n   gamma_n        bracket width   Z left      Z right")
-for entry in table.zeros[:10]:
-    z_lo = z_function(entry.bracket_lo, 1.0).z_value
-    z_hi = z_function(entry.bracket_hi, 1.0).z_value
-    width = entry.bracket_hi - entry.bracket_lo
-    print(f"{entry.n:4d}   {entry.gamma:.9f}   {width:.2e}      "
+rows = zip(range(table.n_first, table.n_first + 10),
+           table.gamma, table.bracket_lo, table.bracket_hi)
+for n, gamma, lo, hi in rows:
+    z_lo = z_function(lo, 1.0).z_value
+    z_hi = z_function(hi, 1.0).z_value
+    print(f"{n:4d}   {gamma:.9f}   {hi - lo:.2e}      "
           f"{z_lo:+.2e}  {z_hi:+.2e}")
-print(f"... {len(table.zeros) - 10} more below t = {T_MAX:g}")
+print(f"... {len(table.gamma) - 10} more below t = {T_MAX:g}")
 print()
 
 # The density of zeros grows like ln(t/2pi)/2pi: compare the mean gap
 # around t = 100 with the reciprocal density there.
-gaps = [b.gamma - a.gamma for a, b in zip(table.zeros[-6:], table.zeros[-5:])]
+gaps = [b - a for a, b in zip(table.gamma[-6:], table.gamma[-5:])]
 mean_gap = sum(gaps) / len(gaps)
 print(f"mean gap among the last few zeros: {mean_gap:.3f}")
 print(f"1/density at t = {T_MAX:g}:          {1.0 / estimate.density:.3f}")
@@ -46,10 +47,10 @@ print()
 from rzs import gamma_asymptotic
 
 print("  n   gamma_n      asymptote    ratio")
-for entry in table.zeros[6:10]:
-    asym = gamma_asymptotic(entry.n)
-    print(f"{entry.n:4d}   {entry.gamma:9.4f}   {asym:9.4f}   "
-          f"{entry.gamma / asym:.3f}")
+for n in range(7, 11):
+    gamma = table.gamma[n - table.n_first]
+    asym = gamma_asymptotic(n)
+    print(f"{n:4d}   {gamma:9.4f}   {asym:9.4f}   {gamma / asym:.3f}")
 print()
-print(f"first zero refined to {table.zeros[0].gamma:.9f} "
-      f"(bracket width {table.zeros[0].bracket_hi - table.zeros[0].bracket_lo:.1e})")
+print(f"first zero refined to {table.gamma[0]:.9f} "
+      f"(bracket width {table.bracket_hi[0] - table.bracket_lo[0]:.1e})")

@@ -15,7 +15,7 @@ TWO_PI = 2.0 * math.pi
 
 print("scanning zeros deep enough for n = 5000 ...")
 table = scan_zeros(0.0, 5520.0, 1.0e-8)
-print(f"found {len(table.zeros)} zeros")
+print(f"found {len(table.gamma)} zeros")
 
 report = build_report(table, TWO_PI, 5000)
 print()

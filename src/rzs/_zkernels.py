@@ -2,7 +2,10 @@
 
 rzs.zeta, which describes the methods, validates arguments and imports
 this module on the first call that needs it, so `import rzs` and the
-commands count, gap and bubble load no numpy.
+commands count, gap and bubble load no numpy.  The Riemann-Siegel
+correction terms sum committed Chebyshev coefficients with one Clenshaw
+recurrence, so loading this module computes no table and imports nothing
+of numpy.polynomial.  The scan hands back plain arrays of bracket ends.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 
 from .errors import AuditError
 
@@ -160,21 +162,81 @@ def _z_em_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Riemann-Siegel evaluation, t at or above the crossover
 # ----------------------------------------------------------------------
 
-# Chebyshev series of Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) on
-# [0, 1]: the degree-64 interpolant truncated to degree 24.  Psi is
-# entire, as the numerator cancels the zeros of the denominator at
-# p = 1/4 and 3/4; the 65 first-kind nodes stay >= 0.0034 away from both
-# removable points.  The coefficients beyond degree ~20 are rounding
-# noise below 1.4e-14, and the third derivative needed for the second
-# correction term amplifies that noise: Psi''' of the full interpolant
-# is off by ~2e-4, of the truncated series by ~1e-7.
-_PSI = Chebyshev.interpolate(
-    lambda p: np.cos(math.tau * (p * p - p - 0.0625)) / np.cos(math.tau * p),
-    64, domain=[0.0, 1.0],
-).truncate(25)
-_PSI3 = _PSI.deriv(3)
+# Chebyshev series in x = 2p - 1 of Psi(p) = cos(2pi(p^2 - p - 1/16)) /
+# cos(2pi p) on [0, 1], and of its third derivative Psi''': numpy's
+# Chebyshev.interpolate of Psi at 65 first-kind nodes, truncated to degree
+# 24, and that series differentiated three times.  Psi is entire, as the
+# numerator cancels the zeros of the denominator at p = 1/4 and 3/4; the
+# nodes stay >= 0.0034 away from both removable points.  The coefficients
+# beyond degree ~20 are rounding noise below 1.4e-14, and the third
+# derivative amplifies that noise: Psi''' of the full interpolant is off by
+# ~2e-4, of the truncated series by ~1.6e-7 (tests/test_zeta.py checks
+# both series against mpmath).
+_PSI = (
+    0.6426672862397688,
+    3.717060020720858e-16,
+    0.27197299999785457,
+    -6.78012948008316e-16,
+    0.010738605819339475,
+    1.456936045541304e-16,
+    -0.0013743815296329547,
+    4.714561916261112e-16,
+    -0.00012468221880361152,
+    -5.481954590389077e-16,
+    -5.76459971464114e-07,
+    7.863924938375327e-17,
+    2.728067438072673e-07,
+    4.858630210355138e-16,
+    8.077952936449776e-09,
+    -5.141049993124505e-16,
+    -2.0884668899175084e-10,
+    8.481780426642584e-17,
+    -1.3114384823597715e-11,
+    4.564904338512455e-16,
+    -1.3729197237849506e-14,
+    -4.682634398630401e-16,
+    1.0233504342217772e-14,
+    1.0929117383695146e-16,
+    1.378462257482671e-15,
+)
+_PSI3 = (
+    -1.792276682544584e-10,
+    -10.136081092857363,
+    -3.5430486753425e-10,
+    -16.268883343003452,
+    -3.4211230537468997e-10,
+    -2.646517326256689,
+    -3.2005061460320554e-10,
+    0.03446529893363986,
+    -2.8746678650667773e-10,
+    0.025685265878815335,
+    -2.578706509857487e-10,
+    0.000993331356174126,
+    -2.057515620652397e-10,
+    -5.576171440246356e-05,
+    -1.3017837603251456e-10,
+    -4.087833541101684e-06,
+    -1.0905213035956374e-10,
+    1.5751550536222916e-08,
+    -3.644697806798116e-11,
+    8.98628791391973e-09,
+    7.432499284425257e-11,
+    1.0713629219116517e-09,
+)
 
 _RS_ERR_COEF = 0.02  # measured: |error| <= 0.005 * a^{-5/2}; 4x margin
+
+
+def _chebyshev(coef: tuple[float, ...], p: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(2p - 1) by Clenshaw's recurrence, in the order of
+    operations of numpy.polynomial.chebyshev.chebval, so the two agree bit
+    for bit."""
+    x = 2.0 * p - 1.0
+    x2 = 2.0 * x
+    c0, c1 = coef[-2], coef[-1]
+    for c in coef[-3::-1]:
+        c0, c1 = c - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _z_rs_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +267,8 @@ def _z_rs_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for n, start in enumerate(np.searchsorted(big_n, ns)):
         main[start:] += rsqrt_n[n] * np.cos(th[start:] - t[start:] * ln_n[n])
 
-    c0 = _PSI(p)
-    c1 = -_PSI3(p) / (96.0 * math.pi ** 2)
+    c0 = _chebyshev(_PSI, p)
+    c1 = -_chebyshev(_PSI3, p) / (96.0 * math.pi ** 2)
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
     vals = np.empty_like(ts)
     vals[order] = 2.0 * main + sign * (c0 + c1 / a) / np.sqrt(a)

@@ -97,30 +97,27 @@ def build_report(zeros: ZeroTable, m2: float, n_max: int) -> CorrespondenceRepor
     if not m2 > 0.0:
         raise DomainError("build_report: m2 must be positive")
     m2 = float(m2)
-    if len(zeros.zeros) < n_max:
+    if len(zeros.gamma) < n_max:
         raise InsufficientZerosError(
-            f"build_report: table holds {len(zeros.zeros)} zeros, "
+            f"build_report: table holds {len(zeros.gamma)} zeros, "
             f"need {n_max}"
         )
-    if zeros.zeros[0].n != 1:
+    if zeros.n_first != 1:
         raise DomainError(
             "build_report: zero table must start at global index 1 "
             "(scan from t = 0)"
         )
 
     rows = []
-    for n in range(_N_ROW_MIN, n_max + 1):
-        entry = zeros.zeros[n - 1]
-        if entry.n != n:
-            raise DomainError("build_report: zero table indices not consecutive")
+    for n, gamma in enumerate(zeros.gamma[_N_ROW_MIN - 1:n_max], _N_ROW_MIN):
         prediction = correlator_sample(float(n), m2).correlator
         rows.append(
             ReportRow(
                 n=n,
-                gamma_n=entry.gamma,
+                gamma_n=gamma,
                 prediction=prediction,
                 asym_prediction=gamma_asymptotic(n),
-                rel_dev=abs(entry.gamma - prediction) / entry.gamma,
+                rel_dev=abs(gamma - prediction) / gamma,
             )
         )
 

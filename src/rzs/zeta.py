@@ -17,7 +17,7 @@ Riemann-Siegel expansion plus its first two correction terms above a
 fixed crossover height; the crossover is t = 30.  The main sum runs
 over the heights sorted by their term count N, one term n at a time
 across the contiguous run of heights that need it, and the correction
-terms come from a degree-24 Chebyshev series of Psi.
+terms come from committed Chebyshev series of Psi and Psi'''.
 
 Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
@@ -26,6 +26,8 @@ blocks that show fewer sign changes are subdivided until they show all
 of them.  Every bracket is then refined by bracketed Illinois steps.
 All heights are limited to t <= 1e4 and tolerances to >= 1e-8: that is
 the regime where plain double precision keeps every promise made here.
+The scan returns a columnar ZeroTable, one tuple of floats per field,
+and builds no object per zero.
 
 theta, z_function and scan_zeros import the numpy kernels of all this,
 rzs._zkernels, on their first call; counting zeros loads no numpy.
@@ -33,9 +35,9 @@ rzs._zkernels, on their first call; counting zeros loads no numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
-from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError, _integer
@@ -88,10 +90,26 @@ class ZeroEntry(NamedTuple):
 
 
 class ZeroTable(NamedTuple):
-    """Ordered zeros with bracketing metadata, up to height t_max."""
+    """Ordered zeros up to height t_max, one column per field.
 
-    zeros: tuple[ZeroEntry, ...]
+    Zero n_first + i has the refined height gamma[i] and the final
+    bracket [bracket_lo[i], bracket_hi[i]], at most refined_tol wide.
+    """
+
+    n_first: int
+    gamma: tuple[float, ...]
+    bracket_lo: tuple[float, ...]
+    bracket_hi: tuple[float, ...]
+    refined_tol: float
     t_max: float
+
+    @property
+    def zeros(self) -> tuple[ZeroEntry, ...]:
+        """The rows as ZeroEntry records, built anew on every access."""
+        return tuple(map(
+            ZeroEntry, itertools.count(self.n_first), self.gamma,
+            self.bracket_lo, self.bracket_hi, itertools.repeat(self.refined_tol),
+        ))
 
 
 class ZeroCountEstimate(NamedTuple):
@@ -224,8 +242,9 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     """Locate every sign-change zero of Z in (t_min, t_max].
 
     The scan always covers (0, t_max] internally so indices n are global
-    counts from t = 0; entries below t_min are dropped from the output
-    only after indexing.
+    counts from t = 0; zeros below t_min are dropped from the output
+    only after indexing, so the table's n_first is the global index of
+    its first zero.
 
     Z is evaluated in one batch on the Gram points g_n (theta(g_n) = n pi)
     from g_-1 ~ 9.67 on and on t_max, a node so that no bracket crosses
@@ -263,11 +282,14 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     lo, hi = _scan_brackets(t_max, tol, count_zeros(max(t_max, math.tau)).n_estimate)
     gammas = 0.5 * (lo + hi)
     start = int(gammas.searchsorted(t_min, "right"))  # gammas ascend
-    entries = tuple(map(
-        ZeroEntry, range(start + 1, gammas.size + 1), gammas[start:].tolist(),
-        lo[start:].tolist(), hi[start:].tolist(), repeat(tol),
-    ))
-    return ZeroTable(zeros=entries, t_max=t_max)
+    return ZeroTable(
+        n_first=start + 1,
+        gamma=tuple(gammas[start:].tolist()),
+        bracket_lo=tuple(lo[start:].tolist()),
+        bracket_hi=tuple(hi[start:].tolist()),
+        refined_tol=tol,
+        t_max=t_max,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +298,12 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
 
 # The one number formatter of every rzs output: 17 significant digits
 # round-trip any double exactly.
-_fmt = "{:.17g}".format
+_SPEC = "%.17g"
+_fmt = _SPEC.__mod__
+
+# zero_table_to_csv formats _CSV_BLOCK rows per % operation.
+_CSV_ROW = f"%d,{_SPEC},{_SPEC},{_SPEC}\n"
+_CSV_BLOCK = 1024
 
 
 def zero_table_to_csv(table: ZeroTable) -> str:
@@ -285,10 +312,12 @@ def zero_table_to_csv(table: ZeroTable) -> str:
     Full double precision (17 significant digits), '.' radix, newline
     line ends.
     """
-    lines = ["n,gamma,bracket_lo,bracket_hi"]
-    for entry in table.zeros:
-        lines.append(
-            f"{entry.n},{_fmt(entry.gamma)},{_fmt(entry.bracket_lo)},"
-            f"{_fmt(entry.bracket_hi)}"
-        )
-    return "\n".join(lines) + "\n"
+    blocks = ["n,gamma,bracket_lo,bracket_hi\n"]
+    for i in range(0, len(table.gamma), _CSV_BLOCK):
+        j = i + _CSV_BLOCK
+        cells = tuple(itertools.chain.from_iterable(zip(
+            itertools.count(table.n_first + i), table.gamma[i:j],
+            table.bracket_lo[i:j], table.bracket_hi[i:j],
+        )))
+        blocks.append(_CSV_ROW * (len(cells) // 4) % cells)
+    return "".join(blocks)

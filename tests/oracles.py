@@ -9,8 +9,8 @@ different route, so agreement is evidence rather than tautology:
   point and ten tail terms instead of eight, implemented on complex
   scalars rather than numpy arrays.
 - pi_momentum_oracle: the bubble as a literal 2D momentum integral in
-  polar coordinates -- fixed high-order angular rule, tanh-sinh radial
-  quadrature to infinity -- instead of the Feynman-parameter form.
+  polar coordinates -- the angular integral in closed form, tanh-sinh
+  radial quadrature to infinity -- instead of the Feynman-parameter form.
 - feynman_oracle: the Feynman-parameter integral by tanh-sinh
   quadrature, split at decades of m^2/p^2 to resolve the endpoint peak.
 - tadpole_oracle: the gap-equation tadpole by quadrature.
@@ -27,7 +27,6 @@ import cmath
 import math
 
 import mpmath
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,33 +113,25 @@ def z_oracle(t: float) -> tuple[float, float]:
 # Bubble as a direct 2D momentum integral (polar coordinates)
 # ----------------------------------------------------------------------
 
-# Fixed 192-point Gauss-Legendre rule on [0, pi] for the angular
-# integral; the phi-integrand is analytic and even about pi, so the
-# half-range doubled is exact in the limit and the fixed order keeps
-# the oracle free of any shared adaptive machinery on the angle.
-_ANG_NODES, _ANG_WEIGHTS = np.polynomial.legendre.leggauss(192)
-_PHI = 0.5 * math.pi * (_ANG_NODES + 1.0)
-_PHI_W = 0.5 * math.pi * _ANG_WEIGHTS
-
-
-def _angular(r: float, p: float, m2: float) -> float:
-    """Int_0^{2pi} dphi / ((r^2+m^2)((r+p)^2 ... )) at fixed radius."""
-    a = r * r + p * p + m2
-    b = 2.0 * p * r
-    vals = 1.0 / (a + b * np.cos(_PHI))
-    return 2.0 * float(_PHI_W @ vals) / (r * r + m2)
-
-
 def pi_momentum_oracle(p: float, m: float) -> float:
     """Pi(p) = Int d^2q/(2pi)^2 [ (q^2+m^2)((q+p)^2+m^2) ]^{-1}.
 
-    Angular integral by the fixed rule above, radial integral to
-    infinity, split where its structure lives, below r ~ p + m; beyond
-    10(p + m) the integrand decays like 2pi/r^3.
+    In polar coordinates (r, phi) the angular integral is exact:
+    Int_0^{2pi} dphi / (a + b cos phi) = 2pi / sqrt(a^2 - b^2), with
+    a = r^2 + p^2 + m^2 and b = 2pr, and a^2 - b^2 factors as
+    ((r-p)^2 + m^2)((r+p)^2 + m^2), free of cancellation where the
+    integrand peaks at r ~ p.  The radial integral runs to infinity,
+    split where its structure lives, below r ~ p + m; beyond 10(p + m)
+    the integrand decays like 2pi/r^3.
     """
     m2 = m * m
+
+    def radial(r: float) -> float:
+        angular = TWO_PI / math.sqrt(((r - p) ** 2 + m2) * ((r + p) ** 2 + m2))
+        return r * angular / (r * r + m2)
+
     edges = [0.0, *sorted({m, p}), p + m, 10.0 * (p + m), mpmath.inf]
-    return _quad(lambda r: r * _angular(r, p, m2), edges) / (TWO_PI * TWO_PI)
+    return _quad(radial, edges) / (TWO_PI * TWO_PI)
 
 
 def pi_zero_momentum_oracle(m: float) -> float:

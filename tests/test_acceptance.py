@@ -97,13 +97,13 @@ def test_criterion_3_scan_matches_counting_formula():
     table = scan_zeros(0.0, 500.0, 1.0e-8)
     elapsed = time.perf_counter() - start
     expected = count_zeros(500.0).n_estimate
-    count_gap = abs(len(table.zeros) - round(expected))
-    first = table.zeros[0].gamma
+    count_gap = abs(len(table.gamma) - round(expected))
+    first = table.gamma[0]
     first_dev = abs(first - 14.1347)
     ok = count_gap <= 1 and first_dev <= 1.0e-4 and elapsed <= 60.0
     line = _verdict(
         3, ok,
-        f"scan to t = 500 found {len(table.zeros)} zeros vs estimate "
+        f"scan to t = 500 found {len(table.gamma)} zeros vs estimate "
         f"{expected:.3f} (gap {count_gap} <= 1); first zero "
         f"{first:.7f} within {first_dev:.2e} of 14.1347 (bound 1e-4); "
         f"{elapsed:.2f}s single-threaded (limit 60s)",
@@ -232,9 +232,8 @@ def test_criterion_6_invariant_suites():
 
     table = scan_zeros(0.0, 250.0, 1.0e-8)
     results["bracket soundness"] = all(
-        z_function(e.bracket_lo, 1.0).z_value
-        * z_function(e.bracket_hi, 1.0).z_value < 0.0
-        for e in table.zeros
+        z_function(lo, 1.0).z_value * z_function(hi, 1.0).z_value < 0.0
+        for lo, hi in zip(table.bracket_lo, table.bracket_hi)
     )
 
     ok = all(results.values())

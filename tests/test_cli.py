@@ -372,7 +372,7 @@ class TestCompareCommand:
         # from one full scan, whose counts are exact by Rosser's rule and
         # match mpmath up to t = 3000.
         reference = json.loads(_REFERENCE.read_text())["full"]
-        scanned = [e.gamma for e in rzs.scan_zeros(0.0, 1.0e4, 1.0e-8).zeros]
+        scanned = rzs.scan_zeros(0.0, 1.0e4, 1.0e-8).gamma
         assert len(scanned) == 10142
         for n_max in range(1, len(scanned) + 1):
             t_upper = rzs.cli._scan_upper_for(n_max)
@@ -461,8 +461,10 @@ class TestImport:
         assert len(paths) > 20 and offenders == []
 
     def test_short_commands_leave_numpy_unloaded(self, tmp_path):
-        # count, gap and bubble compute with math alone; zeros scans
-        # with the numpy kernels.
+        # count, gap and bubble compute with math alone; zeros and
+        # compare scan with the numpy kernels, whose Riemann-Siegel
+        # corrections (t_max = 50 is above the crossover) sum committed
+        # Chebyshev coefficients without numpy.polynomial.
         code = ("import sys, rzs, rzs.cli; main = rzs.cli.main; "
                 "main(['count', '--t', '100']); "
                 "main(['gap', '--coupling', '1', '--n-components', '3', "
@@ -471,10 +473,12 @@ class TestImport:
                 "'--out-path', 'bubble.csv']); "
                 "print('numpy' in sys.modules); "
                 "main(['zeros', '--t-max', '50', '--out-path', 'zeros.csv']); "
-                "print('numpy' in sys.modules)")
+                "print('numpy' in sys.modules, 'numpy.polynomial' in sys.modules); "
+                "main(['compare', '--n-max', '60', '--out-path', 'report.json']); "
+                "print('numpy.polynomial' in sys.modules)")
         result = _run([], tmp_path, python_args=("-c", code))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-2:] == ["False", "True"]
+        assert result.stdout.splitlines()[-3:] == ["False", "True False", "False"]
 
     def test_public_names_resolve_to_their_home_modules(self):
         homes = {"rzs.bubble", "rzs.correspond", "rzs.errors", "rzs.zeta"}

@@ -11,7 +11,6 @@ from rzs import (
     CorrespondenceReport,
     DomainError,
     InsufficientZerosError,
-    ZeroEntry,
     ZeroTable,
     build_report,
     gamma_asymptotic,
@@ -32,14 +31,16 @@ def _synthetic_table(n_top: int) -> ZeroTable:
     these rows must recover the line exactly.  Heights for n <= 6 (the
     rows a report never uses) are dummy increasing values.
     """
-    entries = []
-    for n in range(1, n_top + 1):
-        gamma = float(n) if n < 7 else gamma_asymptotic(n)
-        entries.append(
-            ZeroEntry(n=n, gamma=gamma, bracket_lo=gamma - 1.0e-9,
-                      bracket_hi=gamma + 1.0e-9, refined_tol=1.0e-8)
-        )
-    return ZeroTable(zeros=tuple(entries), t_max=float(n_top))
+    gammas = tuple(float(n) if n < 7 else gamma_asymptotic(n)
+                   for n in range(1, n_top + 1))
+    return ZeroTable(
+        n_first=1,
+        gamma=gammas,
+        bracket_lo=tuple(g - 1.0e-9 for g in gammas),
+        bracket_hi=tuple(g + 1.0e-9 for g in gammas),
+        refined_tol=1.0e-8,
+        t_max=float(n_top),
+    )
 
 
 def _row(report: CorrespondenceReport, n: int):
@@ -120,7 +121,11 @@ class TestBuildReport:
                 build_report(full_table, TWO_PI, n_max)
 
     def test_rejects_table_without_global_indexing(self, full_table):
-        shifted = ZeroTable(zeros=full_table.zeros[1:], t_max=full_table.t_max)
+        shifted = full_table._replace(
+            n_first=2, gamma=full_table.gamma[1:],
+            bracket_lo=full_table.bracket_lo[1:],
+            bracket_hi=full_table.bracket_hi[1:],
+        )
         with pytest.raises(DomainError):
             build_report(shifted, TWO_PI, 100)
 

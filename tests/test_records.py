@@ -12,7 +12,8 @@ import rzs
 FIELDS = {
     "CriticalLineSample": ("t", "z_value", "theta_value", "method", "est_abs_error"),
     "ZeroEntry": ("n", "gamma", "bracket_lo", "bracket_hi", "refined_tol"),
-    "ZeroTable": ("zeros", "t_max"),
+    "ZeroTable": ("n_first", "gamma", "bracket_lo", "bracket_hi", "refined_tol",
+                  "t_max"),
     "ZeroCountEstimate": ("t", "n_main", "n_correction", "n_estimate", "density"),
     "BubbleSpec": ("alpha", "beta", "dim", "p", "m"),
     "CorrelatorSample": ("t", "pi_value", "correlator", "asymptote", "m2"),
@@ -29,7 +30,8 @@ def _records(table_500):
     report = rzs.build_report(table_500, math.tau, 60)
     return [
         rzs.z_function(20.0, 1.0e-10),
-        table_500.zeros[0],
+        rzs.ZeroEntry(table_500.n_first, table_500.gamma[0], table_500.bracket_lo[0],
+                      table_500.bracket_hi[0], table_500.refined_tol),
         table_500,
         rzs.count_zeros(100.0),
         rzs.BubbleSpec(1.0, 1.0, 2.0, 3.0, 1.0),

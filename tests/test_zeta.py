@@ -21,6 +21,7 @@ from rzs import (
     AuditError,
     DomainError,
     PrecisionError,
+    ZeroEntry,
     count_zeros,
     gamma_asymptotic,
     scan_zeros,
@@ -181,6 +182,55 @@ class TestRiemannSiegelKernel:
         assert np.max(np.abs(single - shuffled_vals)) <= 1.0e-13
 
 
+def _psi_mp(p):
+    """Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) in mpmath; at the
+    removable points p = 1/4, 3/4 the ratio of the derivatives."""
+    u = 2 * (p * p - p - mpmath.mpf(1) / 16)
+    den = mpmath.cospi(2 * p)
+    if den == 0:
+        return mpmath.sinpi(u) * (2 * p - 1) / mpmath.sinpi(2 * p)
+    return mpmath.cospi(u) / den
+
+
+class TestPsiSeries:
+    """The committed Chebyshev series of Psi and Psi''' behind the
+    Riemann-Siegel correction terms."""
+
+    P = np.linspace(0.0, 1.0, 201)
+
+    def test_psi_and_third_derivative_match_mpmath(self):
+        with mpmath.workdps(40):
+            psi = [float(_psi_mp(mpmath.mpf(p))) for p in self.P.tolist()]
+            psi3 = [float(mpmath.diff(_psi_mp, mpmath.mpf(p), 3))
+                    for p in self.P.tolist()]
+        kernels = rzs._zkernels
+        # Measured: 9.3e-15 and 1.6e-7 (the truncation noise of Psi''').
+        assert np.abs(kernels._chebyshev(kernels._PSI, self.P) - psi).max() <= 2.0e-14
+        assert np.abs(kernels._chebyshev(kernels._PSI3, self.P) - psi3).max() <= 2.0e-7
+
+    def test_clenshaw_helper_is_bit_equal_to_chebval(self):
+        from numpy.polynomial import chebyshev
+
+        p = np.random.default_rng(1859).uniform(0.0, 1.0, 1000)
+        kernels = rzs._zkernels
+        for coef in (kernels._PSI, kernels._PSI3):
+            expected = chebyshev.Chebyshev(coef, domain=[0.0, 1.0])(p)
+            assert np.array_equal(kernels._chebyshev(coef, p), expected)
+
+    def test_coefficients_are_the_truncated_interpolant(self):
+        # Bit-equal on the host that wrote them; np.cos may round
+        # differently elsewhere, and Psi''' amplifies that.
+        from numpy.polynomial import chebyshev
+
+        psi = chebyshev.Chebyshev.interpolate(
+            lambda p: np.cos(TWO_PI * (p * p - p - 0.0625)) / np.cos(TWO_PI * p),
+            64, domain=[0.0, 1.0],
+        ).truncate(25)
+        kernels = rzs._zkernels
+        assert np.abs(psi.coef - kernels._PSI).max() <= 1.0e-15
+        assert np.abs(psi.deriv(3).coef - kernels._PSI3).max() <= 1.0e-9
+
+
 class TestEulerMaclaurinKernel:
     def test_shuffled_batch_agrees_with_single_heights(self):
         # A batch shares the truncation N of its largest height; each
@@ -225,7 +275,7 @@ class TestCountZeros:
 
     def test_estimate_matches_scan_at_100(self):
         table = scan_zeros(0.0, 100.0, 1.0e-8)
-        assert len(table.zeros) == 29
+        assert len(table.gamma) == 29
         assert abs(count_zeros(100.0).n_estimate - 29) <= 1.0
 
     def test_rejects_bad_heights(self):
@@ -337,36 +387,44 @@ class TestGramPoints:
 class TestScanZeros:
     def test_first_zero(self):
         table = scan_zeros(0.0, 15.0, 1.0e-8)
-        assert len(table.zeros) == 1
-        entry = table.zeros[0]
-        assert entry.n == 1
-        assert entry.gamma == pytest.approx(14.134725, abs=1.0e-6)
-        assert entry.bracket_hi - entry.bracket_lo <= 1.0e-8
-        assert entry.bracket_lo < entry.gamma < entry.bracket_hi
-        assert entry.refined_tol == 1.0e-8
+        assert table.n_first == 1
+        ((gamma, lo, hi),) = zip(table.gamma, table.bracket_lo, table.bracket_hi)
+        assert gamma == pytest.approx(14.134725, abs=1.0e-6)
+        assert hi - lo <= 1.0e-8
+        assert lo < gamma < hi
+        assert table.refined_tol == 1.0e-8
+
+    def test_zeros_property_gives_the_rows_as_records(self):
+        table = scan_zeros(20.0, 30.0, 1.0e-8)
+        assert table.zeros == (
+            ZeroEntry(2, table.gamma[0], table.bracket_lo[0],
+                      table.bracket_hi[0], 1.0e-8),
+            ZeroEntry(3, table.gamma[1], table.bracket_lo[1],
+                      table.bracket_hi[1], 1.0e-8),
+        )
+        assert scan_zeros(1.0, 5.0, 1.0e-8).zeros == ()
 
     def test_empty_interval(self):
         table = scan_zeros(1.0, 5.0, 1.0e-8)
-        assert table.zeros == ()
+        assert table.gamma == table.bracket_lo == table.bracket_hi == ()
         assert table.t_max == 5.0
 
     def test_completeness_against_counting_formula(self):
         for t_max in (50.0, 100.0, 250.0, 500.0):
             table = scan_zeros(0.0, t_max, 1.0e-8)
             expected = round(count_zeros(t_max).n_estimate)
-            assert abs(len(table.zeros) - expected) <= 1
+            assert abs(len(table.gamma) - expected) <= 1
 
     def test_bracket_soundness(self, table_500):
-        for entry in table_500.zeros:
-            z_lo = z_function(entry.bracket_lo, 1.0).z_value
-            z_hi = z_function(entry.bracket_hi, 1.0).z_value
+        for lo, hi in zip(table_500.bracket_lo, table_500.bracket_hi):
+            z_lo = z_function(lo, 1.0).z_value
+            z_hi = z_function(hi, 1.0).z_value
             assert z_lo * z_hi < 0.0
 
     def test_indices_strictly_increasing(self, table_500):
-        gammas = [e.gamma for e in table_500.zeros]
-        assert gammas == sorted(gammas)
+        gammas = table_500.gamma
         assert all(b > a for a, b in zip(gammas, gammas[1:]))
-        assert [e.n for e in table_500.zeros] == list(range(1, len(gammas) + 1))
+        assert table_500.n_first == 1
 
     def test_matches_brute_force_fine_grid_scan(self):
         # Reference: sign changes of Z on a uniform grid of stride 1/64
@@ -388,16 +446,14 @@ class TestScanZeros:
         reference = 0.5 * (lo + hi)
 
         table = scan_zeros(0.0, 250.0, 1.0e-8)
-        assert len(table.zeros) == len(reference)
-        assert [e.n for e in table.zeros] == list(range(1, len(reference) + 1))
-        for entry, gamma in zip(table.zeros, reference):
-            assert abs(entry.gamma - gamma) <= 1.0e-8
+        assert table.n_first == 1
+        assert len(table.gamma) == len(reference)
+        assert np.abs(np.array(table.gamma) - reference).max() <= 1.0e-8
 
     def test_window_keeps_global_indices(self):
         table = scan_zeros(20.0, 30.0, 1.0e-8)
-        assert [e.n for e in table.zeros] == [2, 3]
-        assert table.zeros[0].gamma == pytest.approx(21.022040, abs=1.0e-5)
-        assert table.zeros[1].gamma == pytest.approx(25.010858, abs=1.0e-5)
+        assert table.n_first == 2
+        assert table.gamma == pytest.approx((21.022040, 25.010858), abs=1.0e-5)
 
     def test_determinism(self):
         a = scan_zeros(0.0, 100.0, 1.0e-8)
@@ -459,10 +515,10 @@ class TestScanZeros:
         table = scan_zeros(0.0, 15.0, 1.0e-8)
         monkeypatch.undo()
         assert len(zeroed) == 1
-        (entry,) = table.zeros
-        assert abs(entry.gamma - gamma_1) <= 1.0e-8
-        assert entry.bracket_hi - entry.bracket_lo <= 1.0e-8
-        z_ends = real(np.array([entry.bracket_lo, entry.bracket_hi]))[0]
+        ((gamma, lo, hi),) = zip(table.gamma, table.bracket_lo, table.bracket_hi)
+        assert abs(gamma - gamma_1) <= 1.0e-8
+        assert hi - lo <= 1.0e-8
+        z_ends = real(np.array([lo, hi]))[0]
         assert z_ends[0] * z_ends[1] < 0.0
 
     @pytest.mark.parametrize("t_max, count", [(1339.03, 931), (1420.65, 1001)])
@@ -470,14 +526,14 @@ class TestScanZeros:
         # mpmath counts at heights just above a close pair of zeros,
         # which a scan on a uniform grid easily drops.
         table = scan_zeros(0.0, t_max, 1.0e-8)
-        assert len(table.zeros) == count
-        assert table.zeros[-1].n == count
+        assert table.n_first == 1
+        assert len(table.gamma) == count
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(t_max=st.floats(min_value=100.0, max_value=3000.0))
     def test_count_matches_mpmath_reference(self, t_max):
         expected = bisect.bisect_right(_reference_zeros(), t_max)
-        assert len(scan_zeros(0.0, t_max, 1.0e-8).zeros) == expected
+        assert len(scan_zeros(0.0, t_max, 1.0e-8).gamma) == expected
 
     def test_deep_scan_cost_and_brackets(self, monkeypatch):
         real = rzs._zkernels._z_values
@@ -490,7 +546,7 @@ class TestScanZeros:
         monkeypatch.setattr(rzs._zkernels, "_z_values", counting)
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
         monkeypatch.undo()
-        assert len(table.zeros) == 10142
+        assert len(table.gamma) == 10142
         # 84,225 evaluations in 20 batched calls: one over the Gram points
         # and t_max, 5 block subdivision levels and 14 Illinois rounds.
         # The scan refines every zero of the supported range at the
@@ -498,9 +554,9 @@ class TestScanZeros:
         # count also bounds the refinement steps of any zero.
         assert sum(evaluated) <= 85_026
         assert len(evaluated) <= 20
-        lo = np.array([e.bracket_lo for e in table.zeros])
-        hi = np.array([e.bracket_hi for e in table.zeros])
-        gamma = np.array([e.gamma for e in table.zeros])
+        lo = np.array(table.bracket_lo)
+        hi = np.array(table.bracket_hi)
+        gamma = np.array(table.gamma)
         assert np.all((lo < gamma) & (gamma < hi))
         assert np.all(hi - lo <= 1.0e-8)
         assert np.all(real(lo)[0] * real(hi)[0] < 0.0)
@@ -508,7 +564,7 @@ class TestScanZeros:
     def test_scan_below_two_pi_is_empty(self):
         # t_max/2pi may be subnormal; the scan still covers (0, t_max].
         for t_max in (1.0e-310, 1.0, 6.0):
-            assert scan_zeros(0.0, t_max, 1.0e-8).zeros == ()
+            assert scan_zeros(0.0, t_max, 1.0e-8).gamma == ()
 
     def test_rejects_bad_ranges_and_tolerances(self):
         with pytest.raises(DomainError):
@@ -535,13 +591,13 @@ class TestAsymptoteSanity:
                "drops to 0.368 at n = 10 and stays outside through n = 25",
     )
     def test_ratio_within_band_from_10(self, full_table):
-        for entry in full_table.zeros[9:5000]:
-            ratio = entry.gamma / gamma_asymptotic(entry.n)
+        for n in range(10, 5001):
+            ratio = full_table.gamma[n - 1] / gamma_asymptotic(n)
             assert 0.8 <= ratio <= 1.2
 
     def test_ratio_within_band_from_26(self, full_table):
-        ratios = [e.gamma / gamma_asymptotic(e.n)
-                  for e in full_table.zeros[25:5000]]
+        ratios = [full_table.gamma[n - 1] / gamma_asymptotic(n)
+                  for n in range(26, 5001)]
         assert 0.8 <= min(ratios) and max(ratios) <= 1.2
 
 
@@ -554,17 +610,16 @@ class TestZeroTableCsv:
         text = zero_table_to_csv(table_500)
         lines = text.splitlines()
         assert lines[0] == "n,gamma,bracket_lo,bracket_hi"
-        assert len(lines) == len(table_500.zeros) + 1
+        assert len(lines) == len(table_500.gamma) + 1
         assert text.endswith("\n")
 
     def test_numbers_round_trip_at_full_precision(self, table_500):
         text = zero_table_to_csv(table_500)
         first = text.splitlines()[1].split(",")
-        entry = table_500.zeros[0]
-        assert int(first[0]) == entry.n
-        assert float(first[1]) == entry.gamma
-        assert float(first[2]) == entry.bracket_lo
-        assert float(first[3]) == entry.bracket_hi
+        assert int(first[0]) == table_500.n_first
+        assert float(first[1]) == table_500.gamma[0]
+        assert float(first[2]) == table_500.bracket_lo[0]
+        assert float(first[3]) == table_500.bracket_hi[0]
 
     def test_serialization_is_deterministic(self, table_500):
         assert zero_table_to_csv(table_500) == zero_table_to_csv(table_500)
