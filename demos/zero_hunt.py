@@ -5,7 +5,7 @@ Z(t) is real on the critical line and flips sign exactly at the zeros.
 The scan samples Z at the Gram points, where theta(g_n) = n pi; between
 two consecutive good Gram points, a block of k Gram intervals holds k
 zeros (Rosser's rule), so blocks that show fewer sign changes are
-subdivided until every zero is bracketed, and Illinois steps refine
+subdivided until every zero is bracketed, and Anderson-Bjorck steps refine
 each bracket.  The counting formula printed next to the result is the
 smooth estimate the exact count oscillates around.
 """

@@ -5,7 +5,7 @@ this module on the first call that needs it, so `import rzs` and the
 commands count, gap and bubble load no numpy.  The Riemann-Siegel
 correction terms sum committed Chebyshev coefficients with one Clenshaw
 recurrence, so loading this module computes no table and imports nothing
-of numpy.polynomial.  The scan hands back plain arrays of bracket ends.
+of numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -367,15 +367,18 @@ def _resolve_blocks(
 def _refine_brackets(
     lo: np.ndarray, hi: np.ndarray, z_lo: np.ndarray, z_hi: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink every bracket to width <= tol by batched Illinois steps.
+    """Shrink every bracket to width <= tol by batched Anderson-Bjorck steps.
 
     A step evaluates Z at the regula falsi point of the endpoint weights,
-    which are the endpoint Z values except that an endpoint kept twice
-    in a row has its weight halved (the Illinois rule).  The point stays
-    at least tol/2 inside the bracket, so every step shrinks the bracket
-    by at least tol/2, and a converged guess closes it on the next step.
-    A point where Z is exactly 0.0 moves up by _NUDGE < tol/2 and stays
-    inside, so both ends keep a strict sign change throughout.
+    which are the endpoint Z values, except that an endpoint kept twice
+    in a row has its weight scaled by 1 - Z(x)/Z(replaced end), or by 1/2
+    where that is <= 0 (Anderson and Bjorck, BIT 13, 1973; the Illinois
+    rule always halves).  A guess that is not finite, as where weights
+    overflow, falls back to the midpoint.  The point stays at least tol/2
+    inside the bracket, so every step shrinks the bracket by at least
+    tol/2, and a converged guess closes it on the next step.  A point
+    where Z is exactly 0.0 moves up by _NUDGE < tol/2 and stays inside,
+    so both ends keep a strict sign change throughout.
     """
     lo, hi, z_lo, z_hi = lo.copy(), hi.copy(), z_lo.copy(), z_hi.copy()
     w_lo, w_hi = z_lo.copy(), z_hi.copy()
@@ -386,12 +389,16 @@ def _refine_brackets(
             return lo, hi
         a, b = lo[idx], hi[idx]
         guess = a - w_lo[idx] * (b - a) / (w_hi[idx] - w_lo[idx])
+        guess = np.where(np.isfinite(guess), guess, 0.5 * (a + b))
         x = np.clip(guess, a + 0.5 * tol, b - 0.5 * tol)
         x, fx = _sign_definite(x)
         left = z_lo[idx] * fx < 0.0  # sign change in [a, x]: x is the new hi
+        scale = 1.0 - fx / np.where(left, z_hi[idx], z_lo[idx])
+        scale[~(scale > 0.0)] = 0.5
+        again = kept[idx] == np.where(left, -1, 1)  # kept end kept last step too
+        w_lo[idx[left & again]] *= scale[left & again]
+        w_hi[idx[~left & again]] *= scale[~left & again]
         new_hi, new_lo = idx[left], idx[~left]
-        w_lo[new_hi[kept[new_hi] == -1]] *= 0.5
-        w_hi[new_lo[kept[new_lo] == 1]] *= 0.5
         hi[new_hi], z_hi[new_hi], w_hi[new_hi] = x[left], fx[left], fx[left]
         lo[new_lo], z_lo[new_lo], w_lo[new_lo] = x[~left], fx[~left], fx[~left]
         kept[new_hi], kept[new_lo] = -1, 1

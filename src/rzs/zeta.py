@@ -23,7 +23,8 @@ Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
 by Rosser's rule a block of k Gram intervals holds exactly k zeros; the
 blocks that show fewer sign changes are subdivided until they show all
-of them.  Every bracket is then refined by bracketed Illinois steps.
+of them.  Every bracket is then refined by bracketed Anderson-Bjorck
+(regula falsi) steps.
 All heights are limited to t <= 1e4 and tolerances to >= 1e-8: that is
 the regime where plain double precision keeps every promise made here.
 The scan returns a columnar ZeroTable, one tuple of floats per field,
@@ -256,7 +257,8 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     their node spacing down to STRIDE_FLOOR; a block still unresolved
     there raises AuditError.  Z < 0 on (0, 14.13), so g_-1 is good and
     (0, g_-1] holds no zero: the i-th sign change is zero n = i.  Each
-    bracket is then refined by bracketed Illinois steps to width <= tol.
+    bracket is then refined by bracketed Anderson-Bjorck steps to width
+    <= tol.
 
     Equal arguments give equal batches, so the result is deterministic.
     """

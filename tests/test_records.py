@@ -30,6 +30,7 @@ def _records(table_500):
     report = rzs.build_report(table_500, math.tau, 60)
     return [
         rzs.z_function(20.0, 1.0e-10),
+        # The first row of the columnar table.
         rzs.ZeroEntry(table_500.n_first, table_500.gamma[0], table_500.bracket_lo[0],
                       table_500.bracket_hi[0], table_500.refined_tol),
         table_500,

@@ -547,19 +547,36 @@ class TestScanZeros:
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
         monkeypatch.undo()
         assert len(table.gamma) == 10142
-        # 84,225 evaluations in 20 batched calls: one over the Gram points
-        # and t_max, 5 block subdivision levels and 14 Illinois rounds.
-        # The scan refines every zero of the supported range at the
-        # smallest tol, and each Illinois round is one call, so the call
-        # count also bounds the refinement steps of any zero.
-        assert sum(evaluated) <= 85_026
-        assert len(evaluated) <= 20
+        # 75,514 evaluations in 19 batched calls: one over the Gram points
+        # and t_max, 5 block subdivision levels and 13 Anderson-Bjorck
+        # rounds.  The scan refines every zero of the supported range at
+        # the smallest tol, and each round is one call, so the call count
+        # also bounds the refinement steps of any zero.
+        assert sum(evaluated) <= 75_514
+        assert len(evaluated) <= 19
         lo = np.array(table.bracket_lo)
         hi = np.array(table.bracket_hi)
         gamma = np.array(table.gamma)
         assert np.all((lo < gamma) & (gamma < hi))
         assert np.all(hi - lo <= 1.0e-8)
         assert np.all(real(lo)[0] * real(hi)[0] < 0.0)
+
+    def test_non_finite_guess_falls_back_to_midpoint(self, monkeypatch):
+        # Z near the largest double makes w_lo * (b - a) overflow, so the
+        # regula falsi guess is inf/inf = nan until the bracket is small.
+        root = 20.0 + math.pi / 10.0
+
+        def huge(ts):
+            ts = np.asarray(ts, dtype=float)
+            return 1.0e308 * np.tanh(ts - root), np.zeros_like(ts)
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", huge)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = rzs._zkernels._refine_brackets(
+                np.array([10.0]), np.array([40.0]),
+                np.array([-1.0e308]), np.array([1.0e308]), 1.0e-8)
+        assert lo[0] < root < hi[0]
+        assert hi[0] - lo[0] <= 1.0e-8
 
     def test_scan_below_two_pi_is_empty(self):
         # t_max/2pi may be subnormal; the scan still covers (0, t_max].
@@ -620,6 +637,16 @@ class TestZeroTableCsv:
         assert float(first[1]) == table_500.gamma[0]
         assert float(first[2]) == table_500.bracket_lo[0]
         assert float(first[3]) == table_500.bracket_hi[0]
+
+    def test_blocks_match_per_row_formatting(self, full_table):
+        # full_table spans several 1,024-row blocks and a partial one; the
+        # window starts at zero 2.
+        for table in (full_table, scan_zeros(20.0, 30.0, 1.0e-8)):
+            rows = zip(range(table.n_first, table.n_first + len(table.gamma)),
+                       table.gamma, table.bracket_lo, table.bracket_hi)
+            expected = "n,gamma,bracket_lo,bracket_hi\n" + "".join(
+                f"{n},{g:.17g},{lo:.17g},{hi:.17g}\n" for n, g, lo, hi in rows)
+            assert zero_table_to_csv(table) == expected
 
     def test_serialization_is_deterministic(self, table_500):
         assert zero_table_to_csv(table_500) == zero_table_to_csv(table_500)
