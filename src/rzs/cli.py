@@ -8,9 +8,11 @@ Five subcommands expose the computational modules:
     gap      solves the gap equation; prints m^2 and the residual
     compare  scans to the Gram point g_{n_max+1}, builds the report
 
-Output files are written atomically (temp file + rename) and every
-number is serialized with 17 significant digits, so re-running a
-command with identical flags produces byte-identical output.
+Output files are written atomically (temp file + rename) with the mode
+a plain open() would give them.  Every text is one % template per output
+built from zeta._SPEC, 17 significant digits, and every table goes
+through zeta._format_rows, so re-running a command with identical flags
+produces byte-identical output.
 
 Only zeros and compare compute with arrays, so only they load numpy:
 they import correspond and the scan kernels when they run.
@@ -26,20 +28,35 @@ import tempfile
 
 from .bubble import GapEquationSpec, correlator_sample, gap_mass, gap_residual
 from .errors import DomainError, RzsError
-from .zeta import T_SUPPORT_MAX, _fmt, count_zeros, scan_zeros, zero_table_to_csv
+from .zeta import (_SPEC, T_SUPPORT_MAX, _format_rows, count_zeros, scan_zeros,
+                   zero_table_to_csv)
 
 __all__ = ["main", "build_parser"]
 
 _DEFAULT_TOL = 1.0e-8
 
+# One template per output: the fields of ZeroCountEstimate in order, the
+# gap mass and residual, and one bubble CSV row.
+_COUNT_TEXT = (f"t = {_SPEC}\nn_main = {_SPEC}\nn_correction = {_SPEC}\n"
+               f"n_estimate = {_SPEC}\ndensity = {_SPEC}\n")
+_GAP_TEXT = f"m2 = {_SPEC}\nresidual = {_SPEC}\n"
+_BUBBLE_ROW = f"{_SPEC},{_SPEC},{_SPEC},{_SPEC}\n"
+
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory."""
+    """Write text to path via a temp file in the same directory.
+
+    The file gets the mode open(path, "w") gives a new file, 0o666 less
+    the umask, not the 0o600 of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".rzs-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -62,15 +79,7 @@ def _cmd_zeros(ns: argparse.Namespace) -> None:
 
 
 def _cmd_count(ns: argparse.Namespace) -> None:
-    est = count_zeros(ns.t)
-    text = (
-        f"t = {_fmt(est.t)}\n"
-        f"n_main = {_fmt(est.n_main)}\n"
-        f"n_correction = {_fmt(est.n_correction)}\n"
-        f"n_estimate = {_fmt(est.n_estimate)}\n"
-        f"density = {_fmt(est.density)}\n"
-    )
-    _print(ns, text)
+    _print(ns, _COUNT_TEXT % count_zeros(ns.t))
 
 
 def _log_grid(t_min: float, t_max: float, points: int) -> list[float]:
@@ -93,15 +102,13 @@ def _cmd_bubble(ns: argparse.Namespace) -> None:
             "bubble: need finite 0 < t_min <= t_max for a log-spaced grid")
     if ns.points < 1:
         raise DomainError("bubble: points must be a positive integer")
-    lines = ["t,pi,correlator,asymptote"]
-    for t in _log_grid(ns.t_min, ns.t_max, ns.points):
-        sample = correlator_sample(t, ns.mass2)
-        asym = "nan" if sample.asymptote is None else _fmt(sample.asymptote)
-        lines.append(
-            f"{_fmt(sample.t)},{_fmt(sample.pi_value)},"
-            f"{_fmt(sample.correlator)},{asym}"
-        )
-    _atomic_write(ns.out_path, "\n".join(lines) + "\n")
+    samples = (correlator_sample(t, ns.mass2)
+               for t in _log_grid(ns.t_min, ns.t_max, ns.points))
+    # An undefined (None) asymptote prints as nan.
+    rows = ((s.t, s.pi_value, s.correlator,
+             math.nan if s.asymptote is None else s.asymptote) for s in samples)
+    text = "t,pi,correlator,asymptote\n" + _format_rows(_BUBBLE_ROW, rows)
+    _atomic_write(ns.out_path, text)
 
 
 def _cmd_gap(ns: argparse.Namespace) -> None:
@@ -112,8 +119,7 @@ def _cmd_gap(ns: argparse.Namespace) -> None:
     )
     m2 = gap_mass(spec)
     residual = gap_residual(spec, m2)
-    text = f"m2 = {_fmt(m2)}\nresidual = {_fmt(residual)}\n"
-    _print(ns, text)
+    _print(ns, _GAP_TEXT % (m2, residual))
 
 
 def _scan_upper_for(n_max: int) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bubble import correlator_sample
 from .errors import DomainError, InsufficientZerosError, _integer
-from .zeta import ZeroTable, _fmt, gamma_asymptotic
+from .zeta import _SPEC, ZeroTable, _format_rows, gamma_asymptotic
 
 __all__ = [
     "ReportRow",
@@ -168,47 +168,32 @@ def log_slope_fit(
 # Serialization (text only; file handling lives in the cli module)
 # ----------------------------------------------------------------------
 
-def _row_fields(r: ReportRow) -> str:
-    """n,gamma,prediction,asym_prediction,rel_dev of one row, comma-separated."""
-    return (f"{r.n},{_fmt(r.gamma_n)},{_fmt(r.prediction)},"
-            f"{_fmt(r.asym_prediction)},{_fmt(r.rel_dev)}")
+# The fields n,gamma,prediction,asym_prediction,rel_dev of a ReportRow.
+_ROW = f"%d,{_SPEC},{_SPEC},{_SPEC},{_SPEC}"
+_JSON_HEAD = f'{{"m2":{_SPEC},"rows":['
+_JSON_SUMMARY = (f'],"summary":{{"max_rel_dev":{_SPEC},'
+                 '"mean_rel_dev_per_decade":{%s}}')
+_JSON_FIT = f',"fit":{{"slope":{_SPEC},"intercept":{_SPEC},"residual":{_SPEC}}}'
 
 
 def report_to_csv(report: CorrespondenceReport) -> str:
     """Rows only, header n,gamma,prediction,asym_prediction,rel_dev."""
-    lines = ["n,gamma,prediction,asym_prediction,rel_dev"]
-    lines.extend(map(_row_fields, report.rows))
-    return "\n".join(lines) + "\n"
+    return ("n,gamma,prediction,asym_prediction,rel_dev\n"
+            + _format_rows(_ROW + "\n", report.rows))
 
 
 def report_to_json(report: CorrespondenceReport, fit: FitResult | None = None) -> str:
     """Report as JSON: m2, rows as arrays, summary object.
 
-    Numbers carry 17 significant digits (hand-rendered: the stdlib
-    encoder formats floats its own way).  When a fit is supplied it is
-    appended as a "fit" object.
+    Numbers carry 17 significant digits, rendered by % templates (the
+    stdlib encoder formats floats its own way).  When a fit is supplied
+    it is appended as a "fit" object.
     """
-    row_items = ",".join(f"[{_row_fields(r)}]" for r in report.rows)
-    decade_items = ",".join(
-        f'"{e}":{_fmt(mean)}'
-        for e, mean in report.summary.mean_rel_dev_per_decade
-    )
-    parts = [
-        f'"m2":{_fmt(report.m2)}',
-        f'"rows":[{row_items}]',
-        (
-            '"summary":{'
-            f'"max_rel_dev":{_fmt(report.summary.max_rel_dev)},'
-            f'"mean_rel_dev_per_decade":{{{decade_items}}}'
-            "}"
-        ),
-    ]
+    # Each row and decade mean opens with its comma; [1:] drops the first.
+    rows = _format_rows(f",[{_ROW}]", report.rows)[1:]
+    decades = _format_rows(f',"%d":{_SPEC}', report.summary.mean_rel_dev_per_decade)[1:]
+    text = (_JSON_HEAD % report.m2 + rows
+            + _JSON_SUMMARY % (report.summary.max_rel_dev, decades))
     if fit is not None:
-        parts.append(
-            '"fit":{'
-            f'"slope":{_fmt(fit.slope)},'
-            f'"intercept":{_fmt(fit.intercept)},'
-            f'"residual":{_fmt(fit.residual)}'
-            "}"
-        )
-    return "{" + ",".join(parts) + "}\n"
+        text += _JSON_FIT % fit
+    return text + "}\n"

@@ -32,6 +32,10 @@ and builds no object per zero.
 
 theta, z_function and scan_zeros import the numpy kernels of all this,
 rzs._zkernels, on their first call; counting zeros loads no numpy.
+
+This module also holds the one number spec of every rzs output, _SPEC,
+and the one row writer, _format_rows, through which every table rzs
+writes passes, 1,024 rows per % operation.
 """
 
 from __future__ import annotations
@@ -298,14 +302,23 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
 # Serialization (text only; file handling lives in the cli module)
 # ----------------------------------------------------------------------
 
-# The one number formatter of every rzs output: 17 significant digits
-# round-trip any double exactly.
+# The one number spec of every rzs output: 17 significant digits
+# round-trip any double exactly, and a nan prints as "nan".  Every text
+# rzs writes is a % template built from it.
 _SPEC = "%.17g"
-_fmt = _SPEC.__mod__
-
-# zero_table_to_csv formats _CSV_BLOCK rows per % operation.
+_BLOCK = 1024
 _CSV_ROW = f"%d,{_SPEC},{_SPEC},{_SPEC}\n"
-_CSV_BLOCK = 1024
+
+
+def _format_rows(row: str, records) -> str:
+    """The records (tuples of the template's fields) rendered by the %
+    template row, one after another; each % operation renders _BLOCK of
+    them."""
+    records = iter(records)
+    blocks = []
+    while block := tuple(itertools.islice(records, _BLOCK)):
+        blocks.append(row * len(block) % tuple(itertools.chain.from_iterable(block)))
+    return "".join(blocks)
 
 
 def zero_table_to_csv(table: ZeroTable) -> str:
@@ -314,12 +327,7 @@ def zero_table_to_csv(table: ZeroTable) -> str:
     Full double precision (17 significant digits), '.' radix, newline
     line ends.
     """
-    blocks = ["n,gamma,bracket_lo,bracket_hi\n"]
-    for i in range(0, len(table.gamma), _CSV_BLOCK):
-        j = i + _CSV_BLOCK
-        cells = tuple(itertools.chain.from_iterable(zip(
-            itertools.count(table.n_first + i), table.gamma[i:j],
-            table.bracket_lo[i:j], table.bracket_hi[i:j],
-        )))
-        blocks.append(_CSV_ROW * (len(cells) // 4) % cells)
-    return "".join(blocks)
+    return "n,gamma,bracket_lo,bracket_hi\n" + _format_rows(_CSV_ROW, zip(
+        itertools.count(table.n_first), table.gamma,
+        table.bracket_lo, table.bracket_hi,
+    ))

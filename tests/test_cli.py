@@ -121,6 +121,17 @@ class TestCountCommand:
         assert result.returncode == 0, result.stderr
         assert out.read_text() == result.stdout
 
+    def test_out_path_gets_the_mode_of_a_plain_open(self, tmp_path):
+        # The temp file behind the atomic write is created 0o600; the
+        # output must get 0o666 less the umask, as open(path, "w") gives.
+        code = ("import os, sys, rzs.cli; os.umask(0o022); "
+                "sys.exit(rzs.cli.main(sys.argv[1:]))")
+        out = tmp_path / "c.txt"
+        result = _run(["count", "--t", "100", "--out-path", str(out)], tmp_path,
+                      python_args=("-c", code))
+        assert result.returncode == 0, result.stderr
+        assert out.stat().st_mode & 0o777 == 0o644
+
     def test_nonpositive_height_fails_cleanly(self, tmp_path):
         result = _run(["count", "--t", "0"], tmp_path)
         assert result.returncode == 1, result.stderr
@@ -459,6 +470,29 @@ class TestImport:
                               if name.split(".")[0] in banned
                               or (name.split(".")[0] == "numpy" and not numpy_ok)]
         assert len(paths) > 20 and offenders == []
+
+    def test_one_number_spec_and_one_row_writer(self):
+        # Every number rzs prints comes from the one spec zeta._SPEC, and
+        # every table from zeta._format_rows: the package spells .17g once
+        # and joins strings on a literal separator nowhere else.
+        package = pathlib.Path(rzs.__file__).parent
+        spellings, joins = [], []
+        for path in package.rglob("*.py"):
+            text = path.read_text()
+            spellings += [f"{path.name}:{line}" for line in text.splitlines()
+                          if ".17g" in line]
+            tree = ast.parse(text, str(path))
+            writer = {node for func in ast.walk(tree)
+                      if isinstance(func, ast.FunctionDef)
+                      and func.name == "_format_rows" for node in ast.walk(func)}
+            joins += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "join"
+                      and isinstance(node.func.value, ast.Constant)
+                      and node not in writer]
+        assert spellings == ['zeta.py:_SPEC = "%.17g"']
+        assert joins == []
 
     def test_short_commands_leave_numpy_unloaded(self, tmp_path):
         # count, gap and bubble compute with math alone; zeros and

@@ -16,16 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rzs._zkernels
+import rzs.cli
 import rzs.zeta
 from rzs import (
     AuditError,
     DomainError,
     PrecisionError,
     ZeroEntry,
+    correlator_sample,
     count_zeros,
     gamma_asymptotic,
     scan_zeros,
     theta,
+    report_to_csv,
+    report_to_json,
     z_function,
     zero_table_to_csv,
 )
@@ -638,15 +642,42 @@ class TestZeroTableCsv:
         assert float(first[2]) == table_500.bracket_lo[0]
         assert float(first[3]) == table_500.bracket_hi[0]
 
-    def test_blocks_match_per_row_formatting(self, full_table):
-        # full_table spans several 1,024-row blocks and a partial one; the
-        # window starts at zero 2.
+    def test_blocks_match_per_row_formatting(self, full_table, report_2pi, tmp_path):
+        # Every table rzs writes goes through one block formatter.  Each
+        # text here spans several 1,024-row blocks and a partial one, and
+        # is checked against per-row {:.17g} formatting.  The zero-table
+        # window from 20 starts at zero 2.
         for table in (full_table, scan_zeros(20.0, 30.0, 1.0e-8)):
             rows = zip(range(table.n_first, table.n_first + len(table.gamma)),
                        table.gamma, table.bracket_lo, table.bracket_hi)
             expected = "n,gamma,bracket_lo,bracket_hi\n" + "".join(
                 f"{n},{g:.17g},{lo:.17g},{hi:.17g}\n" for n, g, lo, hi in rows)
             assert zero_table_to_csv(table) == expected
+
+        # The report's 4,994 rows as CSV and as the JSON rows array.
+        rows = [f"{r.n},{r.gamma_n:.17g},{r.prediction:.17g},"
+                f"{r.asym_prediction:.17g},{r.rel_dev:.17g}" for r in report_2pi.rows]
+        assert len(rows) == 4994
+        assert report_to_csv(report_2pi) == (
+            "n,gamma,prediction,asym_prediction,rel_dev\n"
+            + "".join(f"{row}\n" for row in rows))
+        head, _, rest = report_to_json(report_2pi).partition('"rows":[')
+        assert head == f'{{"m2":{report_2pi.m2:.17g},'
+        assert rest.partition('],"summary"')[0] == "[" + "],[".join(rows) + "]"
+
+        # A bubble grid whose first rows (t <= m2) have no asymptote.
+        out = tmp_path / "bubble.csv"
+        argv = ["bubble", "--t-min", "0.01", "--t-max", "1e6", "--points", "2500",
+                "--out-path", str(out)]
+        assert rzs.cli.main(argv) == 0
+        samples = [correlator_sample(t, 1.0)
+                   for t in rzs.cli._log_grid(0.01, 1.0e6, 2500)]
+        expected = "t,pi,correlator,asymptote\n" + "".join(
+            f"{s.t:.17g},{s.pi_value:.17g},{s.correlator:.17g},"
+            f"{'nan' if s.asymptote is None else format(s.asymptote, '.17g')}\n"
+            for s in samples)
+        assert expected.count(",nan\n") == 625  # the rows with t < 1
+        assert out.read_text() == expected
 
     def test_serialization_is_deterministic(self, table_500):
         assert zero_table_to_csv(table_500) == zero_table_to_csv(table_500)
