@@ -125,17 +125,19 @@ def _theta_vec(ts) -> np.ndarray:
 def _z_em_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z(t) below the crossover by Euler-Maclaurin, with error bounds.
 
-    The whole batch shares one truncation N = max(20, ceil(1.2 t + 10)),
-    that of its largest height: a larger N only tightens the bound, and
-    a single height keeps its own N.  The remainder after the k = K tail
-    term is bounded by |next term| * |s + 2K + 1| / (sigma + 2K + 1).
+    Every height takes N = ceil(1.2 t + 10) = 46 of the crossover (a
+    larger N only tightens the bound), and each row sums its own terms,
+    so a value does not depend on the batch it is evaluated in.  The
+    remainder after the k = K tail term is bounded by
+    |next term| * |s + 2K + 1| / (sigma + 2K + 1).
     """
-    n_terms = max(20, math.ceil(1.2 * ts.max() + 10.0))
+    n_terms = math.ceil(1.2 * CROSSOVER_T + 10.0)
     s = 0.5 + 1j * ts
     ns = np.arange(1, n_terms)
-    # sum n^{-s} = n^{-1/2} e^{-i t ln n}
+    # sum n^{-s} = n^{-1/2} e^{-i t ln n}; a row reduction, not a BLAS
+    # product, whose rounding would depend on the batch.
     phases = np.exp(-1j * np.outer(ts, np.log(ns)))
-    partial = phases @ (1.0 / np.sqrt(ns)).astype(complex)
+    partial = (phases * (1.0 / np.sqrt(ns))).sum(axis=1)
     n_pow = float(n_terms) ** (-s)  # N^{-s}
     value = partial + 0.5 * n_pow + n_pow * n_terms / (s - 1.0)
 

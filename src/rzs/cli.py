@@ -8,11 +8,10 @@ Five subcommands expose the computational modules:
     gap      solves the gap equation; prints m^2 and the residual
     compare  scans to the Gram point g_{n_max+1}, builds the report
 
-Output files are written atomically (temp file + rename) with the mode
-a plain open() would give them.  Every text is one % template per output
-built from zeta._SPEC, 17 significant digits, and every table goes
-through zeta._format_rows, so re-running a command with identical flags
-produces byte-identical output.
+Output files are written atomically (temp file + rename).  Every text
+is a % template of zeta._SPEC, 17 significant digits, and every table
+goes through zeta._format_rows, so re-running a command with identical
+flags produces byte-identical output.
 
 Only zeros and compare compute with arrays, so only they load numpy:
 they import correspond and the scan kernels when they run.
@@ -44,11 +43,8 @@ _BUBBLE_ROW = f"{_SPEC},{_SPEC},{_SPEC},{_SPEC}\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory.
-
-    The file gets the mode open(path, "w") gives a new file, 0o666 less
-    the umask, not the 0o600 of the temp file.
-    """
+    """Write text to path via a temp file in the same directory, with the
+    mode open(path, "w") gives a new file: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)

@@ -12,12 +12,14 @@ theta is the phase
 computed from its real asymptotic series in 1/t from t = 10 up, and
 below that from the Stirling series for ln Gamma after a recurrence
 shift.  Z itself is evaluated by truncated Euler-Maclaurin summation at
-low heights (cheap and certifiable there) and by the main sum of the
-Riemann-Siegel expansion plus its first two correction terms above a
-fixed crossover height; the crossover is t = 30.  The main sum runs
-over the heights sorted by their term count N, one term n at a time
-across the contiguous run of heights that need it, and the correction
-terms come from committed Chebyshev series of Psi and Psi'''.
+low heights (cheap and certifiable there; one truncation for every
+height, so a value does not depend on its batch) and by the main sum
+of the Riemann-Siegel expansion plus its first two correction terms
+above a fixed crossover height; the crossover is t = 30.  The main sum
+runs over the heights sorted by their term count N, one term n at a
+time across the contiguous run of heights that need it, and the
+correction terms come from committed Chebyshev series of Psi and
+Psi'''.
 
 Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
@@ -33,9 +35,8 @@ and builds no object per zero.
 theta, z_function and scan_zeros import the numpy kernels of all this,
 rzs._zkernels, on their first call; counting zeros loads no numpy.
 
-This module also holds the one number spec of every rzs output, _SPEC,
-and the one row writer, _format_rows, through which every table rzs
-writes passes, 1,024 rows per % operation.
+_SPEC and _format_rows, the one number spec and the one row writer,
+serve every text rzs writes.
 """
 
 from __future__ import annotations

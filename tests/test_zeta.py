@@ -185,6 +185,17 @@ class TestRiemannSiegelKernel:
         single = np.array([rzs._zkernels._z_rs_vec(ts[i:i + 1])[0][0] for i in perm])
         assert np.max(np.abs(single - shuffled_vals)) <= 1.0e-13
 
+        # Below the crossover a value is bit-equal alone and in any batch:
+        # Euler-Maclaurin takes one truncation for every height and sums
+        # each row on its own.
+        low = rng.uniform(0.0, rzs._zkernels.CROSSOVER_T, 200)
+        alone = np.array([rzs._zkernels._z_values([t])[0][0] for t in low.tolist()])
+        assert np.array_equal(rzs._zkernels._z_values(low)[0], alone)
+        for size in (2, 7, 50, 199):
+            pick = rng.permutation(low.size)[:size]
+            mixed = np.concatenate([low[pick], ts[:size]])
+            assert np.array_equal(rzs._zkernels._z_values(mixed)[0][:size], alone[pick])
+
 
 def _psi_mp(p):
     """Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) in mpmath; at the
