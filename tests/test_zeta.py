@@ -26,10 +26,10 @@ from rzs import (
     correlator_sample,
     count_zeros,
     gamma_asymptotic,
-    scan_zeros,
-    theta,
     report_to_csv,
     report_to_json,
+    scan_zeros,
+    theta,
     z_function,
     zero_table_to_csv,
 )
