@@ -15,6 +15,15 @@ flags produces byte-identical output.
 
 Only zeros and compare compute with arrays, so only they load numpy:
 they import correspond and the scan kernels when they run.
+
+main sets OPENBLAS_NUM_THREADS=1 in its own environment before numpy
+loads.  The one BLAS call of the CLI, compare's slope fit on at most
+5,000 x 2 values, gains nothing from threads, while the worker that
+numpy's OpenBLAS starts per extra core costs every fresh process 60 to
+70 ms.  Set OPENBLAS_NUM_THREADS to override it; OMP_NUM_THREADS and
+GOTO_NUM_THREADS rank below it in OpenBLAS and so no longer apply
+alone.  Importing rzs or rzs.cli, or calling main after numpy has
+loaded, leaves the environment as it was.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -44,15 +54,20 @@ _BUBBLE_ROW = f"{_SPEC},{_SPEC},{_SPEC},{_SPEC}\n"
 
 def _atomic_write(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory, with the
-    mode open(path, "w") gives a new file: 0o666 less the umask."""
+    mode open(path, "w") leaves: an existing file keeps its own, a new
+    one gets 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".rzs-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        os.chmod(tmp_path, 0o666 & ~umask)
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -205,6 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No BLAS call of the CLI gains from threads, and OpenBLAS's worker
+    # costs every fresh process 60-70 ms.  The setting counts only before
+    # numpy loads; once it has, the environment is left as it was.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -28,12 +28,21 @@ _RZS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(rzs.__file__)))
 _REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
+# The variables through which OpenBLAS takes its thread count, highest
+# rank first; a child that checks the CLI's default runs without them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _run(args, cwd, env_extra=None, *, python_args=("-m", "rzs")):
+    """Run a child python; a None in env_extra removes that variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_RZS_ROOT, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
+    for key, value in (env_extra or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run(
         [sys.executable, *python_args, *args],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=300,
@@ -121,16 +130,24 @@ class TestCountCommand:
         assert result.returncode == 0, result.stderr
         assert out.read_text() == result.stdout
 
-    def test_out_path_gets_the_mode_of_a_plain_open(self, tmp_path):
+    @pytest.mark.parametrize("existing, expected", [(None, 0o644), (0o600, 0o600)],
+                             ids=["new", "existing-0600"])
+    def test_out_path_gets_the_mode_of_a_plain_open(self, tmp_path, existing,
+                                                   expected):
         # The temp file behind the atomic write is created 0o600; the
-        # output must get 0o666 less the umask, as open(path, "w") gives.
+        # output must get the mode open(path, "w") leaves: 0o666 less the
+        # umask for a new file, its own mode for an existing one.
         code = ("import os, sys, rzs.cli; os.umask(0o022); "
                 "sys.exit(rzs.cli.main(sys.argv[1:]))")
         out = tmp_path / "c.txt"
+        if existing is not None:
+            out.write_text("old\n")
+            out.chmod(existing)
         result = _run(["count", "--t", "100", "--out-path", str(out)], tmp_path,
                       python_args=("-c", code))
         assert result.returncode == 0, result.stderr
-        assert out.stat().st_mode & 0o777 == 0o644
+        assert out.read_text() == result.stdout
+        assert out.stat().st_mode & 0o777 == expected
 
     def test_nonpositive_height_fails_cleanly(self, tmp_path):
         result = _run(["count", "--t", "0"], tmp_path)
@@ -338,11 +355,13 @@ class TestCompareCommand:
         assert set(parsed["fit"]) == {"slope", "intercept", "residual"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        # The second run lets OpenBLAS use two threads: the JSON carries
+        # the slope fit, the one BLAS call, and must not depend on them.
         args = ["compare", "--n-max", "60", "--out-path", "report.json"]
         result = _run(args, tmp_path)
         assert result.returncode == 0, result.stderr
         first = (tmp_path / "report.json").read_bytes()
-        result = _run(args, tmp_path)
+        result = _run(args, tmp_path, env_extra={"OPENBLAS_NUM_THREADS": "2"})
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "report.json").read_bytes() == first
 
@@ -513,6 +532,55 @@ class TestImport:
         result = _run([], tmp_path, python_args=("-c", code))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-3:] == ["False", "True False", "False"]
+
+    _THREADS_AFTER_ZEROS = (
+        "import os, rzs.cli; "
+        "rzs.cli.main(['zeros', '--t-max', '50', '--out-path', 'zeros.csv']); "
+        "print(len(os.listdir('/proc/self/task')), "
+        "repr(os.environ.get('OPENBLAS_NUM_THREADS')))")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
+    def test_cli_loads_numpy_without_a_blas_worker(self, tmp_path):
+        # numpy's OpenBLAS starts a worker thread per extra core unless
+        # told otherwise; main tells it, so the process keeps its one
+        # thread.  On a 1-core host OpenBLAS starts no worker either way,
+        # so there the test shows nothing.
+        result = _run([], tmp_path, dict.fromkeys(_BLAS_THREAD_VARS),
+                      python_args=("-c", self._THREADS_AFTER_ZEROS))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["1 '1'"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
+    def test_user_blas_thread_count_wins(self, tmp_path):
+        env = {**dict.fromkeys(_BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "2"}
+        result = _run([], tmp_path, env,
+                      python_args=("-c", self._THREADS_AFTER_ZEROS))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-1] == "'2'"
+
+    def test_import_leaves_the_environment_unchanged(self, tmp_path):
+        # Only main sets the BLAS default: importing the package, the CLI
+        # or the numpy-loading report module must not.
+        code = ("import os, rzs, rzs.cli, rzs.correspond; "
+                "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))")
+        result = _run([], tmp_path, dict.fromkeys(_BLAS_THREAD_VARS),
+                      python_args=("-c", code))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["None"]
+
+    def test_main_after_numpy_leaves_the_environment_unchanged(
+            self, monkeypatch, capsys):
+        # Once numpy has loaded, the variable has no effect, so a host
+        # process that calls main keeps the environment it had.
+        import numpy  # noqa: F401
+
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert rzs.cli.main(["count", "--t", "100"]) == 0
+        assert capsys.readouterr().out.startswith("t = 100\n")
+        assert dict(os.environ) == before
 
     def test_public_names_resolve_to_their_home_modules(self):
         homes = {"rzs.bubble", "rzs.correspond", "rzs.errors", "rzs.zeta"}
