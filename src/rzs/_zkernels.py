@@ -2,10 +2,12 @@
 
 rzs.zeta, which describes the methods, validates arguments and imports
 this module on the first call that needs it, so `import rzs` and the
-commands count, gap and bubble load no numpy.  The Riemann-Siegel
-correction terms sum committed Chebyshev coefficients with one Clenshaw
-recurrence, so loading this module computes no table and imports nothing
-of numpy.polynomial.
+commands count, gap and bubble load no numpy.  Euler-Maclaurin and
+Riemann-Siegel share one kernel for the main sum of n^{-1/2} cos(theta -
+t ln n), _main_sum, and differ only in its term count, its weight and
+what is added to it.  The Riemann-Siegel correction terms sum committed
+Chebyshev coefficients with one Clenshaw recurrence, so loading this
+module computes no table and imports nothing of numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import numpy as np
 
 from .errors import AuditError
 
-# Evaluation crossover: Euler-Maclaurin below, Riemann-Siegel above.
+# Evaluation crossover: Euler-Maclaurin below, Riemann-Siegel above.  Every
+# height below it takes the Euler-Maclaurin N = ceil(1.2 t + 10) of the
+# crossover itself, as a larger N only tightens the bound.
 CROSSOVER_T = 30.0
+_EM_N = math.ceil(1.2 * CROSSOVER_T + 10.0)
 
 # theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
 # first omitted term, 691/2730 * (1 - 2^-11) / 264 * t^-11 ~ 9.6e-4 t^-11,
@@ -119,49 +124,7 @@ def _theta_vec(ts) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Euler-Maclaurin evaluation of zeta(1/2 + it), t below the crossover
-# ----------------------------------------------------------------------
-
-def _z_em_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z(t) below the crossover by Euler-Maclaurin, with error bounds.
-
-    Every height takes N = ceil(1.2 t + 10) = 46 of the crossover (a
-    larger N only tightens the bound), and each row sums its own terms,
-    so a value does not depend on the batch it is evaluated in.  The
-    remainder after the k = K tail term is bounded by
-    |next term| * |s + 2K + 1| / (sigma + 2K + 1).
-    """
-    n_terms = math.ceil(1.2 * CROSSOVER_T + 10.0)
-    s = 0.5 + 1j * ts
-    ns = np.arange(1, n_terms)
-    # sum n^{-s} = n^{-1/2} e^{-i t ln n}; a row reduction, not a BLAS
-    # product, whose rounding would depend on the batch.
-    phases = np.exp(-1j * np.outer(ts, np.log(ns)))
-    partial = (phases * (1.0 / np.sqrt(ns))).sum(axis=1)
-    n_pow = float(n_terms) ** (-s)  # N^{-s}
-    value = partial + 0.5 * n_pow + n_pow * n_terms / (s - 1.0)
-
-    # Tail: sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
-    rising = s.copy()
-    q = n_pow / n_terms  # N^{-s-1}
-    n_inv2 = 1.0 / (n_terms * n_terms)
-    for k, coef in enumerate(_EM_COEF, start=1):
-        if k > 1:
-            rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
-        value = value + coef * rising * q
-        q = q * n_inv2
-
-    k_next = len(_EM_COEF) + 1  # first omitted tail index; needs B_18
-    rising_next = rising * (s + (2 * k_next - 3)) * (s + (2 * k_next - 2))
-    coef_next = _BERN_18 / math.factorial(2 * k_next)
-    first_omitted = abs(coef_next) * np.abs(rising_next) * np.abs(q)
-    bound = first_omitted * np.abs(s + (2 * k_next - 1)) / (0.5 + 2 * k_next - 1)
-    # Truncation bound plus a rounding floor for the ~N-term sums.
-    return (np.exp(1j * _theta_vec(ts)) * value).real, bound + 1.0e-13
-
-
-# ----------------------------------------------------------------------
-# Riemann-Siegel evaluation, t at or above the crossover
+# Riemann-Siegel correction terms, t at or above the crossover
 # ----------------------------------------------------------------------
 
 # Chebyshev series in x = 2p - 1 of Psi(p) = cos(2pi(p^2 - p - 1/16)) /
@@ -241,54 +204,88 @@ def _chebyshev(coef: tuple[float, ...], p: np.ndarray) -> np.ndarray:
     return c0 + c1 * x
 
 
-def _z_rs_vec(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z(t) by the Riemann-Siegel main sum plus two correction terms.
+# ----------------------------------------------------------------------
+# Z(t): one main sum, Euler-Maclaurin below the crossover, Riemann-Siegel above
+# ----------------------------------------------------------------------
 
-    With a = sqrt(t/2pi), N = floor(a), p = a - N:
+def _em_tail(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail of zeta(s), s = 1/2 + it, after sum_{n<N} n^{-s}, N = _EM_N:
+    N^{-s}/2 + N^{1-s}/(s - 1) plus eight Bernoulli terms, and its bound.
+    The remainder after the k = K term is bounded by
+    |next term| * |s + 2K + 1| / (sigma + 2K + 1)."""
+    s = 0.5 + 1j * ts
+    n_pow = float(_EM_N) ** (-s)  # N^{-s}
+    tail = 0.5 * n_pow + n_pow * _EM_N / (s - 1.0)
 
-        Z(t) ~ 2 sum_{n<=N} cos(theta(t) - t ln n)/sqrt(n)
-               + (-1)^{N-1} a^{-1/2} [ Psi(p) - Psi'''(p)/(96 pi^2 a) ].
+    # sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
+    rising = s.copy()
+    q = n_pow / _EM_N  # N^{-s-1}
+    n_inv2 = 1.0 / (_EM_N * _EM_N)
+    for k, coef in enumerate(_EM_COEF, start=1):
+        if k > 1:
+            rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
+        tail = tail + coef * rising * q
+        q = q * n_inv2
 
-    The heights are sorted once, so for every n the heights with N >= n
-    form one contiguous tail; term n is added across that tail, from
-    tables of ln n and n^{-1/2} shared by all heights, and the results
-    are scattered back to input order.  No temporary is larger than the
-    batch.
+    k_next = len(_EM_COEF) + 1  # first omitted tail index; needs B_18
+    rising_next = rising * (s + (2 * k_next - 3)) * (s + (2 * k_next - 2))
+    coef_next = _BERN_18 / math.factorial(2 * k_next)
+    first_omitted = abs(coef_next) * np.abs(rising_next) * np.abs(q)
+    bound = first_omitted * np.abs(s + (2 * k_next - 1)) / (0.5 + 2 * k_next - 1)
+    # Truncation bound plus a rounding floor for the ~N-term sums.
+    return tail, bound + 1.0e-13
+
+
+def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
+    """sum_{n<=N} cos(theta - t ln n)/sqrt(n) at every height t, with th its
+    theta and big_n its integer term count N.
+
+    The heights are sorted once by N, so term n is added across the
+    contiguous tail of heights with N >= n, and the sums are scattered
+    back to input order.  Each height adds its own terms in the order
+    n = 1, 2, ..., N, so a value is bit-equal alone and in any batch.
     """
-    order = np.argsort(ts)
-    t = ts[order]
-    a = np.sqrt(t / math.tau)
-    big_n = np.floor(a).astype(int)
-    p = a - big_n
-    th = _theta_vec(t)
-
-    ns = np.arange(1, big_n[-1] + 1)
+    order = np.argsort(big_n, kind="stable")
+    n_sorted, t, ph = big_n[order], ts[order], th[order]
+    ns = np.arange(1, n_sorted.max(initial=0) + 1)
     ln_n = np.log(ns)
     rsqrt_n = 1.0 / np.sqrt(ns)
-    main = np.zeros_like(t)
-    for n, start in enumerate(np.searchsorted(big_n, ns)):
-        main[start:] += rsqrt_n[n] * np.cos(th[start:] - t[start:] * ln_n[n])
-
-    c0 = _chebyshev(_PSI, p)
-    c1 = -_chebyshev(_PSI3, p) / (96.0 * math.pi ** 2)
-    sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
-    vals = np.empty_like(ts)
-    vals[order] = 2.0 * main + sign * (c0 + c1 / a) / np.sqrt(a)
-    errs = _RS_ERR_COEF * (ts / math.tau) ** (-1.25) + 1.0e-11
-    return vals, errs
+    acc = np.zeros_like(t)
+    for n, start in enumerate(np.searchsorted(n_sorted, ns)):
+        acc[start:] += rsqrt_n[n] * np.cos(ph[start:] - t[start:] * ln_n[n])
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 def _z_values(ts) -> tuple[np.ndarray, np.ndarray]:
-    """Z and its error bound on an array of heights in [0, T_SUPPORT_MAX]:
-    Euler-Maclaurin below CROSSOVER_T, Riemann-Siegel from it up."""
+    """Z and its error bound on an array of heights in [0, T_SUPPORT_MAX].
+
+    One theta and one main sum S_N for the batch.  Below CROSSOVER_T,
+    Z = S_{N-1} + Re(e^{i theta} tail) with N = _EM_N (Euler-Maclaurin);
+    from it up, with a = sqrt(t/2pi), N = floor(a) and p = a - N,
+    Z ~ 2 S_N + (-1)^{N-1} a^{-1/2} [Psi(p) - Psi'''(p)/(96 pi^2 a)]
+    (Riemann-Siegel; Edwards, Riemann's Zeta Function, 1974, 6-7).
+    """
     ts = np.asarray(ts, dtype=float)
-    vals = np.empty_like(ts)
-    errs = np.empty_like(ts)
+    th = _theta_vec(ts)
     low = ts < CROSSOVER_T
+    high = ~low
+    a = np.sqrt(ts[high] / math.tau)
+    big_n = np.full(ts.shape, _EM_N - 1)
+    big_n[high] = np.floor(a)
+    vals = _main_sum(ts, th, big_n)
+    errs = np.empty_like(ts)
     if low.any():
-        vals[low], errs[low] = _z_em_vec(ts[low])
-    if (~low).any():
-        vals[~low], errs[~low] = _z_rs_vec(ts[~low])
+        tail, errs[low] = _em_tail(ts[low])
+        vals[low] += (np.exp(1j * th[low]) * tail).real
+    if high.any():
+        p = a - big_n[high]
+        c0 = _chebyshev(_PSI, p)
+        c1 = -_chebyshev(_PSI3, p) / (96.0 * math.pi ** 2)
+        sign = np.where(big_n[high] % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
+        vals[high] = 2.0 * vals[high] + sign * (c0 + c1 / a) / np.sqrt(a)
+        errs[high] = _RS_ERR_COEF * (ts[high] / math.tau) ** (-1.25) + 1.0e-11
     return vals, errs
 
 

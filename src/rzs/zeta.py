@@ -11,15 +11,15 @@ theta is the phase
 
 computed from its real asymptotic series in 1/t from t = 10 up, and
 below that from the Stirling series for ln Gamma after a recurrence
-shift.  Z itself is evaluated by truncated Euler-Maclaurin summation at
-low heights (cheap and certifiable there; one truncation for every
-height, so a value does not depend on its batch) and by the main sum
-of the Riemann-Siegel expansion plus its first two correction terms
-above a fixed crossover height; the crossover is t = 30.  The main sum
-runs over the heights sorted by their term count N, one term n at a
-time across the contiguous run of heights that need it, and the
-correction terms come from committed Chebyshev series of Psi and
-Psi'''.
+shift.  Z itself comes from one main sum,
+sum_{n<=N} cos(theta(t) - t ln n)/sqrt(n), for both of its methods:
+truncated Euler-Maclaurin summation below the crossover t = 30 (N = 45
+terms plus the Bernoulli tail for every height) and the Riemann-Siegel
+expansion from it up (twice the sum to N = floor(sqrt(t/2pi)) plus two
+correction terms, from committed Chebyshev series of Psi and Psi''').
+The sum runs over the heights of a batch sorted by N, one term n at a
+time across the contiguous run of heights that need it; each height
+adds its own terms in order, so a value does not depend on its batch.
 
 Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
@@ -155,14 +155,15 @@ def theta(t: float) -> float:
 def z_function(t: float, tol: float) -> CriticalLineSample:
     """Evaluate Z(t) with an absolute error bound est_abs_error <= tol.
 
-    Dispatches to Euler-Maclaurin below t = 30, whose bound is a proven
-    truncation bound plus a rounding floor near 1e-13, and Riemann-Siegel
-    above, whose bound 0.02 (t/2pi)^{-5/4} rests on a measured
-    coefficient, not a proof.  Even in t (Z(-t) = Z(t)), so negative
-    heights are served through their absolute value; theta_value keeps
-    its odd sign.  Raises PrecisionError when the tolerance is
-    unreachable at this height with the configured term counts, so tight
-    tolerances are only servable below the crossover.
+    method names how the one main sum is completed: Euler-Maclaurin
+    below t = 30, whose bound is a proven truncation bound plus a rounding
+    floor near 1e-13, or Riemann-Siegel above, whose bound
+    0.02 (t/2pi)^{-5/4} rests on a measured coefficient, not a proof.
+    The value is bit-equal to a scan's at the same height.  Even in t
+    (Z(-t) = Z(t)), so negative heights are served through their absolute
+    value; theta_value keeps its odd sign.  Raises PrecisionError when the
+    tolerance is unreachable at this height with the configured term
+    counts, so tight tolerances are only servable below the crossover.
     """
     t = float(t)
     tol = float(tol)

@@ -513,6 +513,25 @@ class TestImport:
         assert spellings == ['zeta.py:_SPEC = "%.17g"']
         assert joins == []
 
+    def test_one_main_sum_kernel_for_z(self):
+        # Euler-Maclaurin and Riemann-Siegel share the main sum of
+        # n^{-1/2} cos(theta - t ln n): the package calls np.cos in one
+        # function, _main_sum, and forms no outer-product matrix.
+        package = pathlib.Path(rzs.__file__).parent
+        cos_calls, outers = [], []
+        for path in package.rglob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            kernel = {node for func in ast.walk(tree)
+                      if isinstance(func, ast.FunctionDef)
+                      and func.name == "_main_sum" for node in ast.walk(func)}
+            cos_calls += [(path.name, node in kernel) for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          and ast.unparse(node.func) == "np.cos"]
+            outers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr == "outer"]
+        assert cos_calls == [("_zkernels.py", True)]
+        assert outers == []
+
     def test_short_commands_leave_numpy_unloaded(self, tmp_path):
         # count, gap and bubble compute with math alone; zeros and
         # compare scan with the numpy kernels, whose Riemann-Siegel

@@ -173,21 +173,22 @@ class TestZFunction:
 class TestRiemannSiegelKernel:
     def test_shuffled_batch_matches_sorted_batch_and_single_points(self):
         # Log-uniform heights over [30, 1e4] mix every term count N = 2..39
-        # of the main sum; the kernel sorts them internally.
+        # of the main sum; the kernel sorts them by N internally, and each
+        # height adds its own terms in order, so a value is bit-equal alone
+        # and in any batch.
         rng = np.random.default_rng(1859)
         ts = np.sort(np.exp(rng.uniform(math.log(30.0), math.log(1.0e4), 800)))
         assert set(np.floor(np.sqrt(ts / TWO_PI)).astype(int)) == set(range(2, 40))
         perm = rng.permutation(ts.size)
-        vals, errs = rzs._zkernels._z_rs_vec(ts)
-        shuffled_vals, shuffled_errs = rzs._zkernels._z_rs_vec(ts[perm])
+        vals, errs = rzs._zkernels._z_values(ts)
+        shuffled_vals, shuffled_errs = rzs._zkernels._z_values(ts[perm])
         assert np.array_equal(shuffled_vals, vals[perm])
         assert np.array_equal(shuffled_errs, errs[perm])
-        single = np.array([rzs._zkernels._z_rs_vec(ts[i:i + 1])[0][0] for i in perm])
-        assert np.max(np.abs(single - shuffled_vals)) <= 1.0e-13
+        single = np.array([rzs._zkernels._z_values(ts[i:i + 1])[0][0] for i in perm])
+        assert np.array_equal(single, shuffled_vals)
 
-        # Below the crossover a value is bit-equal alone and in any batch:
-        # Euler-Maclaurin takes one truncation for every height and sums
-        # each row on its own.
+        # Below the crossover too: Euler-Maclaurin takes one truncation
+        # for every height and the same main sum.
         low = rng.uniform(0.0, rzs._zkernels.CROSSOVER_T, 200)
         alone = np.array([rzs._zkernels._z_values([t])[0][0] for t in low.tolist()])
         assert np.array_equal(rzs._zkernels._z_values(low)[0], alone)
@@ -195,6 +196,14 @@ class TestRiemannSiegelKernel:
             pick = rng.permutation(low.size)[:size]
             mixed = np.concatenate([low[pick], ts[:size]])
             assert np.array_equal(rzs._zkernels._z_values(mixed)[0][:size], alone[pick])
+
+        # One sorted batch across the crossover, and the same batch shuffled.
+        both = np.sort(np.concatenate([low, ts]))
+        both_vals, both_errs = rzs._zkernels._z_values(both)
+        perm = rng.permutation(both.size)
+        shuffled_vals, shuffled_errs = rzs._zkernels._z_values(both[perm])
+        assert np.array_equal(shuffled_vals, both_vals[perm])
+        assert np.array_equal(shuffled_errs, both_errs[perm])
 
 
 def _psi_mp(p):
@@ -248,16 +257,20 @@ class TestPsiSeries:
 
 class TestEulerMaclaurinKernel:
     def test_shuffled_batch_agrees_with_single_heights(self):
-        # A batch shares the truncation N of its largest height; each
-        # single height uses its own.  Both must agree within the error
-        # estimates they report.
+        # Every height below the crossover takes the same truncation N,
+        # so a batch value is bit-equal to its single-height value, and
+        # the reported bound is proven: each value lies within it of
+        # mpmath's Z at 30 digits.
         rng = np.random.default_rng(1737)
         ts = rng.permutation(np.concatenate((rng.uniform(0.0, 30.0, 300), [29.999])))
         vals, errs = rzs._zkernels._z_values(ts)
-        for t, value, err in zip(ts, vals, errs):
+        with mpmath.workdps(30):
+            exact = [mpmath.siegelz(t) for t in ts.tolist()]
+        for t, value, err, ref in zip(ts, vals, errs, exact):
             single = z_function(float(t), 1.0e-9)
             assert single.method == "euler_maclaurin"
-            assert abs(value - single.z_value) <= err + single.est_abs_error, t
+            assert value == single.z_value and err == single.est_abs_error, t
+            assert abs(mpmath.mpf(float(value)) - ref) <= err, t
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +300,27 @@ class TestCountZeros:
         totals = [e.n_estimate for e in estimates]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
         assert all(e.density >= 0.0 for e in estimates)
+
+    def test_fields_match_mpmath(self):
+        # Seeded log-uniform heights from just above 2pi (where u ln u - u
+        # cancels to -1) to 1e300.  Errors are measured in ulps of the
+        # size of the terms: max(|u ln u|, u, 1) for the counts,
+        # max(|ln u|, 1)/2pi for the density (measured: 2.11 and 1.29).
+        rng = np.random.default_rng(1914)
+        lo, hi = math.log(TWO_PI * (1.0 + 1.0e-7)), math.log(1.0e300)
+        heights = [*np.exp(rng.uniform(lo, hi, 500)).tolist(), TWO_PI * math.e, 10.0, 1.0e4]
+        with mpmath.workdps(40):
+            for t in heights:
+                est = count_zeros(t)
+                u = mpmath.mpf(t) / (2 * mpmath.pi)
+                log_u = mpmath.log(u)
+                n_main = u * log_u - u
+                n_estimate = n_main + mpmath.mpf(7) / 8
+                count_ulp = math.ulp(float(max(abs(u * log_u), u, 1)))
+                density_ulp = math.ulp(float(max(abs(log_u), 1) / (2 * mpmath.pi)))
+                assert abs(est.n_main - n_main) <= 4 * count_ulp, t
+                assert abs(est.n_estimate - n_estimate) <= 4 * count_ulp, t
+                assert abs(est.density - log_u / (2 * mpmath.pi)) <= 4 * density_ulp, t
 
     def test_estimate_matches_scan_at_100(self):
         table = scan_zeros(0.0, 100.0, 1.0e-8)
