@@ -1,5 +1,6 @@
 """Allow `python -m rzs` as an alias for the `rzs` console script."""
 
-from .cli import main
+from .cli import run
 
-raise SystemExit(main())
+if __name__ == "__main__":
+    run()

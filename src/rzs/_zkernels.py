@@ -258,17 +258,19 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _z_values(ts) -> tuple[np.ndarray, np.ndarray]:
+def _z_values(ts, th=None) -> tuple[np.ndarray, np.ndarray]:
     """Z and its error bound on an array of heights in [0, T_SUPPORT_MAX].
 
-    One theta and one main sum S_N for the batch.  Below CROSSOVER_T,
+    One theta, th = _theta_vec(ts) unless the caller has it, and one main
+    sum S_N for the batch.  Below CROSSOVER_T,
     Z = S_{N-1} + Re(e^{i theta} tail) with N = _EM_N (Euler-Maclaurin);
     from it up, with a = sqrt(t/2pi), N = floor(a) and p = a - N,
     Z ~ 2 S_N + (-1)^{N-1} a^{-1/2} [Psi(p) - Psi'''(p)/(96 pi^2 a)]
     (Riemann-Siegel; Edwards, Riemann's Zeta Function, 1974, 6-7).
     """
     ts = np.asarray(ts, dtype=float)
-    th = _theta_vec(ts)
+    if th is None:
+        th = _theta_vec(ts)
     low = ts < CROSSOVER_T
     high = ~low
     a = np.sqrt(ts[high] / math.tau)

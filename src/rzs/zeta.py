@@ -175,10 +175,11 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
         raise PrecisionError(
             f"z_function: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
-    from ._zkernels import CROSSOVER_T, _z_values
+    from ._zkernels import CROSSOVER_T, _theta_vec, _z_values
 
     at = abs(t)
-    vals, errs = _z_values([at])
+    th = _theta_vec([at])
+    vals, errs = _z_values([at], th)
     method = "euler_maclaurin" if at < CROSSOVER_T else "riemann_siegel"
     est = float(errs[0])
     if est > tol:
@@ -188,7 +189,7 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
     return CriticalLineSample(
         t=t,
         z_value=float(vals[0]),
-        theta_value=theta(t),
+        theta_value=-float(th[0]) if t < 0.0 else float(th[0]),
         method=method,
         est_abs_error=est,
     )

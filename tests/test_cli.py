@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import bisect
+import importlib
 import json
 import math
 import os
@@ -33,8 +34,9 @@ _REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _run(args, cwd, env_extra=None, *, python_args=("-m", "rzs")):
-    """Run a child python; a None in env_extra removes that variable."""
+def _child_env(env_extra=None) -> dict[str, str]:
+    """This process's environment with rzs first on PYTHONPATH; a None in
+    env_extra removes that variable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [_RZS_ROOT, env.get("PYTHONPATH")]))
@@ -43,9 +45,15 @@ def _run(args, cwd, env_extra=None, *, python_args=("-m", "rzs")):
             env.pop(key, None)
         else:
             env[key] = value
+    return env
+
+
+def _run(args, cwd, env_extra=None, *, python_args=("-m", "rzs")):
+    """Run a child python; a None in env_extra removes that variable."""
     return subprocess.run(
         [sys.executable, *python_args, *args],
-        capture_output=True, text=True, cwd=cwd, env=env, timeout=300,
+        capture_output=True, text=True, cwd=cwd, env=_child_env(env_extra),
+        timeout=300,
     )
 
 
@@ -443,6 +451,71 @@ class TestArgumentHandling:
     def test_missing_command_is_usage_error(self, tmp_path):
         result = _run([], tmp_path)
         assert result.returncode == 2, result.stderr
+
+
+class TestProcessEntry:
+    """rzs.cli.run ends the process with os._exit once main returns, so
+    nothing may depend on interpreter teardown.  A child that inherits
+    PYTHONUNBUFFERED=1 writes every line at once; without it stdout is
+    block-buffered into a pipe, and run's flush is the only one."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_gives_one_line_error(self, tmp_path, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "rzs", "count", "--t", "100"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                env=_child_env({"PYTHONUNBUFFERED": unbuffered}), timeout=300)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("args, code", [
+        (["count", "--t", "1000"], 0),
+        (["gap", "--coupling", "1", "--n-components", "3", "--cutoff", "10",
+          "--out-path", "g.txt"], 0),
+        (["--help"], 0),
+        (["count", "--t", "10", "--bogus", "1"], 2),
+    ], ids=["count", "gap-out-path", "help", "usage-error"])
+    def test_block_buffered_stdout_matches_main(self, tmp_path, monkeypatch,
+                                                capsys, args, code):
+        # The help text wraps at COLUMNS in both processes.
+        monkeypatch.setenv("COLUMNS", "80")
+        child_dir = tmp_path / "child"
+        main_dir = tmp_path / "main"
+        child_dir.mkdir()
+        main_dir.mkdir()
+        result = _run(args, child_dir, {"PYTHONUNBUFFERED": None})
+        monkeypatch.chdir(main_dir)
+        assert rzs.cli.main(args) == code
+        expected = capsys.readouterr().out
+        assert result.returncode == code, result.stderr
+        assert result.stdout == expected
+        if code == 0:
+            assert expected
+        if "--out-path" in args:
+            assert (child_dir / "g.txt").read_text() == result.stdout
+        assert not list(child_dir.glob(".rzs-tmp-*"))
+
+    def test_both_launchers_enter_through_run(self):
+        # The rzs console script is not installed here, so it is checked
+        # through pyproject.toml rather than launched.
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["rzs"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is rzs.cli.run
+        tree = ast.parse((pathlib.Path(rzs.__file__).parent / "__main__.py").read_text())
+        guards = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(guards) == 1
+        calls = [node.func.id for node in ast.walk(guards[0])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert calls == ["run"]
 
 
 class TestImport:

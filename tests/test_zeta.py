@@ -159,6 +159,21 @@ class TestZFunction:
         assert sample.theta_value == theta(40.0)
         assert sample.est_abs_error > 0.0
 
+    @pytest.mark.parametrize("t", [5.0, 50.0, -50.0])
+    def test_theta_computed_once_per_call(self, monkeypatch, t):
+        real = rzs._zkernels._theta_vec
+        calls = []
+
+        def counting(ts):
+            calls.append(np.size(ts))
+            return real(ts)
+
+        monkeypatch.setattr(rzs._zkernels, "_theta_vec", counting)
+        sample = z_function(t, 1.0e-2)
+        monkeypatch.undo()
+        assert calls == [1]
+        assert sample.theta_value == theta(t)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             z_function(math.nan, 1.0e-6)
