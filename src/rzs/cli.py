@@ -176,8 +176,17 @@ def _cmd_compare(ns: argparse.Namespace) -> None:
     _atomic_write(ns.out_path, text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help text either reaches stdout or raises:
+    argparse drops an OSError of that write, so a closed pipe would pass
+    for success.  Its subparsers are of this class too."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rzs",
         description=(
             "Riemann zeta zeros, the 2D large-N sigma-model bubble, and "
@@ -240,10 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        ns.handler(ns)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        ns.handler(ns)
     except (RzsError, OSError) as exc:
         return _error(exc)
     return 0

@@ -20,6 +20,8 @@ correction terms, from committed Chebyshev series of Psi and Psi''').
 The sum runs over the heights of a batch sorted by N, one term n at a
 time across the contiguous run of heights that need it; each height
 adds its own terms in order, so a value does not depend on its batch.
+Each cosine comes from the tangent of the half phase, cos x = (1 -
+u^2)/(1 + u^2) with u = tan(x/2), which numpy vectorises.
 
 Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and

@@ -461,17 +461,20 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
     def test_closed_stdout_gives_one_line_error(self, tmp_path, unbuffered):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "rzs", "count", "--t", "100"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
-                env=_child_env({"PYTHONUNBUFFERED": unbuffered}), timeout=300)
-        finally:
-            os.close(write_end)
-        assert result.returncode == 1, result.stderr
-        assert result.stderr == "error: [Errno 32] Broken pipe\n"
+        # argparse writes the help text itself and drops an OSError of
+        # that write, so --help takes the same check as a command.
+        for args in (["count", "--t", "100"], ["--help"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = subprocess.run(
+                    [sys.executable, "-m", "rzs", *args],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                    env=_child_env({"PYTHONUNBUFFERED": unbuffered}), timeout=300)
+            finally:
+                os.close(write_end)
+            assert result.returncode == 1, (args, result.stderr)
+            assert result.stderr == "error: [Errno 32] Broken pipe\n", args
 
     @pytest.mark.parametrize("args, code", [
         (["count", "--t", "1000"], 0),
@@ -588,21 +591,22 @@ class TestImport:
 
     def test_one_main_sum_kernel_for_z(self):
         # Euler-Maclaurin and Riemann-Siegel share the main sum of
-        # n^{-1/2} cos(theta - t ln n): the package calls np.cos in one
-        # function, _main_sum, and forms no outer-product matrix.
+        # n^{-1/2} cos(theta - t ln n): the package calls np.tan once, in
+        # _main_sum, which takes each cosine from the half-angle tangent,
+        # calls np.cos and np.sin nowhere, and forms no outer-product matrix.
         package = pathlib.Path(rzs.__file__).parent
-        cos_calls, outers = [], []
+        trig_calls, outers = [], []
         for path in package.rglob("*.py"):
             tree = ast.parse(path.read_text(), str(path))
             kernel = {node for func in ast.walk(tree)
                       if isinstance(func, ast.FunctionDef)
                       and func.name == "_main_sum" for node in ast.walk(func)}
-            cos_calls += [(path.name, node in kernel) for node in ast.walk(tree)
-                          if isinstance(node, ast.Call)
-                          and ast.unparse(node.func) == "np.cos"]
+            trig_calls += [(path.name, ast.unparse(node.func), node in kernel)
+                           for node in ast.walk(tree) if isinstance(node, ast.Call)
+                           and ast.unparse(node.func) in ("np.cos", "np.sin", "np.tan")]
             outers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                        if isinstance(node, ast.Attribute) and node.attr == "outer"]
-        assert cos_calls == [("_zkernels.py", True)]
+        assert trig_calls == [("_zkernels.py", "np.tan", True)]
         assert outers == []
 
     def test_short_commands_leave_numpy_unloaded(self, tmp_path):
