@@ -336,47 +336,44 @@ def _sign_definite(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _resolve_blocks(
-    ts: np.ndarray, zs: np.ndarray, edges: np.ndarray, edge_n: np.ndarray
+    ts: np.ndarray, zs: np.ndarray, block: np.ndarray, edge_n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Subdivide Gram blocks until each shows one sign change per Gram interval.
 
-    ts, zs are the sorted nodes and Z there; edges are the node indices
-    of the good Gram points and edge_n their Gram indices, so block j
-    runs from node edges[j] to node edges[j+1] over k = edge_n[j+1] -
+    ts, zs are the sorted nodes and Z there; block[i] labels the gap from
+    node i to node i+1 with its Gram block, and edge_n holds the Gram
+    indices of the good Gram points, so block j spans k = edge_n[j+1] -
     edge_n[j] Gram intervals and, by Rosser's rule, holds k zeros.  Each
-    level halves every node gap of every block that does not show k
-    sign changes, all at once, with one batched Z call over the new
-    midpoints.  A block still unresolved once its widest gap is <=
-    STRIDE_FLOOR raises AuditError.  Returns the refined (ts, zs).
+    level halves every gap of every block that does not show k sign
+    changes, all at once, with one batched Z call over the new midpoints;
+    both halves keep the gap's label.  A block still unresolved once its
+    widest gap is <= STRIDE_FLOOR raises AuditError.  Returns (ts, zs).
     """
     k = np.diff(edge_n)
     while True:
-        seen = np.concatenate(([0], np.cumsum(zs[:-1] * zs[1:] < 0.0)))
-        found = seen[edges[1:]] - seen[edges[:-1]]
-        unresolved = np.flatnonzero(found != k)
-        if unresolved.size == 0:
+        found = np.bincount(block[zs[:-1] * zs[1:] < 0.0], minlength=k.size)
+        unresolved = found != k
+        if not unresolved.any():
             return ts, zs
-        lengths = edges[unresolved + 1] - edges[unresolved]
-        offsets = np.cumsum(lengths) - lengths  # each block's first index in gaps
-        gaps = np.repeat(edges[unresolved] - offsets, lengths)
-        gaps += np.arange(gaps.size)
-        widths = ts[gaps + 1] - ts[gaps]
-        widest = np.maximum.reduceat(widths, offsets)
+        gaps = np.flatnonzero(unresolved[block])
+        labels = block[gaps]
+        firsts = np.flatnonzero(np.diff(labels, prepend=-1))  # label starts
+        widest = np.maximum.reduceat(ts[gaps + 1] - ts[gaps], firsts)
         stuck = widest <= STRIDE_FLOOR
         if stuck.any():
             i = int(np.argmax(stuck))
-            j = unresolved[i]
+            j = labels[firsts[i]]
+            lo, hi = np.searchsorted(block, [j, j + 1])
             raise AuditError(
                 f"scan_zeros: Gram block g_{edge_n[j]}..g_{edge_n[j + 1]} "
-                f"(t in [{ts[edges[j]]:.6f}, {ts[edges[j + 1]]:.6f}]) shows "
+                f"(t in [{ts[lo]:.6f}, {ts[hi]:.6f}]) shows "
                 f"{found[j]} sign changes for {k[j]} Gram intervals at node "
                 f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
             )
-        mids = 0.5 * (ts[gaps] + ts[gaps + 1])
-        mids, z_mids = _sign_definite(mids)
-        edges = edges + np.searchsorted(gaps, edges)
+        mids, z_mids = _sign_definite(0.5 * (ts[gaps] + ts[gaps + 1]))
         ts = np.insert(ts, gaps + 1, mids)
         zs = np.insert(zs, gaps + 1, z_mids)
+        block = np.insert(block, gaps + 1, labels)
 
 
 def _refine_brackets(
@@ -428,7 +425,8 @@ def _scan_brackets(
     One batched Z call covers the Gram points and t_max, a node unless it
     is <= g_-1 or a Gram point.  Below 1e4 no 3 consecutive Gram points
     are bad, so the batch holds g_B, the first good one at or past t_max;
-    a batch without it raises AuditError.
+    a batch without it raises AuditError.  The gap after node i is in Gram
+    block (good nodes up to i) - 1, as g_-1 is good: Z < 0 below 14.13.
     """
     ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
     ts = _gram_points(ns)
@@ -447,8 +445,8 @@ def _scan_brackets(
             f"(t in [{ts[0]:.6f}, {ts[-1]:.6f}]) at or past t_max = {t_max:g}"
         )
     stop = past[0] + 1
-    edges = np.flatnonzero(good[:stop])
-    ts, zs = _resolve_blocks(ts[:stop], zs[:stop], edges, ns[edges])
+    block = np.cumsum(good[:stop - 1], dtype=np.int32) - 1
+    ts, zs = _resolve_blocks(ts[:stop], zs[:stop], block, ns[:stop][good[:stop]])
 
     idx = np.flatnonzero((zs[:-1] * zs[1:] < 0.0) & (ts[:-1] < t_max))
     return _refine_brackets(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)

@@ -121,12 +121,10 @@ def build_report(zeros: ZeroTable, m2: float, n_max: int) -> CorrespondenceRepor
             )
         )
 
+    # Rows are n = 7, 8, ..., so decade e >= 1 starts at row 10^e - 7.
     devs = np.array([r.rel_dev for r in rows])
-    exponents = np.array([int(math.floor(math.log10(r.n))) for r in rows])
-    decades = tuple(
-        (int(e), float(devs[exponents == e].mean()))
-        for e in sorted(set(exponents.tolist()))
-    )
+    splits = [10**e - _N_ROW_MIN for e in range(1, len(str(n_max)))]
+    decades = tuple((e, float(d.mean())) for e, d in enumerate(np.split(devs, splits)))
     summary = ReportSummary(
         max_rel_dev=float(devs.max()),
         mean_rel_dev_per_decade=decades,

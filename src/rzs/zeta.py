@@ -213,7 +213,7 @@ def count_zeros(t: float) -> ZeroCountEstimate:
     if not (math.isfinite(t) and u >= sys.float_info.min):
         raise DomainError("count_zeros: height must be finite, t/2pi positive normal")
     log_u = math.log(u)
-    n_main = u * log_u - u
+    n_main = u * (log_u - 1.0)
     if not math.isfinite(n_main):
         raise DomainError("count_zeros: counting formula overflowed")
     return ZeroCountEstimate(

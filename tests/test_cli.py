@@ -170,6 +170,18 @@ class TestCountCommand:
         assert result.stderr.count("\n") == 1, result.stderr
         assert result.stdout == ""
 
+    def test_count_near_the_largest_double(self, tmp_path):
+        # N(1.6064e306) ~ 1.7954e308 is finite, though u ln u overflows
+        # there; N(1e307) is not.
+        result = _run(["count", "--t", "1.6064e306"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert math.isfinite(_parse_kv(result.stdout)["n_estimate"])
+        result = _run(["count", "--t", "1e307"], tmp_path)
+        assert result.returncode == 1, result.stdout
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert result.stdout == ""
+
 
 # ----------------------------------------------------------------------
 # bubble

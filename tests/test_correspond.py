@@ -101,6 +101,16 @@ class TestBuildReport:
         assert decades[2] == pytest.approx(0.09034352823961678, rel=1.0e-6)
         assert decades[3] == pytest.approx(0.1306705736713281, rel=1.0e-6)
 
+    @pytest.mark.parametrize("n_max", [10, 100, 1000])
+    def test_decade_of_one_row_at_a_power_of_ten(self, full_table, n_max):
+        # Rows start at n = 7, so n_max = 10^e opens decade e with its
+        # last row, and the first decade holds n = 7, 8, 9.
+        report = build_report(full_table, TWO_PI, n_max)
+        decades = report.summary.mean_rel_dev_per_decade
+        assert [e for e, _ in decades] == list(range(len(str(n_max))))
+        assert decades[-1][1] == report.rows[-1].rel_dev
+        assert decades[0][1] == sum(r.rel_dev for r in report.rows[:3]) / 3
+
     def test_determinism(self, full_table, report_2pi):
         again = build_report(full_table, TWO_PI, 5000)
         assert again == report_2pi

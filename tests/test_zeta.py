@@ -369,12 +369,16 @@ class TestCountZeros:
 
     def test_fields_match_mpmath(self):
         # Seeded log-uniform heights from just above 2pi (where u ln u - u
-        # cancels to -1) to 1e300.  Errors are measured in ulps of the
-        # size of the terms: max(|u ln u|, u, 1) for the counts,
-        # max(|ln u|, 1)/2pi for the density (measured: 2.11 and 1.29).
+        # cancels to -1) to 1e300, and the band where u ln u overflows
+        # though u (ln u - 1) does not: from its first height to the last
+        # height whose count is a finite double.  Errors are measured in
+        # ulps of the size of the terms: max(|u ln u|, u, 1) for the
+        # counts, max(|ln u|, 1)/2pi for the density (measured: 1.80 and
+        # 1.29).
         rng = np.random.default_rng(1914)
         lo, hi = math.log(TWO_PI * (1.0 + 1.0e-7)), math.log(1.0e300)
-        heights = [*np.exp(rng.uniform(lo, hi, 500)).tolist(), TWO_PI * math.e, 10.0, 1.0e4]
+        heights = [*np.exp(rng.uniform(lo, hi, 500)).tolist(), TWO_PI * math.e, 10.0,
+                   1.0e4, 1.6062009223274123e306, 1.6064e306, 1.6084849632182114e306]
         with mpmath.workdps(40):
             for t in heights:
                 est = count_zeros(t)
@@ -397,6 +401,10 @@ class TestCountZeros:
         for bad in (0.0, -5.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 count_zeros(bad)
+
+    def test_rejects_heights_whose_count_overflows(self):
+        with pytest.raises(DomainError, match="overflowed"):
+            count_zeros(1.0e307)
 
     def test_rejects_heights_with_subnormal_ratio(self):
         # t/2pi below the smallest normal double: at 5e-324 it is 0 and
@@ -484,8 +492,11 @@ class TestGramPoints:
         # The scan evaluates Z on g_-1 .. g_{N(t_max)+7} in one batch and
         # needs a good Gram point ((-1)^n Z(g_n) > 0) at or past t_max
         # among them: below 1e4 no three consecutive Gram points are bad.
+        # Its block labels count good Gram points from g_-1, which is good
+        # as Z < 0 below the first zero.
         ns = np.arange(-1, 10160)
         zs = rzs._zkernels._z_values(rzs._zkernels._gram_points(ns))[0]
+        assert zs[0] < 0.0
         bad = np.where(ns % 2 == 0, zs, -zs) <= 0.0
         assert bad.sum() == 841
         assert (bad[:-1] & bad[1:]).any()
@@ -589,7 +600,9 @@ class TestScanZeros:
             return np.where(inside, np.abs(vals), vals), errs
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", one_signed)
-        with pytest.raises(AuditError, match=r"Gram block g_0\.\.g_2 "):
+        with pytest.raises(AuditError, match=(
+                r"Gram block g_0\.\.g_2 \(t in \[17\.845600, 27\.670182\]\) "
+                r"shows 0 sign changes for 2 Gram intervals ")):
             scan_zeros(0.0, 50.0, 1.0e-8)
 
     def test_no_good_gram_point_past_t_max_raises_audit_error(self, monkeypatch):
