@@ -46,13 +46,13 @@ _THETA_SERIES = (
 # Zero scan.  A Gram block that does not show one sign change per Gram
 # interval is subdivided until its node spacing reaches STRIDE_FLOOR.
 # Gram points come from _GRAM_NEWTON_STEPS Newton steps on theta, up to
-# _GRAM_PAD past N(t_max) - 1 ~ theta(t_max)/pi.  A node or refinement
-# point where Z is exactly 0.0 moves up by _NUDGE, far below any node
-# spacing and below half of TOL_SUPPORT_MIN.
+# _GRAM_PAD past N(t_max) - 1 ~ theta(t_max)/pi.  Every sign change the
+# scan counts or brackets is between Z < 0 and Z >= 0, so an exact 0.0
+# closes its bracket, which holds the zero as the interval is closed; a
+# Gram point g_n is good where (-1)^n Z > 0, so one with Z = 0.0 is bad.
 STRIDE_FLOOR = 1.0 / 1024.0
 _GRAM_NEWTON_STEPS = 6
 _GRAM_PAD = 8
-_NUDGE = 1.0e-6 * STRIDE_FLOOR
 
 # Bernoulli numbers B_2, B_4, ..., B_16.
 _BERN2K = (
@@ -323,18 +323,6 @@ def _gram_points(ns) -> np.ndarray:
     return ts
 
 
-def _sign_definite(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes ts and Z there, every node where Z is exactly 0.0 moved up
-    by _NUDGE: the sign-change bookkeeping needs a strict sign at every node."""
-    zs = _z_values(ts)[0]
-    exact = zs == 0.0
-    if exact.any():
-        ts = ts.copy()
-        ts[exact] += _NUDGE
-        zs[exact] = _z_values(ts[exact])[0]
-    return ts, zs
-
-
 def _resolve_blocks(
     ts: np.ndarray, zs: np.ndarray, block: np.ndarray, edge_n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +339,8 @@ def _resolve_blocks(
     """
     k = np.diff(edge_n)
     while True:
-        found = np.bincount(block[zs[:-1] * zs[1:] < 0.0], minlength=k.size)
+        neg = zs < 0.0
+        found = np.bincount(block[neg[:-1] != neg[1:]], minlength=k.size)
         unresolved = found != k
         if not unresolved.any():
             return ts, zs
@@ -370,9 +359,9 @@ def _resolve_blocks(
                 f"{found[j]} sign changes for {k[j]} Gram intervals at node "
                 f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
             )
-        mids, z_mids = _sign_definite(0.5 * (ts[gaps] + ts[gaps + 1]))
+        mids = 0.5 * (ts[gaps] + ts[gaps + 1])
+        zs = np.insert(zs, gaps + 1, _z_values(mids)[0])
         ts = np.insert(ts, gaps + 1, mids)
-        zs = np.insert(zs, gaps + 1, z_mids)
         block = np.insert(block, gaps + 1, labels)
 
 
@@ -384,13 +373,12 @@ def _refine_brackets(
     A step evaluates Z at the regula falsi point of the endpoint weights,
     which are the endpoint Z values, except that an endpoint kept twice
     in a row has its weight scaled by 1 - Z(x)/Z(replaced end), or by 1/2
-    where that is <= 0 (Anderson and Bjorck, BIT 13, 1973; the Illinois
-    rule always halves).  A guess that is not finite, as where weights
-    overflow, falls back to the midpoint.  The point stays at least tol/2
-    inside the bracket, so every step shrinks the bracket by at least
-    tol/2, and a converged guess closes it on the next step.  A point
-    where Z is exactly 0.0 moves up by _NUDGE < tol/2 and stays inside,
-    so both ends keep a strict sign change throughout.
+    where that is <= 0 or Z(replaced end) is 0.0 (Anderson and Bjorck,
+    BIT 13, 1973; the Illinois rule always halves).  A guess that is not
+    finite, as where weights overflow, falls back to the midpoint.  The
+    point stays at least tol/2 inside the bracket, so every step shrinks
+    the bracket by at least tol/2, and a converged guess closes it on the
+    next step.
     """
     lo, hi, z_lo, z_hi = lo.copy(), hi.copy(), z_lo.copy(), z_hi.copy()
     w_lo, w_hi = z_lo.copy(), z_hi.copy()
@@ -403,9 +391,10 @@ def _refine_brackets(
         guess = a - w_lo[idx] * (b - a) / (w_hi[idx] - w_lo[idx])
         guess = np.where(np.isfinite(guess), guess, 0.5 * (a + b))
         x = np.clip(guess, a + 0.5 * tol, b - 0.5 * tol)
-        x, fx = _sign_definite(x)
-        left = z_lo[idx] * fx < 0.0  # sign change in [a, x]: x is the new hi
-        scale = 1.0 - fx / np.where(left, z_hi[idx], z_lo[idx])
+        fx = _z_values(x)[0]
+        left = (z_lo[idx] < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
+        gone = np.where(left, z_hi[idx], z_lo[idx])  # Z at the replaced end
+        scale = 1.0 - np.divide(fx, gone, out=np.ones_like(fx), where=gone != 0.0)
         scale[~(scale > 0.0)] = 0.5
         again = kept[idx] == np.where(left, -1, 1)  # kept end kept last step too
         w_lo[idx[left & again]] *= scale[left & again]
@@ -426,7 +415,8 @@ def _scan_brackets(
     is <= g_-1 or a Gram point.  Below 1e4 no 3 consecutive Gram points
     are bad, so the batch holds g_B, the first good one at or past t_max;
     a batch without it raises AuditError.  The gap after node i is in Gram
-    block (good nodes up to i) - 1, as g_-1 is good: Z < 0 below 14.13.
+    block (good nodes up to i) - 1, as g_-1 is good: Z < 0 below 14.13,
+    and a Z that is not negative at g_-1 raises AuditError.
     """
     ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
     ts = _gram_points(ns)
@@ -436,8 +426,11 @@ def _scan_brackets(
         ts = np.insert(ts, at, t_max)
         ns = np.insert(ns, at, 0)
         parity = np.insert(parity, at, 0.0)
-    ts, zs = _sign_definite(ts)
+    zs = _z_values(ts)[0]
     good = parity * zs > 0.0
+    if not good[0]:
+        raise AuditError(f"scan_zeros: Z(g_-1) = {zs[0]:g} at t = {ts[0]:.6f}, "
+                         "where Z < 0")
     past = np.flatnonzero(good & (ts >= t_max))
     if past.size == 0:
         raise AuditError(
@@ -448,5 +441,8 @@ def _scan_brackets(
     block = np.cumsum(good[:stop - 1], dtype=np.int32) - 1
     ts, zs = _resolve_blocks(ts[:stop], zs[:stop], block, ns[:stop][good[:stop]])
 
-    idx = np.flatnonzero((zs[:-1] * zs[1:] < 0.0) & (ts[:-1] < t_max))
+    # A gap starting at t_max holds a zero in (0, t_max] where Z(t_max) = 0.0.
+    neg = zs < 0.0
+    inside = (ts[:-1] < t_max) | ((ts[:-1] == t_max) & (zs[:-1] == 0.0))
+    idx = np.flatnonzero((neg[:-1] != neg[1:]) & inside)
     return _refine_brackets(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)

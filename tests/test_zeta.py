@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -621,12 +622,29 @@ class TestScanZeros:
         with pytest.raises(AuditError, match=r"no good Gram point .* t_max = 50"):
             scan_zeros(0.0, 50.0, 1.0e-8)
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_non_negative_z_at_g_minus_1_raises_audit_error(
+            self, monkeypatch, value):
+        # The scan counts zeros from g_-1 ~ 9.67 on, its only node below
+        # 10, as Z < 0 below 14.13.  A Z that is 0.0 or positive there
+        # makes g_-1 bad and would drop gamma_1 from the count unnoticed.
+        real = rzs._zkernels._z_values
+
+        def wrong_at_g_minus_1(ts):
+            ts = np.asarray(ts, dtype=float)
+            vals, errs = real(ts)
+            return np.where(ts < 10.0, value, vals), errs
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", wrong_at_g_minus_1)
+        with pytest.raises(AuditError, match=r"Z\(g_-1\) = .* t = 9\.66"):
+            scan_zeros(0.0, 50.0, 1.0e-8)
+
     def test_exact_zero_at_refinement_point_keeps_strict_signs(self, monkeypatch):
         # Report Z = 0.0 exactly at the first refinement point less than
         # 1e-3 above gamma_1.  Stored as the new lower end, that point
-        # would push the bracket past the zero; instead it moves up by
-        # _NUDGE like a grid node, and the bracket keeps a strict sign
-        # change at both ends.
+        # would push the bracket past the zero; as Z >= 0 there, it is
+        # the new upper end instead, and the bracket keeps a strict sign
+        # change of the true Z at both ends.
         real = rzs._zkernels._z_values
         gamma_1 = _reference_zeros()[0]
         zeroed = []
@@ -648,6 +666,83 @@ class TestScanZeros:
         assert hi - lo <= 1.0e-8
         z_ends = real(np.array([lo, hi]))[0]
         assert z_ends[0] * z_ends[1] < 0.0
+
+    @pytest.mark.parametrize("factor", [2.0 ** -600, 2.0 ** 600])
+    def test_scaled_z_gives_the_same_table(self, monkeypatch, factor):
+        # The scan decides signs by Z < 0 only, so Z times a power of two
+        # gives the same table, and no product of two Z values underflows
+        # or overflows on the way.
+        real = rzs._zkernels._z_values
+        expected = scan_zeros(0.0, 1000.0, 1.0e-8)
+
+        def scaled(ts):
+            vals, errs = real(ts)
+            return vals * factor, errs
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", scaled)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert scan_zeros(0.0, 1000.0, 1.0e-8) == expected
+
+    @pytest.mark.parametrize("z, zeros", [
+        (lambda ts: ts - 14.0, (14.0,)),
+        (lambda ts: -(ts - 12.0) * (ts - 14.0), (12.0, 14.0)),
+    ], ids=["rising", "falling"])
+    def test_exact_zero_at_a_grid_node_closes_its_bracket(
+            self, monkeypatch, z, zeros):
+        # Z is 0.0 at the node t_max = 14.  Rising there, Z >= 0 makes the
+        # node end the bracket of the sign change, between the good Gram
+        # points g_-1 ~ 9.67 and g_0 ~ 17.85.  Falling there, g_0 is bad,
+        # the block g_-1..g_1 holds the zeros 12 and 14, and the sign
+        # change at 14 lies in the gap after t_max, which the scan keeps.
+        def exact(ts):
+            ts = np.asarray(ts, dtype=float)
+            return z(ts), np.zeros_like(ts)
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", exact)
+        with np.errstate(all="raise"):
+            table = scan_zeros(0.0, 14.0, 1.0e-8)
+        assert len(table.gamma) == len(zeros)
+        for zero, lo, hi in zip(zeros, table.bracket_lo, table.bracket_hi):
+            assert lo <= zero <= hi
+            assert hi - lo <= 1.0e-8
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_exact_zero_at_a_refinement_point_closes_its_bracket(
+            self, monkeypatch, slope):
+        # On [8, 16] the regula falsi point of Z = slope * (t - 12) is the
+        # root 12 exactly, where Z = 0.0 counts as Z >= 0.
+        points = []
+
+        def linear(ts):
+            ts = np.asarray(ts, dtype=float)
+            points.extend(ts.tolist())
+            return slope * (ts - 12.0), np.zeros_like(ts)
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", linear)
+        with np.errstate(all="raise"):
+            lo, hi = rzs._zkernels._refine_brackets(
+                np.array([8.0]), np.array([16.0]),
+                np.array([-4.0 * slope]), np.array([4.0 * slope]), 1.0e-8)
+        assert points[0] == 12.0
+        assert lo[0] <= 12.0 <= hi[0]
+        assert hi[0] - lo[0] <= 1.0e-8
+
+    def test_replaced_exact_zero_end_gives_no_division(self, monkeypatch):
+        # Z = (t - 10)(t - 12)^2 on [8, 12] has Z = 0.0 at the upper end,
+        # and Z > 0 just below it, so the first step replaces that end
+        # while the scale 1 - Z(x)/Z(replaced end) would divide by 0.0.
+        def touching(ts):
+            ts = np.asarray(ts, dtype=float)
+            return (ts - 10.0) * (ts - 12.0) ** 2, np.zeros_like(ts)
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", touching)
+        with np.errstate(all="raise"):
+            lo, hi = rzs._zkernels._refine_brackets(
+                np.array([8.0]), np.array([12.0]),
+                np.array([-32.0]), np.array([0.0]), 1.0e-8)
+        assert lo[0] <= 10.0 <= hi[0]
+        assert hi[0] - lo[0] <= 1.0e-8
 
     @pytest.mark.parametrize("t_max, count", [(1339.03, 931), (1420.65, 1001)])
     def test_close_pair_heights_give_exact_counts(self, t_max, count):

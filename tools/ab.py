@@ -1,0 +1,216 @@
+"""A/B runs of the benchmark: this checkout against a parent commit.
+
+    python3 tools/ab.py --pr N
+
+The change is the checkout's tracked files as they are in the working
+tree (a new file counts once it is added with git add).  Its parent is
+HEAD while tracked files have uncommitted changes, and HEAD~1 once they
+are all committed; a change identical to its parent is an error.  The
+parent is copied with `git archive` to .bench_build/base and the change
+to .bench_build/head.  Both paths have the same length, because the
+directory name alone moves the children's peak RSS.  For every workload
+of BENCHMARK.json it then runs
+
+    python3 bench/run.py --workload W --seed S --seconds RUN_SECONDS
+
+in PAIRS pairs, one run on each side at the same seed 1000 N + i,
+alternating which side runs first, and writes BENCH_<N>.json at the root
+of the checkout.  For each end-to-end metric and workload the file gives
+both sides' median and quartiles, the pairs each side won (ties count for
+neither), the change's relative worsening of the median against the
+metric's bound and the parent's relative interquartile range.  For each
+side it also gives failed and attempted operations and the Z evaluations
+of scan_zeros(0, 1e4, 1e-8), and it keeps every run's raw numbers.
+bench/ is read, never changed; both copies are removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUILD = os.path.join(ROOT, ".bench_build")
+SIDES = ("base", "head")  # equal lengths: equal paths for both copies
+PAIRS = 10
+
+# Counts the Z evaluations and batched calls of one deep scan in a child
+# started in a copy's root.
+_Z_COUNT = """
+import json, sys
+sys.path.insert(0, "src")
+import numpy as np
+import rzs._zkernels as k
+from rzs import scan_zeros
+real, seen = k._z_values, []
+def counting(ts, *args):
+    seen.append(np.size(ts))
+    return real(ts, *args)
+k._z_values = counting
+table = scan_zeros(0.0, 1.0e4, 1.0e-8)
+print(json.dumps({"zeros": len(table.gamma), "evaluations": sum(seen),
+                  "calls": len(seen)}))
+"""
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def parent() -> tuple[str, bool]:
+    """The change's parent commit, and whether the change is committed:
+    HEAD while tracked files have uncommitted changes, else HEAD~1.
+    Exits where the change is identical to its parent."""
+    committed = not git("status", "--porcelain", "--untracked-files=no")
+    rev = git("rev-parse", "HEAD~1" if committed else "HEAD").decode().strip()
+    if subprocess.run(["git", "diff", "--quiet", rev], cwd=ROOT).returncode == 0:
+        sys.exit(f"ab: the change is identical to its parent {rev}")
+    return rev, committed
+
+
+def copy_base(rev: str, dest: str) -> None:
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def copy_head(dest: str) -> None:
+    names = git("ls-files", "-z")
+    for name in names.decode().split("\0"):
+        src = os.path.join(ROOT, name)
+        if name and os.path.isfile(src):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name))
+
+
+def pair_order(i: int) -> tuple[str, str]:
+    """The sides of pair i in the order they run: base first in even pairs."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in a copy: the JSON object of its last line."""
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=root, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def z_evaluations(root: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", _Z_COUNT], cwd=root,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload: each side's operations and, per end-to-end metric,
+    each side's spread, the pairs each side won and the change's
+    relative worsening of the median (negative where it improved) and
+    the parent's interquartile range relative to its median.
+
+    runs holds one record per run: workload, pair, side, and the
+    benchmark's correct, attempted, failed and metrics."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs: dict[int, dict[str, dict]] = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
+        paired = list(pairs.values())
+        entry = {side: {key: sum(p[side][key] for p in paired)
+                        for key in ("attempted", "failed")}
+                 for side in SIDES}
+        for side in SIDES:
+            entry[side]["broken_runs"] = sum(not p[side]["correct"] for p in paired)
+        metrics = {}
+        for spec in end_to_end:
+            name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
+            values = {side: [p[side]["metrics"][name]["value"] for p in paired]
+                      for side in SIDES}
+            wins = {side: 0 for side in SIDES}
+            for b, h in zip(values["base"], values["head"]):
+                if h != b:
+                    wins["head" if sign * (h - b) < 0.0 else "base"] += 1
+            spreads = {side: spread(values[side]) for side in SIDES}
+            base = spreads["base"]
+            worse = sign * (spreads["head"]["median"] - base["median"]) / base["median"]
+            metrics[name] = {
+                "better": spec["better"], "bound": spec["bound"],
+                **spreads, "pairs": len(paired),
+                "base_wins": wins["base"], "head_wins": wins["head"],
+                "rel_worse": worse, "within_bound": worse <= spec["bound"],
+                # Above the bound, the parent's own runs cannot resolve it.
+                "base_rel_iqr": (base["q3"] - base["q1"]) / base["median"],
+            }
+        entry["metrics"] = metrics
+        out[workload] = entry
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True)
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    roots = {side: os.path.join(BUILD, side) for side in SIDES}
+    for root in roots.values():
+        if os.path.exists(root):
+            sys.exit(f"ab: {root} exists; remove it first")
+    head_rev = git("rev-parse", "HEAD").decode().strip()
+    base_rev, committed = parent()
+    seconds = spec["run_seconds"]
+    runs = []
+    try:
+        copy_base(base_rev, roots["base"])
+        copy_head(roots["head"])
+        z_counts = {side: z_evaluations(roots[side]) for side in SIDES}
+        for w in spec["workloads"]:
+            for i in range(PAIRS):
+                seed = 1000 * args.pr + i
+                for side in pair_order(i):
+                    print(f"ab: {w['name']} pair {i} seed {seed} {side}",
+                          file=sys.stderr, flush=True)
+                    result = bench_run(roots[side], w["name"], seed, seconds)
+                    runs.append({"workload": w["name"], "pair": i, "seed": seed,
+                                 "side": side, **result})
+    finally:
+        for root in roots.values():
+            shutil.rmtree(root, ignore_errors=True)
+    record = {
+        "pr": args.pr,
+        "base": base_rev,
+        "head": head_rev if committed else f"working tree on {head_rev}",
+        "command": spec["command"],
+        "run_seconds": seconds,
+        "pairs": PAIRS,
+        "host": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "z_evaluations": z_counts,
+        "workloads": summarize(runs, spec["end_to_end"]),
+        "runs": runs,
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    with open(path, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
+    print(f"ab: wrote {os.path.relpath(path, ROOT)}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
