@@ -17,9 +17,9 @@ Only zeros and compare compute with arrays, so only they load numpy:
 they import correspond and the scan kernels when they run.
 
 main sets OPENBLAS_NUM_THREADS=1 in its own environment before numpy
-loads.  The one BLAS call of the CLI, compare's slope fit on at most
-5,000 x 2 values, gains nothing from threads, while the worker that
-numpy's OpenBLAS starts per extra core costs every fresh process 60 to
+loads.  No code path of rzs calls BLAS or LAPACK (compare's slope fit
+is in closed form), yet numpy's OpenBLAS starts a worker per extra core
+as soon as numpy loads, and that worker costs every fresh process 60 to
 70 ms.  Set OPENBLAS_NUM_THREADS to override it; OMP_NUM_THREADS and
 GOTO_NUM_THREADS rank below it in OpenBLAS and so no longer apply
 alone.  Importing rzs or rzs.cli, or calling main after numpy has
@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # No BLAS call of the CLI gains from threads, and OpenBLAS's worker
-    # costs every fresh process 60-70 ms.  The setting counts only before
+    # rzs calls no BLAS, but OpenBLAS starts its worker when numpy loads,
+    # costing every fresh process 60-70 ms.  The setting counts only before
     # numpy loads; once it has, the environment is left as it was.
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -375,8 +375,9 @@ class TestCompareCommand:
         assert set(parsed["fit"]) == {"slope", "intercept", "residual"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        # The second run lets OpenBLAS use two threads: the JSON carries
-        # the slope fit, the one BLAS call, and must not depend on them.
+        # The second run lets OpenBLAS use two threads.  rzs calls no BLAS
+        # (the slope fit is in closed form), so the JSON, fit included,
+        # must not depend on them.
         args = ["compare", "--n-max", "60", "--out-path", "report.json"]
         result = _run(args, tmp_path)
         assert result.returncode == 0, result.stderr
@@ -620,6 +621,32 @@ class TestImport:
                        if isinstance(node, ast.Attribute) and node.attr == "outer"]
         assert trig_calls == [("_zkernels.py", "np.tan", True)]
         assert outers == []
+
+    def test_no_blas_or_lapack_call(self):
+        # log_slope_fit solves its 2-parameter least squares in closed
+        # form, so no code path of rzs reaches numpy's BLAS or LAPACK: no
+        # solver or product routine is named, imported or applied with @.
+        blas = {"polyfit", "linalg", "lstsq", "dot", "matmul", "einsum",
+                "inner", "vdot", "tensordot"}
+        package = pathlib.Path(rzs.__file__).parent
+        offenders = []
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.MatMult):
+                    offenders.append(f"{path.name}:@")
+                    continue
+                # A bare name such as dot reaches numpy only through an
+                # import, so local variables (cli._log_grid's inner) pass.
+                if isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno}:{name}" for name in names
+                              if blas & set(name.split("."))]
+        assert offenders == []
 
     def test_short_commands_leave_numpy_unloaded(self, tmp_path):
         # count, gap and bubble compute with math alone; zeros and
