@@ -27,21 +27,13 @@ CROSSOVER_T = 30.0
 _EM_N = math.ceil(1.2 * CROSSOVER_T + 10.0)
 
 # theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
-# first omitted term, 691/2730 * (1 - 2^-11) / 264 * t^-11 ~ 9.6e-4 t^-11,
-# is <= 1e-14 there.  Below it, the shifted Stirling series serves.
+# first omitted term, k = 6 of _THETA_SERIES's formula, ~9.6e-4 t^-11, is
+# <= 1e-14 there, and with e^{-pi t}/2, which the series lacks, the series
+# is within 2.2e-14 of theta.  Below it, the shifted Stirling series serves.
 THETA_SERIES_T = 10.0
 
 LN_PI = math.log(math.pi)
 LN_2PI = math.log(math.tau)
-
-# Coefficients of t^-1, t^-3, ..., t^-9 in the asymptotic series of theta.
-_THETA_SERIES = (
-    1.0 / 48.0,
-    7.0 / 5760.0,
-    31.0 / 80640.0,
-    127.0 / 430080.0,
-    511.0 / 1216512.0,
-)
 
 # Zero scan.  A Gram block that does not show one sign change per Gram
 # interval is subdivided until its node spacing reaches STRIDE_FLOOR.
@@ -54,24 +46,21 @@ STRIDE_FLOOR = 1.0 / 1024.0
 _GRAM_NEWTON_STEPS = 6
 _GRAM_PAD = 8
 
-# Bernoulli numbers B_2, B_4, ..., B_16.
-_BERN2K = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-)
-
-# B_2k / (2k)! for the Euler-Maclaurin tail, k = 1..8; B_18 feeds the
-# truncation bound on the first omitted term.
-_EM_COEF = tuple(
-    b / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN2K)
-)
-_BERN_18 = 43867.0 / 798.0
+# B_2, B_4, ..., B_18 as exact (numerator, denominator) pairs, the one
+# source of the Stirling series of ln Gamma (B_2k, k <= 8), the
+# Euler-Maclaurin tail (B_2k/(2k)!, k <= 8, and k = 9 for its bound) and
+# the asymptotic series of theta, whose coefficient of t^(1-2k) is
+# (2^(2k-1) - 1) |B_2k| / (2k (2k-1) 4^k), k <= 5: 1/48, 7/5760, ...
+# (Edwards, Riemann's Zeta Function, 1974, 6.5).  _BERN2K and _THETA_SERIES
+# round each exact value once; _EM_COEF divides the float B_2k by (2k)!.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
+              (-691, 2730), (7, 6), (-3617, 510), (43867, 798))
+_BERN2K = tuple(p / q for p, q in _BERNOULLI[:-1])
+_EM_COEF = tuple(p / q / math.factorial(2 * k)
+                 for k, (p, q) in enumerate(_BERNOULLI, start=1))
+_THETA_SERIES = tuple(
+    (2 ** (2 * k - 1) - 1) * abs(p) / (q * (2 * k) * (2 * k - 1) * 4 ** k)
+    for k, (p, q) in enumerate(_BERNOULLI[:5], start=1))
 
 _STIRLING_SHIFT = 12  # ln Gamma recurrence shift before the series
 
@@ -219,21 +208,19 @@ def _em_tail(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_pow = float(_EM_N) ** (-s)  # N^{-s}
     tail = 0.5 * n_pow + n_pow * _EM_N / (s - 1.0)
 
-    # sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
+    # sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}, k = 1..K = 8.
+    # Each step leaves rising and q at term k + 1, so after the loop they
+    # are those of the first omitted term, and k is K.
     rising = s.copy()
     q = n_pow / _EM_N  # N^{-s-1}
     n_inv2 = 1.0 / (_EM_N * _EM_N)
-    for k, coef in enumerate(_EM_COEF, start=1):
-        if k > 1:
-            rising = rising * (s + (2 * k - 3)) * (s + (2 * k - 2))
+    for k, coef in enumerate(_EM_COEF[:-1], start=1):
         tail = tail + coef * rising * q
+        rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
         q = q * n_inv2
 
-    k_next = len(_EM_COEF) + 1  # first omitted tail index; needs B_18
-    rising_next = rising * (s + (2 * k_next - 3)) * (s + (2 * k_next - 2))
-    coef_next = _BERN_18 / math.factorial(2 * k_next)
-    first_omitted = abs(coef_next) * np.abs(rising_next) * np.abs(q)
-    bound = first_omitted * np.abs(s + (2 * k_next - 1)) / (0.5 + 2 * k_next - 1)
+    first_omitted = abs(_EM_COEF[-1]) * np.abs(rising) * np.abs(q)
+    bound = first_omitted * np.abs(s + (2 * k + 1)) / (0.5 + 2 * k + 1)
     # Truncation bound plus a rounding floor for the ~N-term sums.
     return tail, bound + 1.0e-13
 
@@ -318,7 +305,7 @@ def _gram_points(ns) -> np.ndarray:
     ns = np.asarray(ns, dtype=float)
     ts = math.tau * (ns + 0.125 + math.e)
     for _ in range(_GRAM_NEWTON_STEPS):
-        slope = 0.5 * np.log(ts / math.tau) - 1.0 / (48.0 * ts * ts)
+        slope = 0.5 * np.log(ts / math.tau) - _THETA_SERIES[0] / (ts * ts)
         ts -= (_theta_vec(ts) - math.pi * ns) / slope
     return ts
 

@@ -14,7 +14,8 @@ goes through zeta._format_rows, so re-running a command with identical
 flags produces byte-identical output.
 
 Only zeros and compare compute with arrays, so only they load numpy:
-they import correspond and the scan kernels when they run.
+zeros imports the scan kernels when it runs, and compare those and
+correspond.
 
 main sets OPENBLAS_NUM_THREADS=1 in its own environment before numpy
 loads.  No code path of rzs calls BLAS or LAPACK (compare's slope fit
@@ -279,7 +280,3 @@ def run() -> NoReturn:
     except OSError:
         pass
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

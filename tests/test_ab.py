@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
-import os
 import pathlib
-import subprocess
 
 import pytest
 
@@ -80,24 +78,38 @@ def test_a_worse_median_beyond_its_bound_is_flagged():
 
 
 def test_parent_is_head_until_the_change_is_committed(tmp_path, monkeypatch):
-    env = {**os.environ, "GIT_AUTHOR_NAME": "a", "GIT_AUTHOR_EMAIL": "a@b",
-           "GIT_COMMITTER_NAME": "a", "GIT_COMMITTER_EMAIL": "a@b"}
+    # git stash create, like git commit, needs an identity.
+    for key in ("GIT_AUTHOR_NAME", "GIT_COMMITTER_NAME"):
+        monkeypatch.setenv(key, "a")
+    for key in ("GIT_AUTHOR_EMAIL", "GIT_COMMITTER_EMAIL"):
+        monkeypatch.setenv(key, "a@b")
+    repo, head = tmp_path / "repo", tmp_path / "head"
+    repo.mkdir()
+    monkeypatch.setattr(ab, "ROOT", str(repo))
 
     def commit(*args):
-        subprocess.run(["git", "commit", "-q", *args], cwd=tmp_path, env=env,
-                       check=True)
+        ab.git("commit", "-q", *args)
         return ab.git("rev-parse", "HEAD").decode().strip()
 
-    monkeypatch.setattr(ab, "ROOT", str(tmp_path))
     ab.git("init", "-q")
-    (tmp_path / "f").write_text("1")
+    (repo / "f").write_text("1")
     ab.git("add", "f")
     first = commit("-m", "first")
-    (tmp_path / "f").write_text("2")
+    (repo / "f").write_text("2")  # an unstaged edit
+    (repo / "g").write_text("3")
+    ab.git("add", "g")  # a staged new file
+    (repo / "untracked").write_text("")  # not part of the change
+    status = ab.git("status", "--porcelain")
     assert ab.parent() == (first, False)
-    commit("-am", "second")
-    (tmp_path / "untracked").write_text("")  # not part of the change
+    ab.copy(ab.change(), str(head))
+    assert sorted(p.name for p in head.iterdir()) == ["f", "g"]
+    assert ((head / "f").read_text(), (head / "g").read_text()) == ("2", "3")
+    assert ab.git("status", "--porcelain") == status  # index and tree untouched
+    assert not ab.git("stash", "list")
+
+    second = commit("-am", "second")
     assert ab.parent() == (first, True)
+    assert ab.change() == second
     commit("--allow-empty", "-m", "empty")
     with pytest.raises(SystemExit, match="identical to its parent"):
         ab.parent()

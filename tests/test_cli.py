@@ -416,20 +416,22 @@ class TestCompareCommand:
             assert not out.exists()
 
     def test_scan_height_covers_n_max_without_overscan(self):
-        # The scan height must hold n_max zeros and at most 3 more, for
-        # every n_max up to the 10142 zeros below the supported height.
-        # Counts up to n_max = 2470 come from every zero up to
-        # t = 3001.02 from mpmath, committed with the benchmark; beyond,
-        # from one full scan, whose counts are exact by Rosser's rule and
-        # match mpmath up to t = 3000.
+        # The scan height g_{n_max+1} must hold n_max + 1 to n_max + 3
+        # zeros, for every n_max up to the 10142 zeros below the supported
+        # height, and at least n_max where T_SUPPORT_MAX caps it (n_max
+        # 10141 and 10142 get +1 and +0).  Counts at heights up to
+        # t = 3001.02 come from every zero there from mpmath, committed
+        # with the benchmark; above, from one full scan, whose counts are
+        # exact by Rosser's rule and match mpmath up to t = 3000.
         reference = json.loads(_REFERENCE.read_text())["full"]
         scanned = rzs.scan_zeros(0.0, 1.0e4, 1.0e-8).gamma
         assert len(scanned) == 10142
         for n_max in range(1, len(scanned) + 1):
             t_upper = rzs.cli._scan_upper_for(n_max)
-            heights = reference if n_max <= len(reference) else scanned
+            heights = reference if t_upper <= reference[-1] else scanned
             count = bisect.bisect_right(heights, t_upper)
-            assert count >= n_max, (n_max, t_upper)
+            below_cap = t_upper < rzs.zeta.T_SUPPORT_MAX
+            assert count >= n_max + below_cap, (n_max, t_upper)
             if t_upper <= heights[-1]:
                 assert count <= n_max + 3, (n_max, t_upper)
 
@@ -525,11 +527,18 @@ class TestProcessEntry:
             target = tomllib.load(handle)["project"]["scripts"]["rzs"]
         module, _, name = target.partition(":")
         assert getattr(importlib.import_module(module), name) is rzs.cli.run
-        tree = ast.parse((pathlib.Path(rzs.__file__).parent / "__main__.py").read_text())
-        guards = [node for node in tree.body if isinstance(node, ast.If)
-                  and ast.unparse(node.test) == "__name__ == '__main__'"]
-        assert len(guards) == 1
-        calls = [node.func.id for node in ast.walk(guards[0])
+        package = pathlib.Path(rzs.__file__).parent
+        guards = {}
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            guards[path.name] = [
+                node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+        # python -m rzs is the one module launcher: no other module of the
+        # package, rzs.cli included, runs as a script.
+        assert [name for name, found in guards.items() if found] == ["__main__.py"]
+        assert len(guards["__main__.py"]) == 1
+        calls = [node.func.id for node in ast.walk(guards["__main__.py"][0])
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
         assert calls == ["run"]
 

@@ -9,6 +9,7 @@ import math
 import pathlib
 import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -338,6 +339,57 @@ class TestEulerMaclaurinKernel:
             assert single.method == "euler_maclaurin"
             assert value == single.z_value and err == single.est_abs_error, t
             assert abs(mpmath.mpf(float(value)) - ref) <= err, t
+
+
+class TestBernoulliTable:
+    """_BERNOULLI is the one source of the kernels' Bernoulli numbers."""
+
+    kernels = rzs._zkernels
+
+    @staticmethod
+    def theta_coef(k):
+        # (2^(2k-1) - 1) |B_2k| / (2k (2k-1) 4^k), the t^(1-2k) coefficient
+        # of theta's asymptotic series (Edwards, 1974, 6.5), exact.
+        b = abs(Fraction(*mpmath.bernfrac(2 * k)))
+        return (2 ** (2 * k - 1) - 1) * b / (2 * k * (2 * k - 1) * 4 ** k)
+
+    def test_entries_are_the_exact_bernoulli_numbers(self):
+        table = self.kernels._BERNOULLI
+        assert table == tuple(mpmath.bernfrac(2 * k) for k in range(1, 10))
+        assert self.kernels._BERN2K == tuple(float(Fraction(*b)) for b in table[:8])
+
+    def test_theta_series_entries_are_their_rationals_rounded_once(self):
+        coefs = [self.theta_coef(k) for k in range(1, 6)]
+        assert coefs == [Fraction(1, 48), Fraction(7, 5760), Fraction(31, 80640),
+                         Fraction(127, 430080), Fraction(511, 1216512)]
+        assert self.kernels._THETA_SERIES == tuple(float(c) for c in coefs)
+
+    def test_em_coefficients_and_the_bound_term(self):
+        coefs = self.kernels._EM_COEF
+        assert len(coefs) == 9
+        assert coefs[-1] == float(Fraction(43867, 798) / math.factorial(18))
+        # Each is the float B_2k divided by (2k)!, two roundings.
+        for k, c in enumerate(coefs, start=1):
+            exact = Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k)
+            assert abs(Fraction(c) - exact) <= 2.0 ** -52 * abs(exact), k
+
+    def test_first_omitted_theta_term_at_the_series_switch(self):
+        # At THETA_SERIES_T the first omitted term, k = 6, is <= 1e-14.
+        # The series also lacks a term e^{-pi t}/2, so five terms of it in
+        # exact arithmetic are 2.13e-14 off theta there (mpmath).
+        t = self.kernels.THETA_SERIES_T
+        assert float(self.theta_coef(6)) * t ** -11 <= 1.0e-14
+        with mpmath.workdps(40):
+            tm = mpmath.mpf(t)
+            series = tm / 2 * (mpmath.log(tm / (2 * mpmath.pi)) - 1) - mpmath.pi / 8
+            for k in range(1, 6):
+                c = self.theta_coef(k)
+                series += mpmath.mpf(c.numerator) / c.denominator * tm ** (1 - 2 * k)
+            error = mpmath.siegeltheta(tm) - series
+            assert 0.0 < error <= 2.2e-14
+            c6 = self.theta_coef(6)
+            rest = error - mpmath.mpf(c6.numerator) / c6.denominator * tm ** -11
+            assert abs(rest - mpmath.exp(-mpmath.pi * tm) / 2) <= 1.0e-15
 
 
 # ----------------------------------------------------------------------

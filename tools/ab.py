@@ -5,11 +5,12 @@
 The change is the checkout's tracked files as they are in the working
 tree (a new file counts once it is added with git add).  Its parent is
 HEAD while tracked files have uncommitted changes, and HEAD~1 once they
-are all committed; a change identical to its parent is an error.  The
-parent is copied with `git archive` to .bench_build/base and the change
-to .bench_build/head.  Both paths have the same length, because the
-directory name alone moves the children's peak RSS.  For every workload
-of BENCHMARK.json it then runs
+are all committed; a change identical to its parent is an error.  Both
+sides are copied with `git archive`: the parent to .bench_build/base,
+and the change, as the commit `git stash create` makes of the working
+tree, to .bench_build/head.  Both paths have the same length, because
+the directory name alone moves the children's peak RSS.  For every
+workload of BENCHMARK.json it then runs
 
     python3 bench/run.py --workload W --seed S --seconds RUN_SECONDS
 
@@ -77,18 +78,17 @@ def parent() -> tuple[str, bool]:
     return rev, committed
 
 
-def copy_base(rev: str, dest: str) -> None:
+def change() -> str:
+    """The change as a commit: `git stash create` of the tracked working
+    tree, which touches no ref, index or file, or HEAD where it has no
+    uncommitted changes."""
+    rev = git("stash", "create").decode().strip()
+    return rev or git("rev-parse", "HEAD").decode().strip()
+
+
+def copy(rev: str, dest: str) -> None:
     with tarfile.open(fileobj=io.BytesIO(git("archive", rev))) as tar:
         tar.extractall(dest, filter="data")
-
-
-def copy_head(dest: str) -> None:
-    names = git("ls-files", "-z")
-    for name in names.decode().split("\0"):
-        src = os.path.join(ROOT, name)
-        if name and os.path.isfile(src):
-            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
-            shutil.copy2(src, os.path.join(dest, name))
 
 
 def pair_order(i: int) -> tuple[str, str]:
@@ -176,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     runs = []
     try:
-        copy_base(base_rev, roots["base"])
-        copy_head(roots["head"])
+        copy(base_rev, roots["base"])
+        copy(change(), roots["head"])
         z_counts = {side: z_evaluations(roots[side]) for side in SIDES}
         for w in spec["workloads"]:
             for i in range(PAIRS):
