@@ -305,7 +305,7 @@ def _gram_points(ns) -> np.ndarray:
     ns = np.asarray(ns, dtype=float)
     ts = math.tau * (ns + 0.125 + math.e)
     for _ in range(_GRAM_NEWTON_STEPS):
-        slope = 0.5 * np.log(ts / math.tau) - _THETA_SERIES[0] / (ts * ts)
+        slope = 0.5 * np.log(ts / math.tau) - 1.0 / (48.0 * ts * ts)
         ts -= (_theta_vec(ts) - math.pi * ns) / slope
     return ts
 

@@ -1,16 +1,27 @@
-"""Tests for tools/ab.py: the pairing and the summary, on canned runs."""
+"""Tests for tools/ab.py, the pairing and the summary on canned runs and
+the choice of change and parent on scratch repositories, and for
+tools/bitcheck.py on a scratch copy of the package."""
 
 from __future__ import annotations
 
 import importlib.util
 import pathlib
+import shutil
+import sys
 
 import pytest
 
-_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab.py"
-_SPEC = importlib.util.spec_from_file_location("ab", _PATH)
-ab = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(ab)
+_REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _REPO / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab = _load("ab")
 
 END_TO_END = [
     {"name": "wall_p50_s", "better": "lower", "bound": 0.25},
@@ -77,24 +88,30 @@ def test_a_worse_median_beyond_its_bound_is_flagged():
     assert (wall["head_wins"], wall["base_wins"]) == (0, 3)
 
 
-def test_parent_is_head_until_the_change_is_committed(tmp_path, monkeypatch):
-    # git stash create, like git commit, needs an identity.
+def _scratch_repo(tmp_path, monkeypatch):
+    """An empty git repository under tmp_path that ab's git runs in."""
+    # The tests' own commits need an identity.
     for key in ("GIT_AUTHOR_NAME", "GIT_COMMITTER_NAME"):
         monkeypatch.setenv(key, "a")
     for key in ("GIT_AUTHOR_EMAIL", "GIT_COMMITTER_EMAIL"):
         monkeypatch.setenv(key, "a@b")
-    repo, head = tmp_path / "repo", tmp_path / "head"
+    repo = tmp_path / "repo"
     repo.mkdir()
     monkeypatch.setattr(ab, "ROOT", str(repo))
-
-    def commit(*args):
-        ab.git("commit", "-q", *args)
-        return ab.git("rev-parse", "HEAD").decode().strip()
-
     ab.git("init", "-q")
+    return repo
+
+
+def _commit(*args):
+    ab.git("commit", "-q", *args)
+    return ab.git("rev-parse", "HEAD").decode().strip()
+
+
+def test_parent_is_head_until_the_change_is_committed(tmp_path, monkeypatch):
+    repo, head = _scratch_repo(tmp_path, monkeypatch), tmp_path / "head"
     (repo / "f").write_text("1")
     ab.git("add", "f")
-    first = commit("-m", "first")
+    first = _commit("-m", "first")
     (repo / "f").write_text("2")  # an unstaged edit
     (repo / "g").write_text("3")
     ab.git("add", "g")  # a staged new file
@@ -104,12 +121,38 @@ def test_parent_is_head_until_the_change_is_committed(tmp_path, monkeypatch):
     ab.copy(ab.change(), str(head))
     assert sorted(p.name for p in head.iterdir()) == ["f", "g"]
     assert ((head / "f").read_text(), (head / "g").read_text()) == ("2", "3")
-    assert ab.git("status", "--porcelain") == status  # index and tree untouched
+    assert ab.git("status", "--porcelain") == status  # no staged content or file changed
     assert not ab.git("stash", "list")
 
-    second = commit("-am", "second")
+    second = _commit("-am", "second")
     assert ab.parent() == (first, True)
     assert ab.change() == second
-    commit("--allow-empty", "-m", "empty")
+    _commit("--allow-empty", "-m", "empty")
     with pytest.raises(SystemExit, match="identical to its parent"):
         ab.parent()
+
+
+def test_bitcheck_sees_one_changed_kernel_constant(tmp_path, monkeypatch, capsys):
+    repo = _scratch_repo(tmp_path, monkeypatch)
+    monkeypatch.setitem(sys.modules, "ab", ab)  # bitcheck imports it
+    bitcheck = _load("bitcheck")
+    shutil.copytree(_REPO / "src" / "rzs", repo / "src" / "rzs",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    ab.git("add", "src")
+    _commit("-m", "first")
+
+    (repo / "notes").write_text("")
+    ab.git("add", "notes")  # a change that leaves the kernels alone
+    assert bitcheck.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:]] == ["z", "bound", "theta", "gram"]
+    assert all(line.endswith("equal") for line in lines[1:])
+
+    kernels = repo / "src" / "rzs" / "_zkernels.py"
+    text = kernels.read_text()
+    assert "THETA_SERIES_T = 10.0\n" in text
+    kernels.write_text(text.replace("THETA_SERIES_T = 10.0\n", "THETA_SERIES_T = 11.0\n"))
+    assert bitcheck.main() == 1
+    out = capsys.readouterr().out
+    assert "theta: 250002 values, equal" not in out
+    assert "z: 250002 values, equal" not in out

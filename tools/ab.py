@@ -80,8 +80,8 @@ def parent() -> tuple[str, bool]:
 
 def change() -> str:
     """The change as a commit: `git stash create` of the tracked working
-    tree, which touches no ref, index or file, or HEAD where it has no
-    uncommitted changes."""
+    tree, which changes no ref, branch or staged content, or HEAD where
+    it has no uncommitted changes."""
     rev = git("stash", "create").decode().strip()
     return rev or git("rev-parse", "HEAD").decode().strip()
 

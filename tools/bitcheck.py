@@ -1,20 +1,21 @@
-"""Bit-for-bit comparison of the Z kernels: this checkout against its parent.
+"""Bit-for-bit comparison of the Z kernels: the change against its parent.
 
-    python3 tools/bitcheck.py [--rev REV]
+    python3 tools/bitcheck.py
 
-Copies REV, by default the parent tools/ab.py takes (HEAD while tracked
-files have uncommitted changes, else HEAD~1), with `git archive` to a
-temporary directory and, in one child process per tree, evaluates
-rzs._zkernels on fixed grids: _z_values (value and bound) and _theta_vec
-at 200,001 heights in [0, 40] and 50,001 in [40, 1e4], and _gram_points
-for n = -1..10159.  Prints one line per array, "equal" or the count of
-differing values, and exits 1 if any differ.  A change to the kernels
-that keeps every printed number runs this against its parent.
+Takes the change and its parent as tools/ab.py does (the change is the
+tracked working tree, as `git stash create` commits it, or HEAD; the
+parent is HEAD while tracked files have uncommitted changes, else
+HEAD~1), copies both with `git archive` to a temporary directory and, in
+one child process per tree, evaluates rzs._zkernels on fixed grids:
+_z_values (value and bound) and _theta_vec at 200,001 heights in [0, 40]
+and 50,001 in [40, 1e4], and _gram_points for n = -1..10159.  Prints one
+line per array, "equal" or the count of differing values, and exits 1 if
+any differ.  A change to the kernels that keeps every printed number
+runs this against its parent.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import tempfile
 
 import numpy as np
 
-from ab import ROOT, copy, parent
+from ab import change, copy, parent
 
 # Saves the kernels' arrays on the grids to the .npz file argv[1], in a
 # child started in a tree's root.
@@ -44,20 +45,19 @@ def evaluate(root: str, out: str) -> dict[str, np.ndarray]:
         return dict(data)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rev")
-    args = parser.parse_args(argv)
-    rev = args.rev or parent()[0]
+def main() -> int:
+    rev = parent()[0]
     with tempfile.TemporaryDirectory() as tmp:
-        base = os.path.join(tmp, "base")
-        copy(rev, base)
-        old = evaluate(base, os.path.join(tmp, "base.npz"))
-        new = evaluate(ROOT, os.path.join(tmp, "head.npz"))
-    print(f"bitcheck: the working tree against {rev}")
+        arrays = {}
+        for side, tree in (("base", rev), ("head", change())):
+            root = os.path.join(tmp, side)
+            copy(tree, root)
+            arrays[side] = evaluate(root, os.path.join(tmp, side + ".npz"))
+    print(f"bitcheck: the change against {rev}")
     differ = 0
-    for name, a in old.items():
-        count = np.count_nonzero(a.view(np.uint64) != new[name].view(np.uint64))
+    for name, a in arrays["base"].items():
+        b = arrays["head"][name]
+        count = np.count_nonzero(a.view(np.uint64) != b.view(np.uint64))
         print(f"{name}: {a.size} values, " + (f"{count} differ" if count else "equal"))
         differ += count
     return int(differ > 0)
