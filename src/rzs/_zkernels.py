@@ -7,9 +7,9 @@ Riemann-Siegel share one kernel for the main sum of n^{-1/2} cos(theta -
 t ln n), _main_sum, and differ only in its term count, its weight and
 what is added to it.  The kernel takes each cosine from np.tan of the
 half phase, whose loop numpy vectorises; the package calls no np.cos
-or np.sin.  The Riemann-Siegel correction terms sum committed
-Chebyshev coefficients with one Clenshaw recurrence, so loading this
-module computes no table and imports nothing of numpy.polynomial.
+or np.sin.  The Riemann-Siegel correction terms sum the committed
+Chebyshev series of Psi and the one of Psi''' derived from it at import,
+by one Clenshaw recurrence; nothing here imports numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ _EM_N = math.ceil(1.2 * CROSSOVER_T + 10.0)
 THETA_SERIES_T = 10.0
 
 LN_PI = math.log(math.pi)
-LN_2PI = math.log(math.tau)
 
 # Zero scan.  A Gram block that does not show one sign change per Gram
 # interval is subdivided until its node spacing reaches STRIDE_FLOOR.
@@ -87,7 +86,7 @@ def _log_gamma_imag(z: np.ndarray) -> np.ndarray:
     for k, b in enumerate(_BERN2K, start=1):
         series += b / ((2 * k) * (2 * k - 1) * zpow)
         zpow = zpow * z2
-    total = (zs - 0.5) * np.log(zs) - zs + 0.5 * LN_2PI + series - acc
+    total = (zs - 0.5) * np.log(zs) - zs + series - acc
     return total.imag
 
 
@@ -119,15 +118,14 @@ def _theta_vec(ts) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 # Chebyshev series in x = 2p - 1 of Psi(p) = cos(2pi(p^2 - p - 1/16)) /
-# cos(2pi p) on [0, 1], and of its third derivative Psi''': numpy's
+# cos(2pi p) on [0, 1], the one committed table: numpy's
 # Chebyshev.interpolate of Psi at 65 first-kind nodes, truncated to degree
-# 24, and that series differentiated three times.  Psi is entire, as the
-# numerator cancels the zeros of the denominator at p = 1/4 and 3/4; the
-# nodes stay >= 0.0034 away from both removable points.  The coefficients
-# beyond degree ~20 are rounding noise below 1.4e-14, and the third
-# derivative amplifies that noise: Psi''' of the full interpolant is off by
-# ~2e-4, of the truncated series by ~1.6e-7 (tests/test_zeta.py checks
-# both series against mpmath).
+# 24.  Psi is entire, as the numerator cancels the zeros of the denominator
+# at p = 1/4 and 3/4; the nodes stay >= 0.0034 away from both.  Beyond
+# degree ~20 the coefficients are the rounding noise, below 1.4e-14, of
+# numpy's double-precision interpolation, and _PSI3 amplifies it to an
+# error of ~1.6e-7 in Psi''' (tests/test_zeta.py checks both series against
+# mpmath); coefficients computed at 60 digits, cut at degree 24, give 7.6e-10.
 _PSI = (
     0.6426672862397688,
     3.717060020720858e-16,
@@ -155,31 +153,27 @@ _PSI = (
     1.0929117383695146e-16,
     1.378462257482671e-15,
 )
-_PSI3 = (
-    -1.792276682544584e-10,
-    -10.136081092857363,
-    -3.5430486753425e-10,
-    -16.268883343003452,
-    -3.4211230537468997e-10,
-    -2.646517326256689,
-    -3.2005061460320554e-10,
-    0.03446529893363986,
-    -2.8746678650667773e-10,
-    0.025685265878815335,
-    -2.578706509857487e-10,
-    0.000993331356174126,
-    -2.057515620652397e-10,
-    -5.576171440246356e-05,
-    -1.3017837603251456e-10,
-    -4.087833541101684e-06,
-    -1.0905213035956374e-10,
-    1.5751550536222916e-08,
-    -3.644697806798116e-11,
-    8.98628791391973e-09,
-    7.432499284425257e-11,
-    1.0713629219116517e-09,
-)
 
+
+def _derivative(coef: tuple[float, ...], m: int) -> tuple[float, ...]:
+    """The series, in x = 2p - 1, of the m-th p-derivative of coef, m <
+    len(coef), in the order of operations of numpy.polynomial.chebyshev's
+    chebder(coef, m, scl=2.0), so the two agree bit for bit."""
+    for _ in range(m):
+        c = [2.0 * v for v in coef]  # dx/dp = 2
+        n = len(c) - 1
+        der = [0.0] * n
+        for j in range(n, 2, -1):
+            der[j - 1] = (2 * j) * c[j]
+            c[j - 2] += (j * c[j]) / (j - 2)
+        if n > 1:
+            der[1] = 4 * c[2]
+        der[0] = c[1]
+        coef = tuple(der)
+    return coef
+
+
+_PSI3 = _derivative(_PSI, 3)  # Psi'''
 _RS_ERR_COEF = 0.02  # measured: |error| <= 0.005 * a^{-5/2}; 4x margin
 
 

@@ -660,8 +660,9 @@ class TestImport:
     def test_short_commands_leave_numpy_unloaded(self, tmp_path):
         # count, gap and bubble compute with math alone; zeros and
         # compare scan with the numpy kernels, whose Riemann-Siegel
-        # corrections (t_max = 50 is above the crossover) sum committed
-        # Chebyshev coefficients without numpy.polynomial.
+        # corrections (t_max = 50 is above the crossover) sum the committed
+        # Chebyshev series of Psi and that of Psi''', derived from it at
+        # import, without numpy.polynomial.
         code = ("import sys, rzs, rzs.cli; main = rzs.cli.main; "
                 "main(['count', '--t', '100']); "
                 "main(['gap', '--coupling', '1', '--n-components', '3', "

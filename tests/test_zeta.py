@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import json
@@ -284,9 +285,14 @@ def _psi_mp(p):
     return mpmath.cospi(u) / den
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 class TestPsiSeries:
-    """The committed Chebyshev series of Psi and Psi''' behind the
-    Riemann-Siegel correction terms."""
+    """The Chebyshev series of Psi and Psi''' behind the Riemann-Siegel
+    correction terms: Psi's is committed, Psi'''s derived from it at
+    import."""
 
     P = np.linspace(0.0, 1.0, 201)
 
@@ -296,7 +302,8 @@ class TestPsiSeries:
             psi3 = [float(mpmath.diff(_psi_mp, mpmath.mpf(p), 3))
                     for p in self.P.tolist()]
         kernels = rzs._zkernels
-        # Measured: 9.3e-15 and 1.6e-7 (the truncation noise of Psi''').
+        # Measured: 9.3e-15 and 1.6e-7 (the rounding noise of _PSI's tail,
+        # amplified by the third derivative).
         assert np.abs(kernels._chebyshev(kernels._PSI, self.P) - psi).max() <= 2.0e-14
         assert np.abs(kernels._chebyshev(kernels._PSI3, self.P) - psi3).max() <= 2.0e-7
 
@@ -308,6 +315,37 @@ class TestPsiSeries:
         for coef in (kernels._PSI, kernels._PSI3):
             expected = chebyshev.Chebyshev(coef, domain=[0.0, 1.0])(p)
             assert np.array_equal(kernels._chebyshev(coef, p), expected)
+
+    def test_third_derivative_is_chebder_of_psi(self):
+        from numpy.polynomial import chebyshev
+
+        kernels = rzs._zkernels
+        assert _bits(kernels._PSI3) == _bits(chebyshev.chebder(kernels._PSI, 3, scl=2.0))
+
+    def test_derivative_is_bit_equal_to_chebder(self):
+        from numpy.polynomial import chebyshev
+
+        rng = np.random.default_rng(1859)
+        coef = tuple((rng.standard_normal(25) * np.logspace(0.0, -15.0, 25)).tolist())
+        for m in (1, 2, 3):
+            expected = chebyshev.chebder(coef, m, scl=2.0)
+            assert _bits(rzs._zkernels._derivative(coef, m)) == _bits(expected), m
+
+    def test_psi_is_the_only_committed_table(self):
+        # Every other series of the kernels is derived from _PSI or from
+        # an exact table, so _PSI is the one module-level tuple of float
+        # literals in _zkernels.py.
+        def is_float(node):
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+                node = node.operand
+            return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+        path = pathlib.Path(rzs._zkernels.__file__)
+        tree = ast.parse(path.read_text(), str(path))
+        tables = [ast.unparse(target) for node in tree.body
+                  if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                  and all(map(is_float, node.value.elts)) for target in node.targets]
+        assert tables == ["_PSI"]
 
     def test_coefficients_are_the_truncated_interpolant(self):
         # Bit-equal on the host that wrote them; np.cos may round
