@@ -360,8 +360,9 @@ def _refine_brackets(
     point stays at least tol/2 inside the bracket, so every step shrinks
     the bracket by at least tol/2, and a converged guess closes it on the
     next step.
+
+    Refines lo, hi, z_lo and z_hi in place, and returns (lo, hi).
     """
-    lo, hi, z_lo, z_hi = lo.copy(), hi.copy(), z_lo.copy(), z_hi.copy()
     w_lo, w_hi = z_lo.copy(), z_hi.copy()
     kept = np.zeros(lo.size, dtype=np.int8)  # end kept last step: -1 lo, +1 hi
     while True:
@@ -369,9 +370,10 @@ def _refine_brackets(
         if idx.size == 0:
             return lo, hi
         a, b = lo[idx], hi[idx]
-        guess = a - w_lo[idx] * (b - a) / (w_hi[idx] - w_lo[idx])
-        guess = np.where(np.isfinite(guess), guess, 0.5 * (a + b))
-        x = np.clip(guess, a + 0.5 * tol, b - 0.5 * tol)
+        x = a - w_lo[idx] * (b - a) / (w_hi[idx] - w_lo[idx])
+        np.copyto(x, 0.5 * (a + b), where=~np.isfinite(x))
+        np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)
+        del a, b  # gone before Z's batch, the scan's peak of memory
         fx = _z_values(x)[0]
         left = (z_lo[idx] < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
         gone = np.where(left, z_hi[idx], z_lo[idx])  # Z at the replaced end
@@ -387,10 +389,12 @@ def _refine_brackets(
 
 
 def _scan_brackets(
-    t_max: float, tol: float, n_estimate: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets (lo, hi), ascending and <= tol wide, of every sign change
-    of Z in (0, t_max]: the scan_zeros method; N(t_max) = n_estimate.
+    t_max: float, n_estimate: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unrefined brackets of every sign change of Z in (0, t_max], the
+    scan_zeros method; N(t_max) = n_estimate.  Returns fresh arrays (lo,
+    hi, Z(lo), Z(hi)), ascending, which scan_zeros hands to
+    _refine_brackets once this returns and the Gram grid is freed.
 
     One batched Z call covers the Gram points and t_max, a node unless it
     is <= g_-1 or a Gram point.  Below 1e4 no 3 consecutive Gram points
@@ -426,4 +430,4 @@ def _scan_brackets(
     neg = zs < 0.0
     inside = (ts[:-1] < t_max) | ((ts[:-1] == t_max) & (zs[:-1] == 0.0))
     idx = np.flatnonzero((neg[:-1] != neg[1:]) & inside)
-    return _refine_brackets(ts[idx], ts[idx + 1], zs[idx], zs[idx + 1], tol)
+    return ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]

@@ -8,10 +8,12 @@ Five subcommands expose the computational modules:
     gap      solves the gap equation; prints m^2 and the residual
     compare  scans to the Gram point g_{n_max+1}, builds the report
 
-Output files are written atomically (temp file + rename).  Every text
-is a % template of zeta._SPEC, 17 significant digits, and every table
-goes through zeta._format_rows, so re-running a command with identical
-flags produces byte-identical output.
+Output files are written atomically (temp file + rename).  zeros and
+bubble write their tables block by block as the rows are formatted;
+compare writes its report as one text.  Every text is a %
+template of zeta._SPEC, 17 significant digits, and every table goes
+through zeta._format_rows, so re-running a command with identical flags
+produces byte-identical output.
 
 Only zeros and compare compute with arrays, so only they load numpy:
 zeros imports the scan kernels when it runs, and compare those and
@@ -31,7 +33,7 @@ python -m rzs.  It calls main, flushes stdout and stderr, and ends the
 process with os._exit, skipping interpreter teardown: module cleanup,
 the final garbage collection over numpy's objects and the OpenBLAS
 library destructor, 10 to 35 ms per process once its output is out.
-Nothing is lost by the skip: _atomic_write closes and renames every
+Nothing is lost by the skip: _atomic_open closes and renames every
 file before main returns, the flush reports a failing stdout (a closed
 pipe, say) as a one-line error with exit status 1, and neither rzs nor
 numpy registers an atexit handler.  A caller that needs the teardown,
@@ -41,12 +43,13 @@ or that embeds rzs in a longer-lived process, calls main instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import stat
 import sys
 import tempfile
-from typing import NoReturn
+from typing import Iterator, NoReturn, TextIO
 
 from .bubble import GapEquationSpec, correlator_sample, gap_mass, gap_residual
 from .errors import DomainError, RzsError
@@ -65,10 +68,16 @@ _GAP_TEXT = f"m2 = {_SPEC}\nresidual = {_SPEC}\n"
 _BUBBLE_ROW = f"{_SPEC},{_SPEC},{_SPEC},{_SPEC}\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory, with the
-    mode open(path, "w") leaves: an existing file keeps its own, a new
-    one gets 0o666 less the umask."""
+@contextlib.contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
+    """A text file whose content replaces path's when the with block ends.
+
+    Writes go to a temp file in path's directory, renamed onto path once
+    the block completes and removed if it raises, so an error leaves path
+    as it was even after blocks have been written.  path gets the mode
+    open(path, "w") leaves: an existing file keeps its own, a new one
+    gets 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -79,7 +88,7 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".rzs-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.chmod(tmp_path, mode)
         os.replace(tmp_path, path)
     except BaseException:
@@ -94,12 +103,14 @@ def _print(ns: argparse.Namespace, text: str) -> None:
     """Print text; with --out-path, also write it there."""
     sys.stdout.write(text)
     if ns.out_path is not None:
-        _atomic_write(ns.out_path, text)
+        with _atomic_open(ns.out_path) as out:
+            out.write(text)
 
 
 def _cmd_zeros(ns: argparse.Namespace) -> None:
     table = scan_zeros(0.0, ns.t_max, ns.tol)
-    _atomic_write(ns.out_path, zero_table_to_csv(table))
+    with _atomic_open(ns.out_path) as out:
+        zero_table_to_csv(table, file=out)
 
 
 def _cmd_count(ns: argparse.Namespace) -> None:
@@ -131,8 +142,9 @@ def _cmd_bubble(ns: argparse.Namespace) -> None:
     # An undefined (None) asymptote prints as nan.
     rows = ((s.t, s.pi_value, s.correlator,
              math.nan if s.asymptote is None else s.asymptote) for s in samples)
-    text = "t,pi,correlator,asymptote\n" + _format_rows(_BUBBLE_ROW, rows)
-    _atomic_write(ns.out_path, text)
+    with _atomic_open(ns.out_path) as out:
+        out.write("t,pi,correlator,asymptote\n")
+        _format_rows(out, _BUBBLE_ROW, rows)
 
 
 def _cmd_gap(ns: argparse.Namespace) -> None:
@@ -174,7 +186,8 @@ def _cmd_compare(ns: argparse.Namespace) -> None:
         text = report_to_json(report, log_slope_fit(report))
     else:
         text = report_to_csv(report)
-    _atomic_write(ns.out_path, text)
+    with _atomic_open(ns.out_path) as out:
+        out.write(text)
 
 
 class _Parser(argparse.ArgumentParser):

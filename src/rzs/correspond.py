@@ -32,7 +32,7 @@ import numpy as np
 
 from .bubble import correlator_sample
 from .errors import DomainError, InsufficientZerosError, _integer
-from .zeta import _SPEC, ZeroTable, _format_rows, gamma_asymptotic
+from .zeta import _SPEC, ZeroTable, _rows_text, gamma_asymptotic
 
 __all__ = [
     "ReportRow",
@@ -184,7 +184,7 @@ _JSON_FIT = f',"fit":{{"slope":{_SPEC},"intercept":{_SPEC},"residual":{_SPEC}}}'
 def report_to_csv(report: CorrespondenceReport) -> str:
     """Rows only, header n,gamma,prediction,asym_prediction,rel_dev."""
     return ("n,gamma,prediction,asym_prediction,rel_dev\n"
-            + _format_rows(_ROW + "\n", report.rows))
+            + _rows_text(_ROW + "\n", report.rows))
 
 
 def report_to_json(report: CorrespondenceReport, fit: FitResult | None = None) -> str:
@@ -195,8 +195,8 @@ def report_to_json(report: CorrespondenceReport, fit: FitResult | None = None) -
     it is appended as a "fit" object.
     """
     # Each row and decade mean opens with its comma; [1:] drops the first.
-    rows = _format_rows(f",[{_ROW}]", report.rows)[1:]
-    decades = _format_rows(f',"%d":{_SPEC}', report.summary.mean_rel_dev_per_decade)[1:]
+    rows = _rows_text(f",[{_ROW}]", report.rows)[1:]
+    decades = _rows_text(f',"%d":{_SPEC}', report.summary.mean_rel_dev_per_decade)[1:]
     text = (_JSON_HEAD % report.m2 + rows
             + _JSON_SUMMARY % (report.summary.max_rel_dev, decades))
     if fit is not None:

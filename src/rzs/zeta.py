@@ -44,10 +44,11 @@ serve every text rzs writes.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .errors import DomainError, PrecisionError, _integer
 
@@ -268,7 +269,7 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     there raises AuditError.  Z < 0 on (0, 14.13), so g_-1 is good and
     (0, g_-1] holds no zero: the i-th sign change is zero n = i.  Each
     bracket is then refined by bracketed Anderson-Bjorck steps to width
-    <= tol.
+    <= tol, in place, once the arrays of the Gram grid are freed.
 
     Equal arguments give equal batches, so the result is deterministic.
     """
@@ -288,10 +289,11 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
             f"scan_zeros: t_max = {t_max:g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
 
-    from ._zkernels import _scan_brackets
+    from ._zkernels import _refine_brackets, _scan_brackets
 
     # N(T) < 1 up to 2pi e: any t_max below 2pi sizes the grid as 2pi does.
-    lo, hi = _scan_brackets(t_max, tol, count_zeros(max(t_max, math.tau)).n_estimate)
+    n_estimate = count_zeros(max(t_max, math.tau)).n_estimate
+    lo, hi = _refine_brackets(*_scan_brackets(t_max, n_estimate), tol)
     gammas = 0.5 * (lo + hi)
     start = int(gammas.searchsorted(t_min, "right"))  # gammas ascend
     return ZeroTable(
@@ -316,24 +318,34 @@ _BLOCK = 1024
 _CSV_ROW = f"%d,{_SPEC},{_SPEC},{_SPEC}\n"
 
 
-def _format_rows(row: str, records) -> str:
-    """The records (tuples of the template's fields) rendered by the %
-    template row, one after another; each % operation renders _BLOCK of
-    them."""
+def _format_rows(out: TextIO, row: str, records) -> None:
+    """Write the records (tuples of the template's fields) to out, rendered
+    by the % template row one after another; each % operation renders
+    _BLOCK of them, and each block goes to out as soon as it is made."""
     records = iter(records)
-    blocks = []
     while block := tuple(itertools.islice(records, _BLOCK)):
-        blocks.append(row * len(block) % tuple(itertools.chain.from_iterable(block)))
-    return "".join(blocks)
+        out.write(row * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
-def zero_table_to_csv(table: ZeroTable) -> str:
+def _rows_text(row: str, records) -> str:
+    """What _format_rows writes, as one str."""
+    out = io.StringIO()
+    _format_rows(out, row, records)
+    return out.getvalue()
+
+
+def zero_table_to_csv(table: ZeroTable, file: TextIO | None = None) -> str | None:
     """ZeroTable as CSV with header n,gamma,bracket_lo,bracket_hi.
 
     Full double precision (17 significant digits), '.' radix, newline
-    line ends.
+    line ends.  Returns the text; given a text file, writes it there
+    block by block instead, never holding the whole text, and returns
+    None.
     """
-    return "n,gamma,bracket_lo,bracket_hi\n" + _format_rows(_CSV_ROW, zip(
+    out = io.StringIO() if file is None else file
+    out.write("n,gamma,bracket_lo,bracket_hi\n")
+    _format_rows(out, _CSV_ROW, zip(
         itertools.count(table.n_first), table.gamma,
         table.bracket_lo, table.bracket_hi,
     ))
+    return out.getvalue() if file is None else None

@@ -12,6 +12,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import pytest
@@ -108,6 +109,30 @@ class TestZerosCommand:
         assert result.returncode == 1
         assert result.stderr.startswith("error: ")
         assert not out.exists()
+
+    def test_deep_scan_and_its_csv_stay_within_their_memory(self, tmp_path):
+        # tracemalloc counts the bytes Python and numpy ask for, whatever
+        # the heap layout.  Warm peaks on a 2-core x86-64 host (Python
+        # 3.11, numpy 2.4): scan_zeros(0, 1e4, 1e-8) 2.94 MB and the
+        # zeros command 2.98 MB while the scan kept the Gram grid and four
+        # copies of its brackets through refinement, and the command held
+        # its 624 KB CSV as blocks, one str and its UTF-8 copy; 2.17 and
+        # 2.21 MB since the grid is freed first, the brackets are refined
+        # in place and the CSV is written block by block.
+        out = str(tmp_path / "zeros.csv")
+        argv = ["zeros", "--t-max", "1e4", "--out-path", out]
+        assert rzs.cli.main(argv) == 0  # warm: imports and lazy set-up
+        tracemalloc.start()
+        try:
+            rzs.scan_zeros(0.0, 1.0e4, 1.0e-8)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert rzs.cli.main(argv) == 0
+            command_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan_peak <= 2.6e6
+        assert command_peak <= 2.6e6
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +255,30 @@ class TestBubbleCommand:
         result = _run(args, tmp_path)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "bubble.csv").read_bytes() == first
+
+    def test_failing_row_after_the_first_block_writes_nothing(
+            self, tmp_path, monkeypatch):
+        # Rows reach a temp file block by block (1,024 rows a block).  A
+        # row that fails once the first block is on disk removes the temp
+        # file and leaves the existing output as it was.
+        out = tmp_path / "bubble.csv"
+        out.write_bytes(b"old,output\n")
+        real, calls, on_disk = rzs.cli.correlator_sample, [], []
+
+        def failing(t, mass2):
+            calls.append(t)
+            if len(calls) == 1500:
+                on_disk.extend(p.stat().st_size for p in tmp_path.glob(".rzs-tmp-*"))
+                raise rzs.DomainError("bubble: injected failure")
+            return real(t, mass2)
+
+        monkeypatch.setattr(rzs.cli, "correlator_sample", failing)
+        argv = ["bubble", "--t-min", "1", "--t-max", "1e4", "--points", "2000",
+                "--out-path", str(out)]
+        assert rzs.cli.main(argv) == 1
+        assert len(on_disk) == 1 and on_disk[0] > 0  # the first block
+        assert out.read_bytes() == b"old,output\n"
+        assert not list(tmp_path.glob(".rzs-tmp-*"))
 
     def test_infinite_t_max_fails_with_one_line(self, tmp_path):
         out = tmp_path / "bubble.csv"

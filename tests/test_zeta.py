@@ -988,5 +988,19 @@ class TestZeroTableCsv:
         assert expected.count(",nan\n") == 625  # the rows with t < 1
         assert out.read_text() == expected
 
+    def test_a_file_gets_the_returned_text_block_by_block(self, full_table):
+        # Given a text file, zero_table_to_csv writes there the text it
+        # would return, in writes of at most one 1,024-row block (< 100 KB
+        # here), never the whole text (over 300 KB), and returns None.
+        class Writes(list):
+            write = list.append
+
+        writes = Writes()
+        assert zero_table_to_csv(full_table, file=writes) is None
+        text = zero_table_to_csv(full_table)
+        assert len(text) > 300_000
+        assert max(map(len, writes)) < 100_000
+        assert "".join(writes) == text
+
     def test_serialization_is_deterministic(self, table_500):
         assert zero_table_to_csv(table_500) == zero_table_to_csv(table_500)
