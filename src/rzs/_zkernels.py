@@ -9,7 +9,8 @@ what is added to it.  The kernel takes each cosine from np.tan of the
 half phase, whose loop numpy vectorises; the package calls no np.cos
 or np.sin.  The Riemann-Siegel correction terms sum the committed
 Chebyshev series of Psi and the one of Psi''' derived from it at import,
-by one Clenshaw recurrence; nothing here imports numpy.polynomial.
+both in y = 2x^2 - 1 by parity, by one Clenshaw recurrence; nothing here
+imports numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -117,41 +118,26 @@ def _theta_vec(ts) -> np.ndarray:
 # Riemann-Siegel correction terms, t at or above the crossover
 # ----------------------------------------------------------------------
 
-# Chebyshev series in x = 2p - 1 of Psi(p) = cos(2pi(p^2 - p - 1/16)) /
-# cos(2pi p) on [0, 1], the one committed table: numpy's
-# Chebyshev.interpolate of Psi at 65 first-kind nodes, truncated to degree
-# 24.  Psi is entire, as the numerator cancels the zeros of the denominator
-# at p = 1/4 and 3/4; the nodes stay >= 0.0034 away from both.  Beyond
-# degree ~20 the coefficients are the rounding noise, below 1.4e-14, of
-# numpy's double-precision interpolation, and _PSI3 amplifies it to an
-# error of ~1.6e-7 in Psi''' (tests/test_zeta.py checks both series against
-# mpmath); coefficients computed at 60 digits, cut at degree 24, give 7.6e-10.
+# Chebyshev series in y = 2x^2 - 1, x = 2p - 1, of Psi(p) = cos(2pi(p^2 -
+# p - 1/16)) / cos(2pi p) on [0, 1], the one committed table.  Psi is entire
+# and even in x, as Psi(p) = Psi(1 - p), and T_2j(x) = T_j(y): these are the
+# even coefficients, degrees 0..22, of numpy's Chebyshev.interpolate of Psi
+# at 65 first-kind nodes (>= 0.0034 from the removable points p = 1/4, 3/4);
+# the rest are its rounding noise, <= 1.5e-15.  tests/test_zeta.py checks
+# Psi (4.9e-15) and Psi''' (1.7e-8) against mpmath.
 _PSI = (
     0.6426672862397688,
-    3.717060020720858e-16,
     0.27197299999785457,
-    -6.78012948008316e-16,
     0.010738605819339475,
-    1.456936045541304e-16,
     -0.0013743815296329547,
-    4.714561916261112e-16,
     -0.00012468221880361152,
-    -5.481954590389077e-16,
     -5.76459971464114e-07,
-    7.863924938375327e-17,
     2.728067438072673e-07,
-    4.858630210355138e-16,
     8.077952936449776e-09,
-    -5.141049993124505e-16,
     -2.0884668899175084e-10,
-    8.481780426642584e-17,
     -1.3114384823597715e-11,
-    4.564904338512455e-16,
     -1.3729197237849506e-14,
-    -4.682634398630401e-16,
     1.0233504342217772e-14,
-    1.0929117383695146e-16,
-    1.378462257482671e-15,
 )
 
 
@@ -173,20 +159,31 @@ def _derivative(coef: tuple[float, ...], m: int) -> tuple[float, ...]:
     return coef
 
 
-_PSI3 = _derivative(_PSI, 3)  # Psi'''
+def _odd_over_x(coef: tuple[float, ...]) -> tuple[float, ...]:
+    """e with x sum_j e[j] T_j(y) = sum_k coef[k] T_k(x) for an odd coef,
+    as 2x T_j(y) = T_2j+1(x) + T_|2j-1|(x), solved from the top down."""
+    e = [0.0]
+    for c in reversed(coef[1::2]):
+        e.append(2.0 * c - e[-1])
+    e[-1] *= 0.5
+    return tuple(e[:0:-1])
+
+
+# C1(p) = -Psi'''(p)/(96 pi^2), odd in x: x times this series in y.
+_C1 = _odd_over_x(tuple(-v / (96.0 * math.pi ** 2) for v in _derivative(
+    tuple(v for c in _PSI for v in (c, 0.0))[:-1], 3)))
 _RS_ERR_COEF = 0.02  # measured: |error| <= 0.005 * a^{-5/2}; 4x margin
 
 
-def _chebyshev(coef: tuple[float, ...], p: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] T_k(2p - 1) by Clenshaw's recurrence, in the order of
+def _chebyshev(coef: tuple[float, ...], y: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(y) by Clenshaw's recurrence, in the order of
     operations of numpy.polynomial.chebyshev.chebval, so the two agree bit
     for bit."""
-    x = 2.0 * p - 1.0
-    x2 = 2.0 * x
+    y2 = 2.0 * y
     c0, c1 = coef[-2], coef[-1]
     for c in coef[-3::-1]:
-        c0, c1 = c - c1, c0 + c1 * x2
-    return c0 + c1 * x
+        c0, c1 = c - c1, c0 + c1 * y2
+    return c0 + c1 * y
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +256,8 @@ def _z_values(ts, th=None) -> tuple[np.ndarray, np.ndarray]:
     Z = S_{N-1} + Re(e^{i theta} tail) with N = _EM_N (Euler-Maclaurin);
     from it up, with a = sqrt(t/2pi), N = floor(a) and p = a - N,
     Z ~ 2 S_N + (-1)^{N-1} a^{-1/2} [Psi(p) - Psi'''(p)/(96 pi^2 a)]
-    (Riemann-Siegel; Edwards, Riemann's Zeta Function, 1974, 6-7).
+    (Riemann-Siegel; Edwards, Riemann's Zeta Function, 1974, 6-7), with
+    x = 2p - 1 and y = 2x^2 - 1 formed once per batch.
     """
     ts = np.asarray(ts, dtype=float)
     if th is None:
@@ -275,9 +273,9 @@ def _z_values(ts, th=None) -> tuple[np.ndarray, np.ndarray]:
         tail, errs[low] = _em_tail(ts[low])
         vals[low] += (np.exp(1j * th[low]) * tail).real
     if high.any():
-        p = a - big_n[high]
-        c0 = _chebyshev(_PSI, p)
-        c1 = -_chebyshev(_PSI3, p) / (96.0 * math.pi ** 2)
+        x = 2.0 * (a - big_n[high]) - 1.0  # 2p - 1
+        y = 2.0 * x * x - 1.0
+        c0, c1 = _chebyshev(_PSI, y), x * _chebyshev(_C1, y)
         sign = np.where(big_n[high] % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
         vals[high] = 2.0 * vals[high] + sign * (c0 + c1 / a) / np.sqrt(a)
         errs[high] = _RS_ERR_COEF * (ts[high] / math.tau) ** (-1.25) + 1.0e-11

@@ -147,8 +147,9 @@ def log_slope_fit(
     mean(y).
 
     The line is the centred closed form, in element-wise operations and
-    sums alone: no BLAS or LAPACK solver runs, and the slope lies within
-    1 ulp of the exact least squares of the same doubles.
+    correctly rounded sums (math.fsum) alone: no BLAS or LAPACK solver
+    runs, and the slope lies within 1 ulp of the exact least squares of
+    the same doubles.
     """
     lo = report.rows[0].n if n_min is None else _integer("log_slope_fit: n_min", n_min)
     hi = report.rows[-1].n if n_max is None else _integer("log_slope_fit: n_max", n_max)
@@ -159,9 +160,9 @@ def log_slope_fit(
         )
     x = np.array([float(r.n) for r in rows])
     y = np.array([r.gamma_n * math.log(r.n / math.tau) for r in rows])
-    x_mean, y_mean = np.mean(x), np.mean(y)
+    x_mean, y_mean = math.fsum(x) / x.size, math.fsum(y) / y.size
     xc = x - x_mean
-    slope = np.sum(xc * (y - y_mean)) / np.sum(xc * xc)
+    slope = math.fsum(xc * (y - y_mean)) / math.fsum(xc * xc)
     intercept = y_mean - slope * x_mean
     misfit = y - (slope * x + intercept)
     residual = math.sqrt(float(np.mean(misfit * misfit))) / float(y_mean)

@@ -16,8 +16,8 @@ sum_{n<=N} cos(theta(t) - t ln n)/sqrt(n), for both of its methods:
 truncated Euler-Maclaurin summation below the crossover t = 30 (N = 45
 terms plus the Bernoulli tail for every height) and the Riemann-Siegel
 expansion from it up (twice the sum to N = floor(sqrt(t/2pi)) plus two
-correction terms, from the committed Chebyshev series of Psi and that of
-Psi''', derived from it at import).
+correction terms: Psi, even about p = 1/2, from its committed series of
+12 Chebyshev terms, and Psi''', odd, from 10 derived from it at import).
 The sum runs over the heights of a batch sorted by N, one term n at a
 time across the contiguous run of heights that need it; each height
 adds its own terms in order, so a value does not depend on its batch.

@@ -5,6 +5,9 @@ different route, so agreement is evidence rather than tautology:
 
 - theta_oracle: the log-gamma phase through Binet's integral
   representation (tanh-sinh quadrature), instead of the Stirling series.
+- smooth_zero: the height where the smooth zero count theta(t)/pi + 1
+  reaches n - 1/2, from theta's asymptotic series in floats, which
+  theta_oracle checks; a zero index oracle independent of the scan.
 - zeta_oracle: Euler-Maclaurin again, but with its own truncation
   point and ten tail terms instead of eight, implemented on complex
   scalars rather than numpy arrays.
@@ -54,6 +57,42 @@ def theta_oracle(t: float) -> float:
     tail = _quad(integrand, [0.0, 1.0, 10.0, 40.0])
     main = ((z - 0.5) * cmath.log(z) - z).imag
     return main + 2.0 * tail - 0.5 * t * math.log(math.pi)
+
+
+# ----------------------------------------------------------------------
+# The smooth zero count: theta by its asymptotic series in floats, and the
+# height where theta(t)/pi + 1 reaches n - 1/2
+# ----------------------------------------------------------------------
+
+def theta_asymptotic(t: float) -> float:
+    """theta(t) = (t/2) ln(t/2pi) - t/2 - pi/8 + 1/(48t) + 7/(5760t^3) +
+    31/(80640t^5) + 127/(430080t^7) + 511/(1216512t^9) (Edwards,
+    Riemann's Zeta Function, 1974, 6.5), for t >= 10, where the first
+    omitted term is below 1e-14."""
+    u = 1.0 / t
+    u2 = u * u
+    tail = 511.0 / 1216512.0
+    for coef in (127.0 / 430080.0, 31.0 / 80640.0, 7.0 / 5760.0, 1.0 / 48.0):
+        tail = coef + u2 * tail
+    return 0.5 * t * (math.log(t / TWO_PI) - 1.0) - math.pi / 8.0 + u * tail
+
+
+def smooth_zero(n: int) -> float:
+    """gamma~_n >= 14, the root of theta(t) = (n - 3/2) pi, where the
+    smooth count theta(t)/pi + 1 reaches n - 1/2: the Gram point g_{n-3/2}.
+
+    Newton steps on theta_asymptotic from the Lambert-W start
+    2pi(n - 11/8) / W((n - 11/8)/e), the root of theta's two leading
+    terms (Franca and LeClair, Transcendental equations satisfied by the
+    individual zeros of Riemann zeta, Dirichlet and modular L-functions,
+    2015).
+    """
+    m = n - 1.375
+    t = TWO_PI * m / float(mpmath.lambertw(m / math.e).real)
+    target = (n - 1.5) * math.pi
+    for _ in range(3):
+        t -= (theta_asymptotic(t) - target) / (0.5 * math.log(t / TWO_PI))
+    return t
 
 
 # ----------------------------------------------------------------------

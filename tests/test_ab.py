@@ -5,6 +5,7 @@ tools/bitcheck.py on a scratch copy of the package."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 import shutil
 import sys
@@ -156,3 +157,43 @@ def test_bitcheck_sees_one_changed_kernel_constant(tmp_path, monkeypatch, capsys
     out = capsys.readouterr().out
     assert "theta: 250002 values, equal" not in out
     assert "z: 250002 values, equal" not in out
+    assert "differ, max |change| " in out
+
+
+# The work of scan_zeros(0, 1e4, 1e-8), counted by ab's child.
+WORK_TO_1E4 = {"zeros": 10142, "evaluations": 75508, "calls": 19,
+               "main_sum_terms": 2080416, "main_sum_iterations": 754,
+               "chebyshev_terms": 1660692, "clenshaw_calls": 38,
+               "theta_evaluations": 136414}
+
+
+def test_work_counters_of_the_deep_scan():
+    # 75,508 Z evaluations in 19 calls, of which 75,486 at or above the
+    # crossover take the 12 + 10 Chebyshev terms of Psi and C1 in 2
+    # Clenshaw calls per call; theta runs once per evaluation and 6 times
+    # for each of the 10,151 Gram points.
+    assert ab.work_counters(str(_REPO)) == WORK_TO_1E4
+
+
+def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
+    repo = _scratch_repo(tmp_path, monkeypatch)
+    shutil.copytree(_REPO / "src" / "rzs", repo / "src" / "rzs",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    spec = {"command": ["true"], "run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": END_TO_END}
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    ab.git("add", ".")
+    _commit("-m", "first")
+    (repo / "notes").write_text("")
+    ab.git("add", "notes")
+    monkeypatch.setattr(ab, "BUILD", str(tmp_path / "build"))
+    monkeypatch.setattr(ab, "PAIRS", 2)
+    # A benchmark run's own fields: the record adds workload, pair, seed, side.
+    canned = {k: v for k, v in _run("w", 0, "base", 1.0, 1.0).items()
+              if k in ("correct", "attempted", "failed", "metrics")}
+    monkeypatch.setattr(ab, "bench_run", lambda root, w, seed, seconds: canned)
+
+    assert ab.main(["--pr", "7"]) == 0
+    record = json.loads((repo / "BENCH_7.json").read_text())
+    assert record["work"] == {"base": WORK_TO_1E4, "head": WORK_TO_1E4}
+    assert [r["side"] for r in record["runs"]] == ["base", "head", "head", "base"]

@@ -193,13 +193,15 @@ class TestLogSlopeFit:
     def test_matches_exact_rational_least_squares(self, report_2pi, window):
         # Against the exact least-squares line of the same doubles, in
         # Fractions, over 7-5000, 100-1000, 1000-5000 and the synthetic
-        # rows, the fit measured: slope 0.56, 0.07, 0.37, 0.09 ulps off
-        # (np.polyfit's SVD solver: 2.44, 2.93, 0.37, 1.91); intercept
-        # 0.03, 1.7, 0.13, 0.04 ulps of mean(y), whose cancellation against
-        # slope*mean(x) dominates it; residual 1.8e-16, 4.1e-15, 7.3e-15
-        # relative and 1.2e-17 absolute on the synthetic rows, whose exact
-        # residual is itself only 8.5e-17.  Bounds: 1 ulp, 4 ulps of
-        # mean(y), and 1e-14 relative or 1e-16 absolute.
+        # rows, the fit, with its means and centred sums by math.fsum,
+        # measured: slope 0.22, 0.00, 0.84, 0.09 ulps off (numpy's
+        # pairwise sums: 0.22, 1.00, 1.16, 0.09; np.polyfit's SVD solver:
+        # 1.78, 4.00, 0.16, 1.91); intercept 0.02, 0.11, 0.81, 0.04 ulps of
+        # mean(y), whose cancellation against slope*mean(x) dominates it;
+        # residual 1.8e-15, 4.1e-16, 4.1e-15 relative and 1.2e-17 absolute
+        # on the synthetic rows, whose exact residual is itself only
+        # 8.5e-17.  Bounds: 1 ulp, 4 ulps of mean(y), and 1e-14 relative
+        # or 1e-16 absolute.
         if window is None:
             report, lo, hi = build_report(_synthetic_table(120), TWO_PI, 120), 7, 120
         else:

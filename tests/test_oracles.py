@@ -55,3 +55,21 @@ def test_feynman_oracle_matches_closed_forms():
             0.5 * j / (4.0 * math.pi * p**4), rel=1.0e-12)
         assert oracles.feynman_oracle(1.0, 1.0, 3.0, p, 1.0) == pytest.approx(
             math.asin(0.5 / c) / (4.0 * math.pi * p), rel=1.0e-12)
+
+
+def test_theta_asymptotic_matches_theta_oracle():
+    # Measured: at most 2.2e-14 up to t = 1000 and 3.6e-12 at t = 1e4,
+    # the quadrature's own rounding of theta ~ 3.3e4.
+    for t in (10.0, 14.0, 100.0, 1000.0, 1.0e4):
+        assert abs(oracles.theta_asymptotic(t) - oracles.theta_oracle(t)) <= (
+            3.0e-14 + 1.0e-15 * t)
+
+
+def test_smooth_zero_is_the_half_integer_point_of_the_smooth_count():
+    # theta(gamma~_n) = (n - 3/2) pi, and gamma~_n lies within a mean
+    # spacing of the zeros gamma_1 = 14.13, gamma_2 = 21.02 and gamma_100
+    # = 236.52 (measured: 14.52, 20.65, 235.99).
+    for n, near in ((1, 14.13), (2, 21.02), (100, 236.52)):
+        t = oracles.smooth_zero(n)
+        assert abs(oracles.theta_asymptotic(t) / math.pi - (n - 1.5)) <= 1.0e-14 * n
+        assert abs(t - near) <= math.tau / math.log(near / math.tau)

@@ -290,37 +290,61 @@ def _bits(values) -> list[int]:
 
 
 class TestPsiSeries:
-    """The Chebyshev series of Psi and Psi''' behind the Riemann-Siegel
-    correction terms: Psi's is committed, Psi'''s derived from it at
-    import."""
+    """The Chebyshev series behind the Riemann-Siegel correction terms, in
+    y = 2x^2 - 1, x = 2p - 1: Psi's is committed, and C1 = -Psi'''/(96
+    pi^2), x times a series in y, is derived from it at import."""
 
     P = np.linspace(0.0, 1.0, 201)
+
+    @staticmethod
+    def _terms(p):
+        # Psi and Psi''' as _z_values sums them.
+        kernels = rzs._zkernels
+        x = 2.0 * p - 1.0
+        y = 2.0 * x * x - 1.0
+        c1 = x * kernels._chebyshev(kernels._C1, y)
+        return kernels._chebyshev(kernels._PSI, y), -96.0 * math.pi ** 2 * c1
 
     def test_psi_and_third_derivative_match_mpmath(self):
         with mpmath.workdps(40):
             psi = [float(_psi_mp(mpmath.mpf(p))) for p in self.P.tolist()]
             psi3 = [float(mpmath.diff(_psi_mp, mpmath.mpf(p), 3))
                     for p in self.P.tolist()]
-        kernels = rzs._zkernels
-        # Measured: 9.3e-15 and 1.6e-7 (the rounding noise of _PSI's tail,
-        # amplified by the third derivative).
-        assert np.abs(kernels._chebyshev(kernels._PSI, self.P) - psi).max() <= 2.0e-14
-        assert np.abs(kernels._chebyshev(kernels._PSI3, self.P) - psi3).max() <= 2.0e-7
+        got, got3 = self._terms(self.P)
+        # Measured: 4.9e-15 and 1.7e-8 (the rounding noise of _PSI's
+        # coefficients, amplified by the third derivative).
+        assert np.abs(got - psi).max() <= 1.0e-14
+        assert np.abs(got3 - psi3).max() <= 3.0e-8
+
+    def test_parity_about_one_half_is_exact(self):
+        # On dyadic p, x = 2p - 1 and the x of 1 - p are exact negatives
+        # and share y, so Psi(p) = Psi(1 - p) and Psi'''(p) = -Psi'''(1 - p)
+        # hold bit for bit, with Psi'''(1/2) = 0.
+        p = np.arange(1025) / 1024.0
+        psi, psi3 = self._terms(p)
+        assert _bits(psi) == _bits(psi[::-1])
+        assert _bits(psi3[:512]) == _bits(-psi3[:512:-1])
+        assert psi3[512] == 0.0
 
     def test_clenshaw_helper_is_bit_equal_to_chebval(self):
         from numpy.polynomial import chebyshev
 
-        p = np.random.default_rng(1859).uniform(0.0, 1.0, 1000)
+        y = np.random.default_rng(1859).uniform(-1.0, 1.0, 1000)
         kernels = rzs._zkernels
-        for coef in (kernels._PSI, kernels._PSI3):
-            expected = chebyshev.Chebyshev(coef, domain=[0.0, 1.0])(p)
-            assert np.array_equal(kernels._chebyshev(coef, p), expected)
+        for coef in (kernels._PSI, kernels._C1):
+            assert np.array_equal(kernels._chebyshev(coef, y),
+                                  chebyshev.chebval(y, coef))
 
     def test_third_derivative_is_chebder_of_psi(self):
+        # _PSI with its odd coefficients as zeros is Psi's series in x;
+        # chebder's third derivative of it, summed in x, agrees with the
+        # folded series to 6 ulps of max |Psi'''| ~ 29 (measured).
         from numpy.polynomial import chebyshev
 
-        kernels = rzs._zkernels
-        assert _bits(kernels._PSI3) == _bits(chebyshev.chebder(kernels._PSI, 3, scl=2.0))
+        in_x = [v for c in rzs._zkernels._PSI for v in (c, 0.0)][:-1]
+        x = 2.0 * self.P - 1.0
+        expected = chebyshev.chebval(x, chebyshev.chebder(in_x, 3, scl=2.0))
+        assert np.abs(self._terms(self.P)[1] - expected).max() <= 8 * math.ulp(29.0)
 
     def test_derivative_is_bit_equal_to_chebder(self):
         from numpy.polynomial import chebyshev
@@ -346,19 +370,23 @@ class TestPsiSeries:
                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
                   and all(map(is_float, node.value.elts)) for target in node.targets]
         assert tables == ["_PSI"]
+        assert len(rzs._zkernels._PSI) == 12
+        assert len(rzs._zkernels._C1) == 10
 
     def test_coefficients_are_the_truncated_interpolant(self):
         # Bit-equal on the host that wrote them; np.cos may round
-        # differently elsewhere, and Psi''' amplifies that.
+        # differently elsewhere.  The coefficients the series drops, the
+        # odd ones that Psi(p) = Psi(1 - p) makes 0 and degree 24, are the
+        # interpolation's rounding noise.
         from numpy.polynomial import chebyshev
 
         psi = chebyshev.Chebyshev.interpolate(
             lambda p: np.cos(TWO_PI * (p * p - p - 0.0625)) / np.cos(TWO_PI * p),
             64, domain=[0.0, 1.0],
-        ).truncate(25)
-        kernels = rzs._zkernels
-        assert np.abs(psi.coef - kernels._PSI).max() <= 1.0e-15
-        assert np.abs(psi.deriv(3).coef - kernels._PSI3).max() <= 1.0e-9
+        ).truncate(25).coef
+        assert np.abs(psi[0:23:2] - rzs._zkernels._PSI).max() <= 1.0e-15
+        assert np.abs(psi[1::2]).max() <= 1.5e-15
+        assert abs(psi[24]) <= 1.5e-15
 
 
 class TestEulerMaclaurinKernel:
@@ -860,9 +888,11 @@ class TestScanZeros:
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
         monkeypatch.undo()
         assert len(table.gamma) == 10142
-        # 75,514 evaluations in 19 batched calls: one over the Gram points
+        # 75,508 evaluations in 19 batched calls: one over the Gram points
         # and t_max, 5 block subdivision levels and 13 Anderson-Bjorck
-        # rounds.  The scan refines every zero of the supported range at
+        # rounds (75,514 with the Psi series before its parity halving,
+        # whose Z moves by <= 2.6e-11 and closes 6 brackets one round
+        # earlier).  The scan refines every zero of the supported range at
         # the smallest tol, and each round is one call, so the call count
         # also bounds the refinement steps of any zero.
         assert sum(evaluated) <= 75_514

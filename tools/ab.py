@@ -20,8 +20,9 @@ of the checkout.  For each end-to-end metric and workload the file gives
 both sides' median and quartiles, the pairs each side won (ties count for
 neither), the change's relative worsening of the median against the
 metric's bound and the parent's relative interquartile range.  For each
-side it also gives failed and attempted operations and the Z evaluations
-of scan_zeros(0, 1e4, 1e-8), and it keeps every run's raw numbers.
+side it also gives failed and attempted operations and the work of
+scan_zeros(0, 1e4, 1e-8), counted by wrapping the kernels (work_counters),
+and it keeps every run's raw numbers.
 bench/ is read, never changed; both copies are removed afterwards.
 """
 
@@ -43,22 +44,35 @@ BUILD = os.path.join(ROOT, ".bench_build")
 SIDES = ("base", "head")  # equal lengths: equal paths for both copies
 PAIRS = 10
 
-# Counts the Z evaluations and batched calls of one deep scan in a child
-# started in a copy's root.
-_Z_COUNT = """
+# Counts the work of scan_zeros(0, 1e4, 1e-8) in a child started in a
+# copy's root, by wrapping the kernels: Z evaluations and batched calls,
+# main-sum terms (N summed over heights) and loop iterations (the largest N
+# of each call), Chebyshev terms (series length summed over heights) and
+# Clenshaw calls, and theta evaluations.
+_WORK = """
 import json, sys
 sys.path.insert(0, "src")
 import numpy as np
 import rzs._zkernels as k
 from rzs import scan_zeros
-real, seen = k._z_values, []
-def counting(ts, *args):
-    seen.append(np.size(ts))
-    return real(ts, *args)
-k._z_values = counting
+work = dict.fromkeys(["evaluations", "calls", "main_sum_terms",
+                      "main_sum_iterations", "chebyshev_terms",
+                      "clenshaw_calls", "theta_evaluations"], 0)
+def count(name, counts):
+    real = getattr(k, name)
+    def counting(*args):
+        for key, value in counts(*args).items():
+            work[key] += int(value)
+        return real(*args)
+    setattr(k, name, counting)
+count("_z_values", lambda ts, *rest: {"evaluations": np.size(ts), "calls": 1})
+count("_main_sum", lambda ts, th, big_n: {
+    "main_sum_terms": big_n.sum(), "main_sum_iterations": big_n.max(initial=0)})
+count("_chebyshev", lambda coef, y: {
+    "chebyshev_terms": len(coef) * np.size(y), "clenshaw_calls": 1})
+count("_theta_vec", lambda ts: {"theta_evaluations": np.size(ts)})
 table = scan_zeros(0.0, 1.0e4, 1.0e-8)
-print(json.dumps({"zeros": len(table.gamma), "evaluations": sum(seen),
-                  "calls": len(seen)}))
+print(json.dumps({"zeros": len(table.gamma), **work}))
 """
 
 
@@ -105,8 +119,9 @@ def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def z_evaluations(root: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", _Z_COUNT], cwd=root,
+def work_counters(root: str) -> dict:
+    """The work of scan_zeros(0, 1e4, 1e-8) in the copy at root."""
+    out = subprocess.run([sys.executable, "-c", _WORK], cwd=root,
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -178,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         copy(base_rev, roots["base"])
         copy(change(), roots["head"])
-        z_counts = {side: z_evaluations(roots[side]) for side in SIDES}
+        work = {side: work_counters(roots[side]) for side in SIDES}
         for w in spec["workloads"]:
             for i in range(PAIRS):
                 seed = 1000 * args.pr + i
@@ -200,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": PAIRS,
         "host": {"platform": platform.platform(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
-        "z_evaluations": z_counts,
+        "work": work,
         "workloads": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }

@@ -9,9 +9,9 @@ HEAD~1), copies both with `git archive` to a temporary directory and, in
 one child process per tree, evaluates rzs._zkernels on fixed grids:
 _z_values (value and bound) and _theta_vec at 200,001 heights in [0, 40]
 and 50,001 in [40, 1e4], and _gram_points for n = -1..10159.  Prints one
-line per array, "equal" or the count of differing values, and exits 1 if
-any differ.  A change to the kernels that keeps every printed number
-runs this against its parent.
+line per array, "equal" or the count of differing values and the largest
+absolute change, and exits 1 if any differ.  A change to the kernels that
+keeps every printed number runs this against its parent.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ def main() -> int:
     for name, a in arrays["base"].items():
         b = arrays["head"][name]
         count = np.count_nonzero(a.view(np.uint64) != b.view(np.uint64))
-        print(f"{name}: {a.size} values, " + (f"{count} differ" if count else "equal"))
+        print(f"{name}: {a.size} values, " + (
+            f"{count} differ, max |change| {np.abs(b - a).max():.3g}" if count
+            else "equal"))
         differ += count
     return int(differ > 0)
 
