@@ -163,11 +163,12 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
     below t = 30, whose bound is a proven truncation bound plus a rounding
     floor near 1e-13, or Riemann-Siegel above, whose bound
     0.02 (t/2pi)^{-5/4} rests on a measured coefficient, not a proof.
-    The value is bit-equal to a scan's at the same height.  Even in t
-    (Z(-t) = Z(t)), so negative heights are served through their absolute
-    value; theta_value keeps its odd sign.  Raises PrecisionError when the
-    tolerance is unreachable at this height with the configured term
-    counts, so tight tolerances are only servable below the crossover.
+    One kernel call gives the value, bit-equal to a scan's at the same
+    height, its bound and theta.  Even in t (Z(-t) = Z(t)), so negative
+    heights are served through their absolute value; theta_value keeps
+    its odd sign.  Raises PrecisionError when the tolerance is
+    unreachable at this height with the configured term counts, so tight
+    tolerances are only servable below the crossover.
     """
     t = float(t)
     tol = float(tol)
@@ -179,11 +180,10 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
         raise PrecisionError(
             f"z_function: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
-    from ._zkernels import CROSSOVER_T, _theta_vec, _z_values
+    from ._zkernels import CROSSOVER_T, _z_values
 
     at = abs(t)
-    th = _theta_vec([at])
-    vals, errs = _z_values([at], th)
+    vals, errs, th = _z_values([at])
     method = "euler_maclaurin" if at < CROSSOVER_T else "riemann_siegel"
     est = float(errs[0])
     if est > tol:

@@ -30,11 +30,43 @@ END_TO_END = [
 ]
 
 
-def _run(workload, pair, side, wall, ops, failed=0, correct=True):
+def _run(workload, pair, side, wall, ops, failed=0, correct=True, err=0.0):
     return {"workload": workload, "pair": pair, "seed": pair, "side": side,
             "correct": correct, "attempted": 10, "failed": failed,
             "metrics": {"wall_p50_s": {"value": wall, "unit": "s"},
-                        "ops_per_s": {"value": ops, "unit": "1/s"}}}
+                        "ops_per_s": {"value": ops, "unit": "1/s"}},
+            "accuracy": {"error_rate": failed / 10, "zero_err_max": err,
+                         "bracket_miss_share": 0.5, "pi_rel_err_max": 0.0}}
+
+
+# An untraced zeros-1e4 run's output, as bench/run.py prints it.
+RUN_OUTPUT = """\
+# rzs benchmark: workload=zeros-1e4 seed=1 seconds=2 trace=0
+# why: the headline command rzs zeros --t-max 1e4 in a fresh process
+env {"python": "3.11.7", "nproc": 2}
+metric setup_s = 0.06144963299448136 s  [median of 7 fresh set-up processes]
+metric wall_p50_s = 0.22942348049400607 s  [n=8]
+metric ops_per_s = 4.446237280987787 1/s  [8 completed operations in 1.799 s]
+metric peak_rss_mb = 31.69921875 MB  [largest child process]
+wall_tail_s: not reported: 8 operations, the rule needs 10 beyond the p75
+metric error_rate = 0.125 ratio  [1 of 8 operations failed {'index': 1}]
+metric zero_err_max = 0.00046458377025970776 t  [max over 20272 checked zeros]
+metric bracket_miss_share = 0.9988161010260458 ratio  [20248 of 20272 reference zeros outside their reported bracket]
+metric pi_rel_err_max = 0.0 ratio  [not applicable: no pi, correlator or prediction value computed]
+# first failure of its kind: metric zero_err_max = 1.0 t
+{"correct": true, "attempted": 8, "failed": 1, "metrics": {"setup_s": {"value": 0.06144963299448136, "unit": "s"}}}
+"""
+
+
+def test_a_run_is_read_with_its_accuracy_figures():
+    assert ab.parse_run(RUN_OUTPUT) == {
+        "correct": True, "attempted": 8, "failed": 1,
+        "metrics": {"setup_s": {"value": 0.06144963299448136, "unit": "s"}},
+        "accuracy": {"error_rate": 0.125, "zero_err_max": 0.00046458377025970776,
+                     "bracket_miss_share": 0.9988161010260458, "pi_rel_err_max": 0.0}}
+    missing = RUN_OUTPUT.replace("metric pi_rel_err_max", "pi_rel_err_max")
+    with pytest.raises(ValueError, match="pi_rel_err_max"):
+        ab.parse_run(missing)
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -47,7 +79,7 @@ def test_summary_of_canned_runs():
     ops = {"base": [10.0, 20.0, 30.0, 40.0, 50.0],
            "head": [11.0, 21.0, 29.0, 40.0, 60.0]}
     runs = [_run("w", i, side, walls[side][i], ops[side][i],
-                 failed=int(side == "head" and i == 3))
+                 failed=int(side == "head" and i == 3), err=i * 1.0e-4)
             for i in range(5) for side in ab.pair_order(i)]
     runs += [_run("v", i, side, 1.0, 1.0, correct=side == "base")
              for i in range(2) for side in ab.SIDES]
@@ -55,8 +87,13 @@ def test_summary_of_canned_runs():
     summary = ab.summarize(runs, END_TO_END)
     assert list(summary) == ["w", "v"]
     w = summary["w"]
-    assert w["base"] == {"attempted": 50, "failed": 0, "broken_runs": 0}
-    assert w["head"] == {"attempted": 50, "failed": 1, "broken_runs": 0}
+    # Each side's worst accuracy figures over its runs.
+    accuracy = {"error_rate": 0.0, "zero_err_max": 4.0e-4,
+                "bracket_miss_share": 0.5, "pi_rel_err_max": 0.0}
+    assert w["base"] == {"attempted": 50, "failed": 0, "broken_runs": 0,
+                         "accuracy": accuracy}
+    assert w["head"] == {"attempted": 50, "failed": 1, "broken_runs": 0,
+                         "accuracy": {**accuracy, "error_rate": 0.1}}
     assert summary["v"]["head"]["broken_runs"] == 2
 
     wall = w["metrics"]["wall_p50_s"]
@@ -78,6 +115,21 @@ def test_summary_of_canned_runs():
     assert (rate["head_wins"], rate["base_wins"]) == (3, 1)
     assert rate["rel_worse"] == pytest.approx(0.1 / 3.0)
     assert rate["within_bound"]
+
+
+def test_warm_scan_summary_of_canned_times():
+    times = {"base": [0.040, 0.036, 0.038, 0.037, 0.041, 0.039],
+             "head": [0.035, 0.036, 0.039, 0.034, 0.036, 0.037]}
+    warm = ab.compare(times, "lower")
+    assert warm["pairs"] == 6
+    assert warm["base"] == pytest.approx(
+        {"median": 0.0385, "q1": 0.03675, "q3": 0.04025})
+    assert warm["head"] == pytest.approx(
+        {"median": 0.036, "q1": 0.03475, "q3": 0.0375})
+    # The head wins pairs 0, 3, 4 and 5 and loses pair 2; pair 1 is a tie.
+    assert (warm["head_wins"], warm["base_wins"]) == (4, 1)
+    assert warm["rel_worse"] == pytest.approx(-0.0025 / 0.0385)
+    assert warm["base_rel_iqr"] == pytest.approx(0.0035 / 0.0385)
 
 
 def test_a_worse_median_beyond_its_bound_is_flagged():
@@ -190,10 +242,16 @@ def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
     monkeypatch.setattr(ab, "PAIRS", 2)
     # A benchmark run's own fields: the record adds workload, pair, seed, side.
     canned = {k: v for k, v in _run("w", 0, "base", 1.0, 1.0).items()
-              if k in ("correct", "attempted", "failed", "metrics")}
+              if k in ("correct", "attempted", "failed", "metrics", "accuracy")}
     monkeypatch.setattr(ab, "bench_run", lambda root, w, seed, seconds: canned)
 
     assert ab.main(["--pr", "7"]) == 0
     record = json.loads((repo / "BENCH_7.json").read_text())
     assert record["work"] == {"base": WORK_TO_1E4, "head": WORK_TO_1E4}
     assert [r["side"] for r in record["runs"]] == ["base", "head", "head", "base"]
+    assert record["workloads"]["w"]["head"]["accuracy"] == canned["accuracy"]
+    # Two real warm scans a side, each the median of 5 scans in a child.
+    warm = record["warm_scan_s"]
+    assert warm["pairs"] == 2
+    assert all(len(warm["runs"][side]) == 2 for side in ab.SIDES)
+    assert all(0.0 < t < 10.0 for side in ab.SIDES for t in warm["runs"][side])

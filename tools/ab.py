@@ -20,9 +20,13 @@ of the checkout.  For each end-to-end metric and workload the file gives
 both sides' median and quartiles, the pairs each side won (ties count for
 neither), the change's relative worsening of the median against the
 metric's bound and the parent's relative interquartile range.  For each
-side it also gives failed and attempted operations and the work of
-scan_zeros(0, 1e4, 1e-8), counted by wrapping the kernels (work_counters),
-and it keeps every run's raw numbers.
+side and workload it also gives failed and attempted operations and the
+worst of each accuracy figure the runs print (ACCURACY).  For each side it
+gives the work of scan_zeros(0, 1e4, 1e-8), counted by wrapping the
+kernels (work_counters), and under warm_scan_s the warm in-process time
+of that scan, one child per side in each of PAIRS alternating pairs
+(warm_scan), with the statistics of a metric.  It keeps every run's raw
+numbers.
 bench/ is read, never changed; both copies are removed afterwards.
 """
 
@@ -33,6 +37,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -43,6 +48,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
 SIDES = ("base", "head")  # equal lengths: equal paths for both copies
 PAIRS = 10
+# The accuracy figures an untraced bench/run.py prints, each on a line
+# "metric NAME = VALUE UNIT  [note]" before its last line; lower is better.
+ACCURACY = ("error_rate", "zero_err_max", "bracket_miss_share", "pi_rel_err_max")
 
 # Counts the work of scan_zeros(0, 1e4, 1e-8) in a child started in a
 # copy's root, by wrapping the kernels: Z evaluations and batched calls,
@@ -65,7 +73,7 @@ def count(name, counts):
             work[key] += int(value)
         return real(*args)
     setattr(k, name, counting)
-count("_z_values", lambda ts, *rest: {"evaluations": np.size(ts), "calls": 1})
+count("_z_values", lambda ts: {"evaluations": np.size(ts), "calls": 1})
 count("_main_sum", lambda ts, th, big_n: {
     "main_sum_terms": big_n.sum(), "main_sum_iterations": big_n.max(initial=0)})
 count("_chebyshev", lambda coef, y: {
@@ -73,6 +81,21 @@ count("_chebyshev", lambda coef, y: {
 count("_theta_vec", lambda ts: {"theta_evaluations": np.size(ts)})
 table = scan_zeros(0.0, 1.0e4, 1.0e-8)
 print(json.dumps({"zeros": len(table.gamma), **work}))
+"""
+
+# Times scan_zeros(0, 1e4, 1e-8) in a child started in a copy's root:
+# after one untimed warm-up scan, the median of 5 timed scans, in seconds.
+_WARM = """
+import statistics, sys, time
+sys.path.insert(0, "src")
+from rzs import scan_zeros
+scan_zeros(0.0, 1.0e4, 1.0e-8)
+times = []
+for _ in range(5):
+    start = time.perf_counter()
+    scan_zeros(0.0, 1.0e4, 1.0e-8)
+    times.append(time.perf_counter() - start)
+print(statistics.median(times))
 """
 
 
@@ -111,19 +134,40 @@ def pair_order(i: int) -> tuple[str, str]:
 
 
 def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in a copy: the JSON object of its last line."""
+    """One benchmark run in a copy, read by parse_run."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=root, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return parse_run(out)
+
+
+def parse_run(out: str) -> dict:
+    """The JSON object of an untraced run's last line, with the figures
+    of its ACCURACY lines under "accuracy"; a run without all of them
+    raises ValueError."""
+    accuracy = {name: float(value) for name, value in re.findall(
+        r"^metric (%s) = (\S+) " % "|".join(ACCURACY), out, re.MULTILINE)}
+    if len(accuracy) != len(ACCURACY):
+        raise ValueError(f"ab: a run printed {sorted(accuracy)} of {ACCURACY}")
+    return {**json.loads(out.strip().splitlines()[-1]), "accuracy": accuracy}
+
+
+def child(root: str, code: str) -> str:
+    """The stdout of python -c code in a child started in the copy at root."""
+    return subprocess.run([sys.executable, "-c", code], cwd=root,
+                          check=True, capture_output=True, text=True).stdout
 
 
 def work_counters(root: str) -> dict:
     """The work of scan_zeros(0, 1e4, 1e-8) in the copy at root."""
-    out = subprocess.run([sys.executable, "-c", _WORK], cwd=root,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+    return json.loads(child(root, _WORK))
+
+
+def warm_scan(root: str) -> float:
+    """The warm time of scan_zeros(0, 1e4, 1e-8), in seconds, in a fresh
+    child in the copy at root."""
+    return float(child(root, _WARM))
 
 
 def spread(values: list[float]) -> dict:
@@ -131,14 +175,34 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(values: dict[str, list[float]], better: str) -> dict:
+    """Paired values of both sides: each side's spread, the pairs each
+    side won (ties count for neither), the change's relative worsening of
+    the median (negative where it improved) and the parent's
+    interquartile range relative to its median."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = {side: 0 for side in SIDES}
+    for b, h in zip(values["base"], values["head"]):
+        if h != b:
+            wins["head" if sign * (h - b) < 0.0 else "base"] += 1
+    spreads = {side: spread(values[side]) for side in SIDES}
+    base = spreads["base"]
+    return {
+        "better": better, **spreads, "pairs": len(values["base"]),
+        "base_wins": wins["base"], "head_wins": wins["head"],
+        "rel_worse": sign * (spreads["head"]["median"] - base["median"]) / base["median"],
+        # Above a metric's bound, the parent's own runs cannot resolve it.
+        "base_rel_iqr": (base["q3"] - base["q1"]) / base["median"],
+    }
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per workload: each side's operations and, per end-to-end metric,
-    each side's spread, the pairs each side won and the change's
-    relative worsening of the median (negative where it improved) and
-    the parent's interquartile range relative to its median.
+    """Per workload: each side's operations and worst accuracy figures
+    and, per end-to-end metric, compare's statistics of both sides and
+    whether the change's worsening is within the metric's bound.
 
     runs holds one record per run: workload, pair, side, and the
-    benchmark's correct, attempted, failed and metrics."""
+    benchmark's correct, attempted, failed, metrics and accuracy."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -151,26 +215,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                  for side in SIDES}
         for side in SIDES:
             entry[side]["broken_runs"] = sum(not p[side]["correct"] for p in paired)
+            entry[side]["accuracy"] = {
+                name: max(p[side]["accuracy"][name] for p in paired)
+                for name in ACCURACY}
         metrics = {}
         for spec in end_to_end:
-            name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
-            values = {side: [p[side]["metrics"][name]["value"] for p in paired]
-                      for side in SIDES}
-            wins = {side: 0 for side in SIDES}
-            for b, h in zip(values["base"], values["head"]):
-                if h != b:
-                    wins["head" if sign * (h - b) < 0.0 else "base"] += 1
-            spreads = {side: spread(values[side]) for side in SIDES}
-            base = spreads["base"]
-            worse = sign * (spreads["head"]["median"] - base["median"]) / base["median"]
-            metrics[name] = {
-                "better": spec["better"], "bound": spec["bound"],
-                **spreads, "pairs": len(paired),
-                "base_wins": wins["base"], "head_wins": wins["head"],
-                "rel_worse": worse, "within_bound": worse <= spec["bound"],
-                # Above the bound, the parent's own runs cannot resolve it.
-                "base_rel_iqr": (base["q3"] - base["q1"]) / base["median"],
-            }
+            name = spec["name"]
+            stats = compare({side: [p[side]["metrics"][name]["value"] for p in paired]
+                             for side in SIDES}, spec["better"])
+            metrics[name] = {**stats, "bound": spec["bound"],
+                             "within_bound": stats["rel_worse"] <= spec["bound"]}
         entry["metrics"] = metrics
         out[workload] = entry
     return out
@@ -194,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         copy(base_rev, roots["base"])
         copy(change(), roots["head"])
         work = {side: work_counters(roots[side]) for side in SIDES}
+        warm = {side: [] for side in SIDES}
+        for i in range(PAIRS):
+            for side in pair_order(i):
+                warm[side].append(warm_scan(roots[side]))
         for w in spec["workloads"]:
             for i in range(PAIRS):
                 seed = 1000 * args.pr + i
@@ -216,6 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"platform": platform.platform(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "work": work,
+        "warm_scan_s": {**compare(warm, "lower"), "runs": warm},
         "workloads": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }

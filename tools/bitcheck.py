@@ -33,7 +33,7 @@ sys.path.insert(0, "src")
 import numpy as np
 import rzs._zkernels as k
 ts = np.concatenate([np.linspace(0.0, 40.0, 200001), np.linspace(40.0, 1.0e4, 50001)])
-z, bound = k._z_values(ts)
+z, bound = k._z_values(ts)[:2]
 np.savez(sys.argv[1], z=z, bound=bound, theta=k._theta_vec(ts),
          gram=k._gram_points(np.arange(-1, 10160)))
 """
