@@ -27,6 +27,9 @@ from .errors import AuditError
 CROSSOVER_T = 30.0
 _EM_N = math.ceil(1.2 * CROSSOVER_T + 10.0)
 
+# _z_values evaluates at most this many heights at a time.
+_Z_BLOCK = 4096
+
 # theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
 # first omitted term, k = 6 of _THETA_SERIES's formula, ~9.6e-4 t^-11, is
 # <= 1e-14 there, and with e^{-pi t}/2, which the series lacks, the series
@@ -171,14 +174,20 @@ _RS_ERR_COEF = 0.02  # measured: |error| <= 0.005 * a^{-5/2}; 4x margin
 
 
 def _chebyshev(coef: tuple[float, ...], y: np.ndarray) -> np.ndarray:
-    """sum_k coef[k] T_k(y) by Clenshaw's recurrence, in the order of
-    operations of numpy.polynomial.chebyshev.chebval, so the two agree bit
-    for bit."""
-    y2 = 2.0 * y
-    c0, c1 = coef[-2], coef[-1]
+    """sum_k coef[k] T_k(y) by Clenshaw's recurrence in three buffers, bit
+    for bit as numpy.polynomial.chebyshev.chebval sums it: its c1 * 2y is
+    formed as 2 (c1 y), which is exact, as doubling is."""
+    c0, c1 = np.full_like(y, coef[-2]), np.full_like(y, coef[-1])
+    tmp = np.empty_like(y)
     for c in coef[-3::-1]:
-        c0, c1 = c - c1, c0 + c1 * y2
-    return c0 + c1 * y
+        np.subtract(c, c1, out=tmp)  # the next c0
+        c1 *= y
+        c1 += c1
+        c1 += c0
+        c0, tmp = tmp, c0
+    c1 *= y
+    c1 += c0
+    return c1
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +243,18 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
     half_ln_n = 0.5 * np.log(ns)
     rsqrt_n = 1.0 / np.sqrt(ns)
     acc = np.zeros_like(t)
+    u_buf, w_buf = np.empty_like(t), np.empty_like(t)
     for n, start in enumerate(np.searchsorted(n_sorted, ns)):
-        u = np.tan(half_ph[start:] - t[start:] * half_ln_n[n])
-        w = u * u
-        acc[start:] += rsqrt_n[n] * ((1.0 - w) / (1.0 + w))
+        u, w = u_buf[start:], w_buf[start:]
+        np.multiply(t[start:], half_ln_n[n], out=u)
+        np.subtract(half_ph[start:], u, out=u)
+        np.tan(u, out=u)
+        np.multiply(u, u, out=w)
+        np.subtract(1.0, w, out=u)
+        w += 1.0
+        u /= w
+        u *= rsqrt_n[n]
+        acc[start:] += u
     out = np.empty_like(acc)
     out[order] = acc
     return out
@@ -246,33 +263,60 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
 def _z_values(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Z, its error bound, theta) at an array of heights in [0, T_SUPPORT_MAX].
 
-    One theta and one main sum S_N for the batch.  Below CROSSOVER_T,
-    Z = S_{N-1} + Re(e^{i theta} tail) with N = _EM_N (Euler-Maclaurin);
-    from it up, with a = sqrt(t/2pi), N = floor(a) and p = a - N,
+    The batch is taken _Z_BLOCK heights at a time, each block written to
+    its slice of the preallocated outputs, so a batch of any size holds
+    the temporaries of one block; as no value depends on the rest of its
+    batch, the blocks give the bits of one pass.  Per block, one theta and
+    one main sum S_N.  Below CROSSOVER_T, Z = S_{N-1} + Re(e^{i theta}
+    tail) with N = _EM_N (Euler-Maclaurin); from it up, with a =
+    sqrt(t/2pi), N = floor(a) and p = a - N,
     Z ~ 2 S_N + (-1)^{N-1} a^{-1/2} [Psi(p) - Psi'''(p)/(96 pi^2 a)]
-    (Riemann-Siegel; Edwards, Riemann's Zeta Function, 1974, 6-7), with
-    x = 2p - 1 and y = 2x^2 - 1 formed once per batch.
+    (Riemann-Siegel; Edwards, Riemann's Zeta Function, 1974, 6-7), whose
+    correction is formed before the main sum.
     """
     ts = np.asarray(ts, dtype=float)
-    th = _theta_vec(ts)
+    z, bound, th = np.empty_like(ts), np.empty_like(ts), np.empty_like(ts)
+    for i in range(0, ts.size, _Z_BLOCK):
+        block = slice(i, i + _Z_BLOCK)
+        _z_block(ts[block], z[block], bound[block], th[block])
+    return z, bound, th
+
+
+def _z_block(ts: np.ndarray, z: np.ndarray, bound: np.ndarray,
+             th: np.ndarray) -> None:
+    """_z_values on one block of heights, written to z, bound and th."""
+    th[:] = _theta_vec(ts)
     low = ts < CROSSOVER_T
     high = ~low
-    a = np.sqrt(ts[high] / math.tau)
     big_n = np.full(ts.shape, _EM_N - 1)
-    big_n[high] = np.floor(a)
-    vals = _main_sum(ts, th, big_n)
-    errs = np.empty_like(ts)
-    if low.any():
-        tail, errs[low] = _em_tail(ts[low])
-        vals[low] += (np.exp(1j * th[low]) * tail).real
     if high.any():
-        x = 2.0 * (a - big_n[high]) - 1.0  # 2p - 1
-        y = 2.0 * x * x - 1.0
-        c0, c1 = _chebyshev(_PSI, y), x * _chebyshev(_C1, y)
-        sign = np.where(big_n[high] % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
-        vals[high] = 2.0 * vals[high] + sign * (c0 + c1 / a) / np.sqrt(a)
-        errs[high] = _RS_ERR_COEF * (ts[high] / math.tau) ** (-1.25) + 1.0e-11
-    return vals, errs, th
+        t = ts[high]
+        a = np.sqrt(t / math.tau)
+        big_n[high] = n = np.floor(a)
+        z[high] = _rs_correction(a, n)
+        bound[high] = _RS_ERR_COEF * (t / math.tau) ** (-1.25) + 1.0e-11
+        del t, a, n  # gone before the main sum's buffers
+    vals = _main_sum(ts, th, big_n)
+    if low.any():
+        tail, bound[low] = _em_tail(ts[low])
+        z[low] = vals[low] + (np.exp(1j * th[low]) * tail).real
+    if high.any():
+        z[high] += 2.0 * vals[high]
+
+
+def _rs_correction(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(-1)^(N-1) a^{-1/2} [Psi(p) + C1(p)/a] at a = sqrt(t/2pi), N = n =
+    floor(a) and p = a - N, through x = 2p - 1 and y = 2x^2 - 1, reduced
+    in place in the buffer of C1's sum."""
+    x = 2.0 * (a - n) - 1.0
+    y = 2.0 * x * x - 1.0
+    out = _chebyshev(_C1, y)
+    out *= x
+    out /= a
+    out += _chebyshev(_PSI, y)
+    np.negative(out, out=out, where=n % 2 == 0)
+    out /= np.sqrt(a)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -360,23 +404,31 @@ def _refine_brackets(
         idx = np.flatnonzero(hi - lo > tol)
         if idx.size == 0:
             return lo, hi
-        a, b = lo[idx], hi[idx]
-        x = a - w_lo[idx] * (b - a) / (w_hi[idx] - w_lo[idx])
+        a, b, wa = lo[idx], hi[idx], w_lo[idx]
+        x = b - a  # to a - w_lo (b - a) / (w_hi - w_lo), in place
+        x *= wa
+        x /= w_hi[idx] - wa
+        np.subtract(a, x, out=x)
         np.copyto(x, 0.5 * (a + b), where=~np.isfinite(x))
         np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)
-        del a, b  # gone before Z's batch, the scan's peak of memory
+        del a, b, wa  # gone before Z's batch, the scan's peak of memory
         fx = _z_values(x)[0]
-        left = (z_lo[idx] < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
-        gone = np.where(left, z_hi[idx], z_lo[idx])  # Z at the replaced end
-        scale = 1.0 - np.divide(fx, gone, out=np.ones_like(fx), where=gone != 0.0)
+        za = z_lo[idx]
+        left = (za < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
+        gone = np.where(left, z_hi[idx], za)  # Z at the replaced end
+        del za
+        scale = np.divide(fx, gone, out=np.ones_like(fx), where=gone != 0.0)
+        np.subtract(1.0, scale, out=scale)
         scale[~(scale > 0.0)] = 0.5
-        again = kept[idx] == np.where(left, -1, 1)  # kept end kept last step too
-        w_lo[idx[left & again]] *= scale[left & again]
-        w_hi[idx[~left & again]] *= scale[~left & again]
-        new_hi, new_lo = idx[left], idx[~left]
-        hi[new_hi], z_hi[new_hi], w_hi[new_hi] = x[left], fx[left], fx[left]
-        lo[new_lo], z_lo[new_lo], w_lo[new_lo] = x[~left], fx[~left], fx[~left]
-        kept[new_hi], kept[new_lo] = -1, 1
+        del gone
+        was_kept = kept[idx]
+        for side, end, z_end, w_end, w_kept, last in (
+                (left, hi, z_hi, w_hi, w_lo, -1), (~left, lo, z_lo, w_lo, w_hi, 1)):
+            twice = side & (was_kept == last)  # the kept end, kept last step too
+            w_kept[idx[twice]] *= scale[twice]
+            at, x_side, f_side = idx[side], x[side], fx[side]
+            end[at], z_end[at], w_end[at] = x_side, f_side, f_side
+            kept[at] = last
 
 
 def _scan_brackets(

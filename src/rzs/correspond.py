@@ -109,7 +109,8 @@ def build_report(zeros: ZeroTable, m2: float, n_max: int) -> CorrespondenceRepor
         )
 
     rows = []
-    for n, gamma in enumerate(zeros.gamma[_N_ROW_MIN - 1:n_max], _N_ROW_MIN):
+    gammas = zeros.gamma[_N_ROW_MIN - 1:n_max].tolist()
+    for n, gamma in enumerate(gammas, _N_ROW_MIN):
         prediction = correlator_sample(float(n), m2).correlator
         rows.append(
             ReportRow(

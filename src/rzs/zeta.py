@@ -18,9 +18,11 @@ terms plus the Bernoulli tail for every height) and the Riemann-Siegel
 expansion from it up (twice the sum to N = floor(sqrt(t/2pi)) plus two
 correction terms: Psi, even about p = 1/2, from its committed series of
 12 Chebyshev terms, and Psi''', odd, from 10 derived from it at import).
-The sum runs over the heights of a batch sorted by N, one term n at a
-time across the contiguous run of heights that need it; each height
-adds its own terms in order, so a value does not depend on its batch.
+A batch is evaluated in blocks of at most 4,096 heights, so its
+temporaries are bounded whatever its size.  The sum runs over the
+heights of a block sorted by N, one term n at a time across the
+contiguous run of heights that need it; each height adds its own terms
+in order, so a value does not depend on its batch.
 Each cosine comes from the tangent of the half phase, cos x = (1 -
 u^2)/(1 + u^2) with u = tan(x/2), which numpy vectorises.
 
@@ -32,8 +34,8 @@ of them.  Every bracket is then refined by bracketed Anderson-Bjorck
 (regula falsi) steps.
 All heights are limited to t <= 1e4 and tolerances to >= 1e-8: that is
 the regime where plain double precision keeps every promise made here.
-The scan returns a columnar ZeroTable, one tuple of floats per field,
-and builds no object per zero.
+The scan returns a columnar ZeroTable, one read-only float64 array per
+column, and builds no object per zero.
 
 theta, z_function and scan_zeros import the numpy kernels of all this,
 rzs._zkernels, on their first call; counting zeros loads no numpy.
@@ -104,22 +106,42 @@ class ZeroTable(NamedTuple):
 
     Zero n_first + i has the refined height gamma[i] and the final
     bracket [bracket_lo[i], bracket_hi[i]], at most refined_tol wide.
+    The three columns are read-only float64 numpy arrays.  A table
+    compares and hashes by value: it equals a ZeroTable, and nothing
+    else, whose fields are equal, each column bit for bit.
     """
 
     n_first: int
-    gamma: tuple[float, ...]
-    bracket_lo: tuple[float, ...]
-    bracket_hi: tuple[float, ...]
+    gamma: numpy.ndarray  # a name only: this module imports no numpy
+    bracket_lo: numpy.ndarray
+    bracket_hi: numpy.ndarray
     refined_tol: float
     t_max: float
 
+    def __eq__(self, other):
+        return isinstance(other, ZeroTable) and _table_key(self) == _table_key(other)
+
+    def __ne__(self, other):  # tuple's own != would compare the arrays
+        return not self == other
+
+    def __hash__(self):
+        return hash(_table_key(self))
+
     @property
     def zeros(self) -> tuple[ZeroEntry, ...]:
-        """The rows as ZeroEntry records, built anew on every access."""
+        """The rows as ZeroEntry records of Python floats, built anew on
+        every access."""
         return tuple(map(
-            ZeroEntry, itertools.count(self.n_first), self.gamma,
-            self.bracket_lo, self.bracket_hi, itertools.repeat(self.refined_tol),
+            ZeroEntry, itertools.count(self.n_first), self.gamma.tolist(),
+            self.bracket_lo.tolist(), self.bracket_hi.tolist(),
+            itertools.repeat(self.refined_tol),
         ))
+
+
+def _table_key(table: ZeroTable) -> tuple:
+    """The fields of table with each column as its bytes."""
+    return (table.n_first, table.gamma.tobytes(), table.bracket_lo.tobytes(),
+            table.bracket_hi.tobytes(), table.refined_tol, table.t_max)
 
 
 class ZeroCountEstimate(NamedTuple):
@@ -296,14 +318,10 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     lo, hi = _refine_brackets(*_scan_brackets(t_max, n_estimate), tol)
     gammas = 0.5 * (lo + hi)
     start = int(gammas.searchsorted(t_min, "right"))  # gammas ascend
-    return ZeroTable(
-        n_first=start + 1,
-        gamma=tuple(gammas[start:].tolist()),
-        bracket_lo=tuple(lo[start:].tolist()),
-        bracket_hi=tuple(hi[start:].tolist()),
-        refined_tol=tol,
-        t_max=t_max,
-    )
+    columns = gammas[start:], lo[start:], hi[start:]
+    for column in columns:
+        column.flags.writeable = False
+    return ZeroTable(start + 1, *columns, refined_tol=tol, t_max=t_max)
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +362,9 @@ def zero_table_to_csv(table: ZeroTable, file: TextIO | None = None) -> str | Non
     """
     out = io.StringIO() if file is None else file
     out.write("n,gamma,bracket_lo,bracket_hi\n")
-    _format_rows(out, _CSV_ROW, zip(
-        itertools.count(table.n_first), table.gamma,
-        table.bracket_lo, table.bracket_hi,
-    ))
+    columns = table.gamma, table.bracket_lo, table.bracket_hi
+    _format_rows(out, _CSV_ROW, itertools.chain.from_iterable(
+        zip(itertools.count(table.n_first + i),
+            *(column[i:i + _BLOCK].tolist() for column in columns))
+        for i in range(0, len(table.gamma), _BLOCK)))
     return out.getvalue() if file is None else None

@@ -198,7 +198,8 @@ def test_bitcheck_sees_one_changed_kernel_constant(tmp_path, monkeypatch, capsys
     ab.git("add", "notes")  # a change that leaves the kernels alone
     assert bitcheck.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[1:]] == ["z", "bound", "theta", "gram"]
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "z", "bound", "theta", "gram", "gamma", "bracket_lo", "bracket_hi"]
     assert all(line.endswith("equal") for line in lines[1:])
 
     kernels = repo / "src" / "rzs" / "_zkernels.py"
@@ -211,19 +212,30 @@ def test_bitcheck_sees_one_changed_kernel_constant(tmp_path, monkeypatch, capsys
     assert "z: 250002 values, equal" not in out
     assert "differ, max |change| " in out
 
+    # A change to refinement alone: Z keeps its bits, the scan does not.
+    clip = "np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)"
+    assert clip in text
+    kernels.write_text(text.replace(clip, clip.replace("a + 0.5", "a + 0.25")))
+    assert bitcheck.main() == 1
+    out = capsys.readouterr().out
+    assert "z: 250002 values, equal" in out
+    assert "bracket_lo: 10142 values, equal" not in out
+    assert "gamma: 10142 values, equal" not in out
+
 
 # The work of scan_zeros(0, 1e4, 1e-8), counted by ab's child.
 WORK_TO_1E4 = {"zeros": 10142, "evaluations": 75508, "calls": 19,
-               "main_sum_terms": 2080416, "main_sum_iterations": 754,
-               "chebyshev_terms": 1660692, "clenshaw_calls": 38,
+               "main_sum_terms": 2080416, "main_sum_iterations": 1243,
+               "chebyshev_terms": 1660692, "clenshaw_calls": 64,
                "theta_evaluations": 136414}
 
 
 def test_work_counters_of_the_deep_scan():
-    # 75,508 Z evaluations in 19 calls, of which 75,486 at or above the
-    # crossover take the 12 + 10 Chebyshev terms of Psi and C1 in 2
-    # Clenshaw calls per call; theta runs once per evaluation and 6 times
-    # for each of the 10,151 Gram points.
+    # 75,508 Z evaluations in 19 calls and 32 blocks of at most 4,096
+    # heights; the 75,486 at or above the crossover take the 12 + 10
+    # Chebyshev terms of Psi and C1 in 2 Clenshaw calls per block, and each
+    # block's main sum runs to its own largest N.  theta runs once per
+    # evaluation and 6 times for each of the 10,151 Gram points.
     assert ab.work_counters(str(_REPO)) == WORK_TO_1E4
 
 
@@ -248,6 +260,10 @@ def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
     assert ab.main(["--pr", "7"]) == 0
     record = json.loads((repo / "BENCH_7.json").read_text())
     assert record["work"] == {"base": WORK_TO_1E4, "head": WORK_TO_1E4}
+    # One warm zeros --t-max 1e4 a side, traced: 1.6 MB at this commit.
+    peaks = record["zeros_traced_peak_bytes"]
+    assert sorted(peaks) == sorted(ab.SIDES)
+    assert all(isinstance(p, int) and 1.0e6 < p < 1.0e7 for p in peaks.values())
     assert [r["side"] for r in record["runs"]] == ["base", "head", "head", "base"]
     assert record["workloads"]["w"]["head"]["accuracy"] == canned["accuracy"]
     # Two real warm scans a side, each the median of 5 scans in a child.

@@ -117,8 +117,10 @@ class TestZerosCommand:
         # zeros command 2.98 MB while the scan kept the Gram grid and four
         # copies of its brackets through refinement, and the command held
         # its 624 KB CSV as blocks, one str and its UTF-8 copy; 2.17 and
-        # 2.21 MB since the grid is freed first, the brackets are refined
-        # in place and the CSV is written block by block.
+        # 2.21 MB once the grid was freed first, the brackets refined in
+        # place and the CSV written block by block; 1.57 and 1.60 MB since
+        # Z takes at most 4,096 heights at a time and the table keeps its
+        # columns as arrays.
         out = str(tmp_path / "zeros.csv")
         argv = ["zeros", "--t-max", "1e4", "--out-path", out]
         assert rzs.cli.main(argv) == 0  # warm: imports and lazy set-up
@@ -131,8 +133,8 @@ class TestZerosCommand:
             command_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert scan_peak <= 2.6e6
-        assert command_peak <= 2.6e6
+        assert scan_peak <= 1.75e6
+        assert command_peak <= 1.75e6
 
 
 # ----------------------------------------------------------------------

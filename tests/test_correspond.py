@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rzs import (
@@ -32,13 +33,13 @@ def _synthetic_table(n_top: int) -> ZeroTable:
     these rows must recover the line exactly.  Heights for n <= 6 (the
     rows a report never uses) are dummy increasing values.
     """
-    gammas = tuple(float(n) if n < 7 else gamma_asymptotic(n)
-                   for n in range(1, n_top + 1))
+    gammas = np.array([float(n) if n < 7 else gamma_asymptotic(n)
+                       for n in range(1, n_top + 1)])
     return ZeroTable(
         n_first=1,
         gamma=gammas,
-        bracket_lo=tuple(g - 1.0e-9 for g in gammas),
-        bracket_hi=tuple(g + 1.0e-9 for g in gammas),
+        bracket_lo=gammas - 1.0e-9,
+        bracket_hi=gammas + 1.0e-9,
         refined_tol=1.0e-8,
         t_max=float(n_top),
     )

@@ -230,6 +230,32 @@ class TestRiemannSiegelKernel:
         assert np.array_equal(shuffled_vals, both_vals[perm])
         assert np.array_equal(shuffled_errs, both_errs[perm])
 
+    def test_a_batch_of_many_blocks_gives_the_bits_of_small_batches(self):
+        # _z_values takes a batch _Z_BLOCK heights at a time, so a batch of
+        # 2.5 blocks, a fifth of it below the crossover, is cut twice; every
+        # value, bound and theta is the one batches of 7 heights give.
+        kernels = rzs._zkernels
+        rng = np.random.default_rng(1737)
+        size = 5 * kernels._Z_BLOCK // 2
+        ts = np.where(rng.uniform(size=size) < 0.2,
+                      rng.uniform(0.0, kernels.CROSSOVER_T, size),
+                      rng.uniform(kernels.CROSSOVER_T, 1.0e4, size))
+        small = [kernels._z_values(part) for part in np.array_split(ts, size // 7)]
+        for got, parts in zip(kernels._z_values(ts), zip(*small)):
+            assert _bits(got) == _bits(np.concatenate(parts))
+
+    def test_a_large_euler_maclaurin_batch_gives_the_bits_of_small_batches(self):
+        # Above 16,384 heights below the crossover, a complex temporary of
+        # the Euler-Maclaurin tail passes numpy's 256 KiB elision size and
+        # its product is taken in place, which rounds differently; in one
+        # batch the bound at t = 29.3006 was 1 ulp off.  Blocks keep every
+        # temporary below that size.
+        ts = np.linspace(0.0, 40.0, 200001)[:146504]
+        assert ts[-1] < rzs._zkernels.CROSSOVER_T
+        small = [rzs._zkernels._z_values(part) for part in np.array_split(ts, 147)]
+        for got, parts in zip(rzs._zkernels._z_values(ts), zip(*small)):
+            assert _bits(got) == _bits(np.concatenate(parts))
+
 
 class TestMainSumKernel:
     """_main_sum takes each cos x from u = tan(x/2) as (1 - u^2)/(1 + u^2),
@@ -677,10 +703,31 @@ class TestScanZeros:
                       table.bracket_hi[1], 1.0e-8),
         )
         assert scan_zeros(1.0, 5.0, 1.0e-8).zeros == ()
+        # The rows hold Python floats, not numpy scalars.
+        assert {type(v) for row in table.zeros for v in row[1:]} == {float}
+
+    def test_tables_compare_and_hash_by_the_bits_of_their_columns(self):
+        table, again = scan_zeros(0.0, 100.0, 1.0e-8), scan_zeros(0.0, 100.0, 1.0e-8)
+        assert table == again and not table != again
+        assert hash(table) == hash(again)
+        for field in ("gamma", "bracket_lo", "bracket_hi"):
+            column = getattr(table, field).copy()
+            column.view(np.uint64)[17] ^= 1  # the last bit of one value
+            changed = table._replace(**{field: column})
+            assert changed != table and not changed == table
+        assert table != table._replace(t_max=101.0)
+        assert table != tuple(table) and not tuple(table) == table
+
+    def test_columns_are_read_only_float64_arrays(self):
+        table = scan_zeros(0.0, 100.0, 1.0e-8)
+        for column in (table.gamma, table.bracket_lo, table.bracket_hi):
+            assert column.dtype == np.float64 and column.shape == (29,)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
 
     def test_empty_interval(self):
         table = scan_zeros(1.0, 5.0, 1.0e-8)
-        assert table.gamma == table.bracket_lo == table.bracket_hi == ()
+        assert len(table.gamma) == len(table.bracket_lo) == len(table.bracket_hi) == 0
         assert table.t_max == 5.0
 
     def test_completeness_against_counting_formula(self):
@@ -953,7 +1000,7 @@ class TestScanZeros:
     def test_scan_below_two_pi_is_empty(self):
         # t_max/2pi may be subnormal; the scan still covers (0, t_max].
         for t_max in (1.0e-310, 1.0, 6.0):
-            assert scan_zeros(0.0, t_max, 1.0e-8).gamma == ()
+            assert len(scan_zeros(0.0, t_max, 1.0e-8).gamma) == 0
 
     def test_rejects_bad_ranges_and_tolerances(self):
         with pytest.raises(DomainError):

@@ -23,7 +23,9 @@ metric's bound and the parent's relative interquartile range.  For each
 side and workload it also gives failed and attempted operations and the
 worst of each accuracy figure the runs print (ACCURACY).  For each side it
 gives the work of scan_zeros(0, 1e4, 1e-8), counted by wrapping the
-kernels (work_counters), and under warm_scan_s the warm in-process time
+kernels (work_counters), under zeros_traced_peak_bytes the tracemalloc
+peak of one warm zeros --t-max 1e4 command (zeros_peak), a memory figure
+the host cannot move, and under warm_scan_s the warm in-process time
 of that scan, one child per side in each of PAIRS alternating pairs
 (warm_scan), with the statistics of a metric.  It keeps every run's raw
 numbers.
@@ -81,6 +83,23 @@ count("_chebyshev", lambda coef, y: {
 count("_theta_vec", lambda ts: {"theta_evaluations": np.size(ts)})
 table = scan_zeros(0.0, 1.0e4, 1.0e-8)
 print(json.dumps({"zeros": len(table.gamma), **work}))
+"""
+
+# The tracemalloc peak, in bytes, of one warm zeros --t-max 1e4 command in
+# a child started in a copy's root: what Python and numpy allocate, which
+# the heap layout of the host does not move.
+_PEAK = """
+import os, sys, tempfile, tracemalloc
+sys.path.insert(0, "src")
+import rzs.cli
+with tempfile.TemporaryDirectory() as tmp:
+    argv = ["zeros", "--t-max", "1e4", "--out-path", os.path.join(tmp, "zeros.csv")]
+    status = rzs.cli.main(argv)  # warm: imports and lazy set-up
+    tracemalloc.start()
+    status = status or rzs.cli.main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+print(peak)
+sys.exit(status)
 """
 
 # Times scan_zeros(0, 1e4, 1e-8) in a child started in a copy's root:
@@ -162,6 +181,12 @@ def child(root: str, code: str) -> str:
 def work_counters(root: str) -> dict:
     """The work of scan_zeros(0, 1e4, 1e-8) in the copy at root."""
     return json.loads(child(root, _WORK))
+
+
+def zeros_peak(root: str) -> int:
+    """The tracemalloc peak of a warm zeros --t-max 1e4, in bytes, in a
+    fresh child in the copy at root."""
+    return int(child(root, _PEAK))
 
 
 def warm_scan(root: str) -> float:
@@ -248,6 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         copy(base_rev, roots["base"])
         copy(change(), roots["head"])
         work = {side: work_counters(roots[side]) for side in SIDES}
+        peak = {side: zeros_peak(roots[side]) for side in SIDES}
         warm = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in pair_order(i):
@@ -274,6 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"platform": platform.platform(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "work": work,
+        "zeros_traced_peak_bytes": peak,
         "warm_scan_s": {**compare(warm, "lower"), "runs": warm},
         "workloads": summarize(runs, spec["end_to_end"]),
         "runs": runs,

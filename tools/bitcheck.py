@@ -1,4 +1,5 @@
-"""Bit-for-bit comparison of the Z kernels: the change against its parent.
+"""Bit-for-bit comparison of the Z kernels and the scan: the change against
+its parent.
 
     python3 tools/bitcheck.py
 
@@ -8,10 +9,12 @@ parent is HEAD while tracked files have uncommitted changes, else
 HEAD~1), copies both with `git archive` to a temporary directory and, in
 one child process per tree, evaluates rzs._zkernels on fixed grids:
 _z_values (value and bound) and _theta_vec at 200,001 heights in [0, 40]
-and 50,001 in [40, 1e4], and _gram_points for n = -1..10159.  Prints one
-line per array, "equal" or the count of differing values and the largest
-absolute change, and exits 1 if any differ.  A change to the kernels that
-keeps every printed number runs this against its parent.
+and 50,001 in [40, 1e4], and _gram_points for n = -1..10159; then
+scan_zeros(0, 1e4, 1e-8), whose gamma, bracket_lo and bracket_hi cover a
+change to the zero table or to refinement.  Prints one line per array,
+"equal" or the count of differing values and the largest absolute
+change, and exits 1 if any differ.  A change to the kernels or the scan
+that keeps every printed number runs this against its parent.
 """
 
 from __future__ import annotations
@@ -25,17 +28,21 @@ import numpy as np
 
 from ab import change, copy, parent
 
-# Saves the kernels' arrays on the grids to the .npz file argv[1], in a
-# child started in a tree's root.
+# Saves the kernels' arrays on the grids and the scan's columns to the .npz
+# file argv[1], in a child started in a tree's root.
 _EVALUATE = """
 import sys
 sys.path.insert(0, "src")
 import numpy as np
 import rzs._zkernels as k
+from rzs import scan_zeros
 ts = np.concatenate([np.linspace(0.0, 40.0, 200001), np.linspace(40.0, 1.0e4, 50001)])
 z, bound = k._z_values(ts)[:2]
+table = scan_zeros(0.0, 1.0e4, 1.0e-8)
 np.savez(sys.argv[1], z=z, bound=bound, theta=k._theta_vec(ts),
-         gram=k._gram_points(np.arange(-1, 10160)))
+         gram=k._gram_points(np.arange(-1, 10160)),
+         **{name: np.asarray(getattr(table, name), dtype=float)
+            for name in ("gamma", "bracket_lo", "bracket_hi")})
 """
 
 
@@ -57,6 +64,10 @@ def main() -> int:
     differ = 0
     for name, a in arrays["base"].items():
         b = arrays["head"][name]
+        if a.shape != b.shape:  # a scan that found another number of zeros
+            print(f"{name}: {a.size} values against {b.size}")
+            differ += 1
+            continue
         count = np.count_nonzero(a.view(np.uint64) != b.view(np.uint64))
         print(f"{name}: {a.size} values, " + (
             f"{count} differ, max |change| {np.abs(b - a).max():.3g}" if count
