@@ -260,14 +260,21 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _z_values(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Z, its error bound, theta) at an array of heights in [0, T_SUPPORT_MAX].
+def _z_values(ts) -> np.ndarray:
+    """Z at an array of heights in [0, T_SUPPORT_MAX], one _z_block per
+    _Z_BLOCK heights: a batch of any size holds the temporaries of one
+    block, and as no value depends on the rest of its batch, the blocks
+    give the bits of one pass."""
+    ts = np.asarray(ts, dtype=float)
+    z = np.empty_like(ts)
+    for i in range(0, ts.size, _Z_BLOCK):
+        z[i:i + _Z_BLOCK] = _z_block(ts[i:i + _Z_BLOCK])[0]
+    return z
 
-    The batch is taken _Z_BLOCK heights at a time, each block written to
-    its slice of the preallocated outputs, so a batch of any size holds
-    the temporaries of one block; as no value depends on the rest of its
-    batch, the blocks give the bits of one pass.  Per block, one theta and
-    one main sum S_N.  Below CROSSOVER_T, Z = S_{N-1} + Re(e^{i theta}
+
+def _z_block(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z, its error bound, theta) at at most _Z_BLOCK heights: one theta
+    and one main sum S_N.  Below CROSSOVER_T, Z = S_{N-1} + Re(e^{i theta}
     tail) with N = _EM_N (Euler-Maclaurin); from it up, with a =
     sqrt(t/2pi), N = floor(a) and p = a - N,
     Z ~ 2 S_N + (-1)^{N-1} a^{-1/2} [Psi(p) - Psi'''(p)/(96 pi^2 a)]
@@ -275,17 +282,8 @@ def _z_values(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     correction is formed before the main sum.
     """
     ts = np.asarray(ts, dtype=float)
-    z, bound, th = np.empty_like(ts), np.empty_like(ts), np.empty_like(ts)
-    for i in range(0, ts.size, _Z_BLOCK):
-        block = slice(i, i + _Z_BLOCK)
-        _z_block(ts[block], z[block], bound[block], th[block])
-    return z, bound, th
-
-
-def _z_block(ts: np.ndarray, z: np.ndarray, bound: np.ndarray,
-             th: np.ndarray) -> None:
-    """_z_values on one block of heights, written to z, bound and th."""
-    th[:] = _theta_vec(ts)
+    th = _theta_vec(ts)
+    z, bound = np.empty_like(ts), np.empty_like(ts)
     low = ts < CROSSOVER_T
     high = ~low
     big_n = np.full(ts.shape, _EM_N - 1)
@@ -302,6 +300,7 @@ def _z_block(ts: np.ndarray, z: np.ndarray, bound: np.ndarray,
         z[low] = vals[low] + (np.exp(1j * th[low]) * tail).real
     if high.any():
         z[high] += 2.0 * vals[high]
+    return z, bound, th
 
 
 def _rs_correction(a: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -376,7 +375,7 @@ def _resolve_blocks(
                 f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
             )
         mids = 0.5 * (ts[gaps] + ts[gaps + 1])
-        zs = np.insert(zs, gaps + 1, _z_values(mids)[0])
+        zs = np.insert(zs, gaps + 1, _z_values(mids))
         ts = np.insert(ts, gaps + 1, mids)
         block = np.insert(block, gaps + 1, labels)
 
@@ -412,7 +411,7 @@ def _refine_brackets(
         np.copyto(x, 0.5 * (a + b), where=~np.isfinite(x))
         np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)
         del a, b, wa  # gone before Z's batch, the scan's peak of memory
-        fx = _z_values(x)[0]
+        fx = _z_values(x)
         za = z_lo[idx]
         left = (za < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
         gone = np.where(left, z_hi[idx], za)  # Z at the replaced end
@@ -454,7 +453,7 @@ def _scan_brackets(
         ts = np.insert(ts, at, t_max)
         ns = np.insert(ns, at, 0)
         parity = np.insert(parity, at, 0.0)
-    zs = _z_values(ts)[0]
+    zs = _z_values(ts)
     good = parity * zs > 0.0
     if not good[0]:
         raise AuditError(f"scan_zeros: Z(g_-1) = {zs[0]:g} at t = {ts[0]:.6f}, "

@@ -202,10 +202,10 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
         raise PrecisionError(
             f"z_function: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
-    from ._zkernels import CROSSOVER_T, _z_values
+    from ._zkernels import CROSSOVER_T, _z_block
 
     at = abs(t)
-    vals, errs, th = _z_values([at])
+    vals, errs, th = _z_block([at])
     method = "euler_maclaurin" if at < CROSSOVER_T else "riemann_siegel"
     est = float(errs[0])
     if est > tol:

@@ -178,10 +178,10 @@ class TestZFunction:
         assert sample.theta_value == theta(t)
 
     def test_kernel_returns_the_theta_it_used(self):
-        # _z_values returns its theta, bit-equal to _theta_vec's on both
+        # _z_block returns its theta, bit-equal to _theta_vec's on both
         # sides of the crossover and of THETA_SERIES_T.
         ts = np.concatenate([np.linspace(0.0, 40.0, 401), [1.0e3, 1.0e4]])
-        assert _bits(rzs._zkernels._z_values(ts)[2]) == _bits(
+        assert _bits(rzs._zkernels._z_block(ts)[2]) == _bits(
             rzs._zkernels._theta_vec(ts))
 
     def test_rejects_bad_arguments(self):
@@ -205,44 +205,44 @@ class TestRiemannSiegelKernel:
         ts = np.sort(np.exp(rng.uniform(math.log(30.0), math.log(1.0e4), 800)))
         assert set(np.floor(np.sqrt(ts / TWO_PI)).astype(int)) == set(range(2, 40))
         perm = rng.permutation(ts.size)
-        vals, errs = rzs._zkernels._z_values(ts)[:2]
-        shuffled_vals, shuffled_errs = rzs._zkernels._z_values(ts[perm])[:2]
+        vals, errs = rzs._zkernels._z_block(ts)[:2]
+        shuffled_vals, shuffled_errs = rzs._zkernels._z_block(ts[perm])[:2]
         assert np.array_equal(shuffled_vals, vals[perm])
         assert np.array_equal(shuffled_errs, errs[perm])
-        single = np.array([rzs._zkernels._z_values(ts[i:i + 1])[0][0] for i in perm])
+        single = np.array([rzs._zkernels._z_values(ts[i:i + 1])[0] for i in perm])
         assert np.array_equal(single, shuffled_vals)
 
         # Below the crossover too: Euler-Maclaurin takes one truncation
         # for every height and the same main sum.
         low = rng.uniform(0.0, rzs._zkernels.CROSSOVER_T, 200)
-        alone = np.array([rzs._zkernels._z_values([t])[0][0] for t in low.tolist()])
-        assert np.array_equal(rzs._zkernels._z_values(low)[0], alone)
+        alone = np.array([rzs._zkernels._z_values([t])[0] for t in low.tolist()])
+        assert np.array_equal(rzs._zkernels._z_values(low), alone)
         for size in (2, 7, 50, 199):
             pick = rng.permutation(low.size)[:size]
             mixed = np.concatenate([low[pick], ts[:size]])
-            assert np.array_equal(rzs._zkernels._z_values(mixed)[0][:size], alone[pick])
+            assert np.array_equal(rzs._zkernels._z_values(mixed)[:size], alone[pick])
 
         # One sorted batch across the crossover, and the same batch shuffled.
         both = np.sort(np.concatenate([low, ts]))
-        both_vals, both_errs = rzs._zkernels._z_values(both)[:2]
+        both_vals, both_errs = rzs._zkernels._z_block(both)[:2]
         perm = rng.permutation(both.size)
-        shuffled_vals, shuffled_errs = rzs._zkernels._z_values(both[perm])[:2]
+        shuffled_vals, shuffled_errs = rzs._zkernels._z_block(both[perm])[:2]
         assert np.array_equal(shuffled_vals, both_vals[perm])
         assert np.array_equal(shuffled_errs, both_errs[perm])
 
     def test_a_batch_of_many_blocks_gives_the_bits_of_small_batches(self):
         # _z_values takes a batch _Z_BLOCK heights at a time, so a batch of
         # 2.5 blocks, a fifth of it below the crossover, is cut twice; every
-        # value, bound and theta is the one batches of 7 heights give.
+        # value, and every bound and theta of its blocks, is the one
+        # batches of 7 heights give.
         kernels = rzs._zkernels
         rng = np.random.default_rng(1737)
         size = 5 * kernels._Z_BLOCK // 2
         ts = np.where(rng.uniform(size=size) < 0.2,
                       rng.uniform(0.0, kernels.CROSSOVER_T, size),
                       rng.uniform(kernels.CROSSOVER_T, 1.0e4, size))
-        small = [kernels._z_values(part) for part in np.array_split(ts, size // 7)]
-        for got, parts in zip(kernels._z_values(ts), zip(*small)):
-            assert _bits(got) == _bits(np.concatenate(parts))
+        small = [kernels._z_block(part) for part in np.array_split(ts, size // 7)]
+        _assert_blocks_give_the_bits_of(ts, small)
 
     def test_a_large_euler_maclaurin_batch_gives_the_bits_of_small_batches(self):
         # Above 16,384 heights below the crossover, a complex temporary of
@@ -252,9 +252,8 @@ class TestRiemannSiegelKernel:
         # temporary below that size.
         ts = np.linspace(0.0, 40.0, 200001)[:146504]
         assert ts[-1] < rzs._zkernels.CROSSOVER_T
-        small = [rzs._zkernels._z_values(part) for part in np.array_split(ts, 147)]
-        for got, parts in zip(rzs._zkernels._z_values(ts), zip(*small)):
-            assert _bits(got) == _bits(np.concatenate(parts))
+        small = [rzs._zkernels._z_block(part) for part in np.array_split(ts, 147)]
+        _assert_blocks_give_the_bits_of(ts, small)
 
 
 class TestMainSumKernel:
@@ -320,6 +319,19 @@ def _psi_mp(p):
 
 def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _assert_blocks_give_the_bits_of(ts, small):
+    """_z_values at ts, and the bound and theta of _z_block on each of its
+    _Z_BLOCK slices, bit-equal to the (Z, bound, theta) batches small
+    concatenated."""
+    block = rzs._zkernels._Z_BLOCK
+    blocks = [rzs._zkernels._z_block(ts[i:i + block]) for i in range(0, ts.size, block)]
+    assert len(blocks) > 1
+    got = [rzs._zkernels._z_values(ts)] + [np.concatenate(part) for part in
+                                           list(zip(*blocks))[1:]]
+    for column, parts in zip(got, zip(*small)):
+        assert _bits(column) == _bits(np.concatenate(parts))
 
 
 class TestPsiSeries:
@@ -452,7 +464,7 @@ class TestEulerMaclaurinKernel:
         # mpmath's Z at 30 digits.
         rng = np.random.default_rng(1737)
         ts = rng.permutation(np.concatenate((rng.uniform(0.0, 30.0, 300), [29.999])))
-        vals, errs = rzs._zkernels._z_values(ts)[:2]
+        vals, errs = rzs._zkernels._z_block(ts)[:2]
         with mpmath.workdps(30):
             exact = [mpmath.siegelz(t) for t in ts.tolist()]
         for t, value, err, ref in zip(ts, vals, errs, exact):
@@ -669,7 +681,7 @@ class TestGramPoints:
         # Its block labels count good Gram points from g_-1, which is good
         # as Z < 0 below the first zero.
         ns = np.arange(-1, 10160)
-        zs = rzs._zkernels._z_values(rzs._zkernels._gram_points(ns))[0]
+        zs = rzs._zkernels._z_values(rzs._zkernels._gram_points(ns))
         assert zs[0] < 0.0
         bad = np.where(ns % 2 == 0, zs, -zs) <= 0.0
         assert bad.sum() == 841
@@ -750,9 +762,7 @@ class TestScanZeros:
     def test_matches_brute_force_fine_grid_scan(self):
         # Reference: sign changes of Z on a uniform grid of stride 1/64
         # over (0, 250], each bisected to width <= 1e-8; no Gram points.
-        def z(ts):
-            return rzs._zkernels._z_values(ts)[0]
-
+        z = rzs._zkernels._z_values
         ts = np.arange(1, 250 * 64 + 1) / 64.0
         vals = z(ts)
         cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
@@ -790,9 +800,9 @@ class TestScanZeros:
 
         def one_signed(ts):
             ts = np.asarray(ts, dtype=float)
-            vals, errs = real(ts)[:2]
+            vals = real(ts)
             inside = (ts > 18.0) & (ts < 27.0)
-            return np.where(inside, np.abs(vals), vals), errs
+            return np.where(inside, np.abs(vals), vals)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", one_signed)
         with pytest.raises(AuditError, match=(
@@ -807,10 +817,10 @@ class TestScanZeros:
 
         def all_bad_above_40(ts):
             ts = np.asarray(ts, dtype=float)
-            vals, errs = real(ts)[:2]
+            vals = real(ts)
             n = np.rint(rzs._zkernels._theta_vec(ts) / math.pi)
             parity = np.where(n % 2 == 0, 1.0, -1.0)
-            return np.where(ts > 40.0, -parity * np.abs(vals), vals), errs
+            return np.where(ts > 40.0, -parity * np.abs(vals), vals)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", all_bad_above_40)
         with pytest.raises(AuditError, match=r"no good Gram point .* t_max = 50"):
@@ -826,8 +836,7 @@ class TestScanZeros:
 
         def wrong_at_g_minus_1(ts):
             ts = np.asarray(ts, dtype=float)
-            vals, errs = real(ts)[:2]
-            return np.where(ts < 10.0, value, vals), errs
+            return np.where(ts < 10.0, value, real(ts))
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", wrong_at_g_minus_1)
         with pytest.raises(AuditError, match=r"Z\(g_-1\) = .* t = 9\.66"):
@@ -845,11 +854,10 @@ class TestScanZeros:
 
         def one_exact_zero(ts):
             ts = np.asarray(ts, dtype=float)
-            vals, errs = real(ts)[:2]
             if not zeroed and ts.size == 1 and 0.0 < ts[0] - gamma_1 < 1.0e-3:
                 zeroed.append(float(ts[0]))
-                vals = np.zeros_like(vals)
-            return vals, errs
+                return np.zeros_like(ts)
+            return real(ts)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", one_exact_zero)
         table = scan_zeros(0.0, 15.0, 1.0e-8)
@@ -858,7 +866,7 @@ class TestScanZeros:
         ((gamma, lo, hi),) = zip(table.gamma, table.bracket_lo, table.bracket_hi)
         assert abs(gamma - gamma_1) <= 1.0e-8
         assert hi - lo <= 1.0e-8
-        z_ends = real(np.array([lo, hi]))[0]
+        z_ends = real(np.array([lo, hi]))
         assert z_ends[0] * z_ends[1] < 0.0
 
     @pytest.mark.parametrize("factor", [2.0 ** -600, 2.0 ** 600])
@@ -870,8 +878,7 @@ class TestScanZeros:
         expected = scan_zeros(0.0, 1000.0, 1.0e-8)
 
         def scaled(ts):
-            vals, errs = real(ts)[:2]
-            return vals * factor, errs
+            return real(ts) * factor
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", scaled)
         with warnings.catch_warnings(), np.errstate(all="raise"):
@@ -891,7 +898,7 @@ class TestScanZeros:
         # change at 14 lies in the gap after t_max, which the scan keeps.
         def exact(ts):
             ts = np.asarray(ts, dtype=float)
-            return z(ts), np.zeros_like(ts)
+            return z(ts)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", exact)
         with np.errstate(all="raise"):
@@ -911,7 +918,7 @@ class TestScanZeros:
         def linear(ts):
             ts = np.asarray(ts, dtype=float)
             points.extend(ts.tolist())
-            return slope * (ts - 12.0), np.zeros_like(ts)
+            return slope * (ts - 12.0)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", linear)
         with np.errstate(all="raise"):
@@ -928,7 +935,7 @@ class TestScanZeros:
         # while the scale 1 - Z(x)/Z(replaced end) would divide by 0.0.
         def touching(ts):
             ts = np.asarray(ts, dtype=float)
-            return (ts - 10.0) * (ts - 12.0) ** 2, np.zeros_like(ts)
+            return (ts - 10.0) * (ts - 12.0) ** 2
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", touching)
         with np.errstate(all="raise"):
@@ -978,7 +985,7 @@ class TestScanZeros:
         gamma = np.array(table.gamma)
         assert np.all((lo < gamma) & (gamma < hi))
         assert np.all(hi - lo <= 1.0e-8)
-        assert np.all(real(lo)[0] * real(hi)[0] < 0.0)
+        assert np.all(real(lo) * real(hi) < 0.0)
 
     def test_non_finite_guess_falls_back_to_midpoint(self, monkeypatch):
         # Z near the largest double makes w_lo * (b - a) overflow, so the
@@ -987,7 +994,7 @@ class TestScanZeros:
 
         def huge(ts):
             ts = np.asarray(ts, dtype=float)
-            return 1.0e308 * np.tanh(ts - root), np.zeros_like(ts)
+            return 1.0e308 * np.tanh(ts - root)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", huge)
         with np.errstate(over="ignore", invalid="ignore"):
