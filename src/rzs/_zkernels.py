@@ -79,13 +79,12 @@ def _log_gamma_imag(z: np.ndarray) -> np.ndarray:
     so the asymptotic series runs at |z+s| >= 12, where eight Bernoulli
     terms reach double-precision accuracy.
     """
-    z = np.asarray(z, dtype=complex)
     acc = np.zeros_like(z)
     for k in range(_STIRLING_SHIFT):
         acc += np.log(z + k)
     zs = z + _STIRLING_SHIFT
     series = np.zeros_like(z)
-    zpow = zs.copy()
+    zpow = zs
     z2 = zs * zs
     for k, b in enumerate(_BERN2K, start=1):
         series += b / ((2 * k) * (2 * k - 1) * zpow)
@@ -206,7 +205,7 @@ def _em_tail(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}, k = 1..K = 8.
     # Each step leaves rising and q at term k + 1, so after the loop they
     # are those of the first omitted term, and k is K.
-    rising = s.copy()
+    rising = s
     q = n_pow / _EM_N  # N^{-s-1}
     n_inv2 = 1.0 / (_EM_N * _EM_N)
     for k, coef in enumerate(_EM_COEF[:-1], start=1):
@@ -261,15 +260,13 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
 
 
 def _z_values(ts) -> np.ndarray:
-    """Z at an array of heights in [0, T_SUPPORT_MAX], one _z_block per
-    _Z_BLOCK heights: a batch of any size holds the temporaries of one
-    block, and as no value depends on the rest of its batch, the blocks
-    give the bits of one pass."""
+    """Z at a non-empty array of heights in [0, T_SUPPORT_MAX], one
+    _z_block per _Z_BLOCK heights, concatenated: a batch of any size holds
+    the temporaries of one block, and as no value depends on the rest of
+    its batch, the blocks give the bits of one pass."""
     ts = np.asarray(ts, dtype=float)
-    z = np.empty_like(ts)
-    for i in range(0, ts.size, _Z_BLOCK):
-        z[i:i + _Z_BLOCK] = _z_block(ts[i:i + _Z_BLOCK])[0]
-    return z
+    return np.concatenate([_z_block(ts[i:i + _Z_BLOCK])[0]
+                           for i in range(0, ts.size, _Z_BLOCK)])
 
 
 def _z_block(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,17 +302,11 @@ def _z_block(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _rs_correction(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     """(-1)^(N-1) a^{-1/2} [Psi(p) + C1(p)/a] at a = sqrt(t/2pi), N = n =
-    floor(a) and p = a - N, through x = 2p - 1 and y = 2x^2 - 1, reduced
-    in place in the buffer of C1's sum."""
+    floor(a) and p = a - N, through x = 2p - 1 and y = 2x^2 - 1."""
     x = 2.0 * (a - n) - 1.0
     y = 2.0 * x * x - 1.0
-    out = _chebyshev(_C1, y)
-    out *= x
-    out /= a
-    out += _chebyshev(_PSI, y)
-    np.negative(out, out=out, where=n % 2 == 0)
-    out /= np.sqrt(a)
-    return out
+    c = _chebyshev(_PSI, y) + x * _chebyshev(_C1, y) / a
+    return np.where(n % 2 == 1, c, -c) / np.sqrt(a)
 
 
 # ----------------------------------------------------------------------
@@ -412,12 +403,9 @@ def _refine_brackets(
         np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)
         del a, b, wa  # gone before Z's batch, the scan's peak of memory
         fx = _z_values(x)
-        za = z_lo[idx]
-        left = (za < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
-        gone = np.where(left, z_hi[idx], za)  # Z at the replaced end
-        del za
-        scale = np.divide(fx, gone, out=np.ones_like(fx), where=gone != 0.0)
-        np.subtract(1.0, scale, out=scale)
+        left = (z_lo[idx] < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
+        gone = np.where(left, z_hi[idx], z_lo[idx])  # Z at the replaced end
+        scale = 1.0 - np.divide(fx, gone, out=np.ones_like(fx), where=gone != 0.0)
         scale[~(scale > 0.0)] = 0.5
         del gone
         was_kept = kept[idx]

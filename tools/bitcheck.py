@@ -39,11 +39,8 @@ import rzs._zkernels as k
 from rzs import scan_zeros
 ts = np.concatenate([np.linspace(0.0, 40.0, 200001), np.linspace(40.0, 1.0e4, 50001)])
 z = k._z_values(ts)
-if isinstance(z, tuple):  # a tree before _z_block(ts): delete once both trees have it
-    z, bound = z[:2]
-else:
-    bound = np.concatenate([k._z_block(ts[i:i + k._Z_BLOCK])[1]
-                            for i in range(0, ts.size, k._Z_BLOCK)])
+bound = np.concatenate([k._z_block(ts[i:i + k._Z_BLOCK])[1]
+                        for i in range(0, ts.size, k._Z_BLOCK)])
 table = scan_zeros(0.0, 1.0e4, 1.0e-8)
 np.savez(sys.argv[1], z=z, bound=bound, theta=k._theta_vec(ts),
          gram=k._gram_points(np.arange(-1, 10160)),
