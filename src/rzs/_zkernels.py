@@ -27,7 +27,7 @@ from .errors import AuditError
 CROSSOVER_T = 30.0
 _EM_N = math.ceil(1.2 * CROSSOVER_T + 10.0)
 
-# _z_values evaluates at most this many heights at a time.
+# _z_block and _z_bound take at most this many heights at a time.
 _Z_BLOCK = 4096
 
 # theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
@@ -260,44 +260,50 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
 
 
 def _z_values(ts) -> np.ndarray:
-    """Z at a non-empty array of heights in [0, T_SUPPORT_MAX], one
-    _z_block per _Z_BLOCK heights, concatenated: a batch of any size holds
-    the temporaries of one block, and as no value depends on the rest of
-    its batch, the blocks give the bits of one pass."""
+    """Z at a non-empty array of heights in [0, T_SUPPORT_MAX], the Z of
+    one _z_block per _Z_BLOCK heights, concatenated: a batch of any size
+    holds the temporaries of one block, and as no value depends on the
+    rest of its batch, the blocks give the bits of one pass; no bound."""
     ts = np.asarray(ts, dtype=float)
     return np.concatenate([_z_block(ts[i:i + _Z_BLOCK])[0]
                            for i in range(0, ts.size, _Z_BLOCK)])
 
 
-def _z_block(ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Z, its error bound, theta) at at most _Z_BLOCK heights: one theta
-    and one main sum S_N.  Below CROSSOVER_T, Z = S_{N-1} + Re(e^{i theta}
-    tail) with N = _EM_N (Euler-Maclaurin); from it up, with a =
-    sqrt(t/2pi), N = floor(a) and p = a - N,
+def _z_block(ts) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, theta) at at most _Z_BLOCK heights, from one theta and one main
+    sum S_N; _z_bound gives Z's bound.  Below CROSSOVER_T, Z = S_{N-1} +
+    Re(e^{i theta} tail) with N = _EM_N (Euler-Maclaurin); from it up,
+    with a = sqrt(t/2pi), N = floor(a) and p = a - N,
     Z ~ 2 S_N + (-1)^{N-1} a^{-1/2} [Psi(p) - Psi'''(p)/(96 pi^2 a)]
     (Riemann-Siegel; Edwards, Riemann's Zeta Function, 1974, 6-7), whose
     correction is formed before the main sum.
     """
     ts = np.asarray(ts, dtype=float)
     th = _theta_vec(ts)
-    z, bound = np.empty_like(ts), np.empty_like(ts)
+    z = np.empty_like(ts)
     low = ts < CROSSOVER_T
     high = ~low
     big_n = np.full(ts.shape, _EM_N - 1)
     if high.any():
-        t = ts[high]
-        a = np.sqrt(t / math.tau)
+        a = np.sqrt(ts[high] / math.tau)
         big_n[high] = n = np.floor(a)
         z[high] = _rs_correction(a, n)
-        bound[high] = _RS_ERR_COEF * (t / math.tau) ** (-1.25) + 1.0e-11
-        del t, a, n  # gone before the main sum's buffers
+        del a, n  # gone before the main sum's buffers
     vals = _main_sum(ts, th, big_n)
     if low.any():
-        tail, bound[low] = _em_tail(ts[low])
-        z[low] = vals[low] + (np.exp(1j * th[low]) * tail).real
-    if high.any():
-        z[high] += 2.0 * vals[high]
-    return z, bound, th
+        z[low] = vals[low] + (np.exp(1j * th[low]) * _em_tail(ts[low])[0]).real
+    z[high] += 2.0 * vals[high]
+    return z, th
+
+
+def _z_bound(ts) -> np.ndarray:
+    """Z's error bound at at most _Z_BLOCK heights, the one home of its
+    model, a function of t alone: _em_tail's proven bound below
+    CROSSOVER_T, and the measured _RS_ERR_COEF (t/2pi)^{-5/4} + 1e-11 up."""
+    ts = np.asarray(ts, dtype=float)
+    return np.piecewise(ts, [ts < CROSSOVER_T], [
+        lambda low: _em_tail(low)[1],
+        lambda high: _RS_ERR_COEF * (high / math.tau) ** (-1.25) + 1.0e-11])
 
 
 def _rs_correction(a: np.ndarray, n: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ A batch is evaluated in blocks of at most 4,096 heights, so its
 temporaries are bounded whatever its size.  The sum runs over the
 heights of a block sorted by N, one term n at a time across the
 contiguous run of heights that need it; each height adds its own terms
-in order, so a value does not depend on its batch.
-Each cosine comes from the tangent of the half phase, cos x = (1 -
-u^2)/(1 + u^2) with u = tan(x/2), which numpy vectorises.
+in order, so a value does not depend on its batch.  Each cosine comes
+from the tangent of the half phase, cos x = (1 - u^2)/(1 + u^2) with
+u = tan(x/2), which numpy vectorises.  Only z_function bounds Z's error.
 
 Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
@@ -186,11 +186,11 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
     floor near 1e-13, or Riemann-Siegel above, whose bound
     0.02 (t/2pi)^{-5/4} rests on a measured coefficient, not a proof.
     One kernel call gives the value, bit-equal to a scan's at the same
-    height, its bound and theta.  Even in t (Z(-t) = Z(t)), so negative
-    heights are served through their absolute value; theta_value keeps
-    its odd sign.  Raises PrecisionError when the tolerance is
-    unreachable at this height with the configured term counts, so tight
-    tolerances are only servable below the crossover.
+    height, and theta; _z_bound gives its bound.  Even in t (Z(-t) =
+    Z(t)), so negative heights are served through their absolute value;
+    theta_value keeps its odd sign.  Raises PrecisionError when the
+    tolerance is unreachable at this height with the configured term
+    counts, so tight tolerances are only servable below the crossover.
     """
     t = float(t)
     tol = float(tol)
@@ -202,12 +202,12 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
         raise PrecisionError(
             f"z_function: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
         )
-    from ._zkernels import CROSSOVER_T, _z_block
+    from ._zkernels import CROSSOVER_T, _z_block, _z_bound
 
     at = abs(t)
-    vals, errs, th = _z_block([at])
+    vals, th = _z_block([at])
     method = "euler_maclaurin" if at < CROSSOVER_T else "riemann_siegel"
-    est = float(errs[0])
+    est = float(_z_bound([at])[0])
     if est > tol:
         raise PrecisionError(
             f"z_function: reachable error {est:.3e} at t = {t:g} exceeds tol = {tol:g}"

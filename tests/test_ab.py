@@ -212,13 +212,19 @@ def test_bitcheck_sees_one_changed_kernel_constant(tmp_path, monkeypatch, capsys
     assert "z: 250002 values, equal" not in out
     assert "differ, max |change| " in out
 
-    # A change to refinement alone: Z keeps its bits, the scan does not.
+    # A change to refinement and to Z's error model alone: Z and theta keep
+    # their bits, the bound and the scan do not.
     clip = "np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)"
-    assert clip in text
-    kernels.write_text(text.replace(clip, clip.replace("a + 0.5", "a + 0.25")))
+    coef = "_RS_ERR_COEF = 0.02  #"
+    assert clip in text and coef in text
+    kernels.write_text(text.replace(clip, clip.replace("a + 0.5", "a + 0.25"))
+                       .replace(coef, coef.replace("0.02", "0.03")))
     assert bitcheck.main() == 1
     out = capsys.readouterr().out
     assert "z: 250002 values, equal" in out
+    assert "theta: 250002 values, equal" in out
+    assert "bound: 250002 values, equal" not in out
+    assert "bound: 250002 values, " in out
     assert "bracket_lo: 10142 values, equal" not in out
     assert "gamma: 10142 values, equal" not in out
 
@@ -260,7 +266,7 @@ def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
     assert ab.main(["--pr", "7"]) == 0
     record = json.loads((repo / "BENCH_7.json").read_text())
     assert record["work"] == {"base": WORK_TO_1E4, "head": WORK_TO_1E4}
-    # One warm zeros --t-max 1e4 a side, traced: 1.6 MB at this commit.
+    # One warm zeros --t-max 1e4 a side, traced: 1.4 MB at this commit.
     peaks = record["zeros_traced_peak_bytes"]
     assert sorted(peaks) == sorted(ab.SIDES)
     assert all(isinstance(p, int) and 1.0e6 < p < 1.0e7 for p in peaks.values())

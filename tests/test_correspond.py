@@ -278,6 +278,30 @@ class TestSerialization:
                    for k, v in summary["mean_rel_dev_per_decade"].items()}
         assert decades == dict(report_2pi.summary.mean_rel_dev_per_decade)
 
+    def test_printed_rel_dev_and_summary_match_exact_arithmetic(self, report_2pi):
+        # The claim covers the arithmetic on the printed doubles, not the
+        # error gamma itself carries.  Each printed rel_dev is within 0.5 ulp
+        # of the exact |gamma - prediction| / gamma of its printed gamma and
+        # prediction (measured worst 0.49997), each decade mean within 2
+        # ulps of the exact mean of its printed rows (measured worst 1.004),
+        # and max_rel_dev is the largest printed rel_dev.
+        def ulps(value, exact):  # |value - exact| in ulps of exact
+            return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+        parsed = json.loads(report_to_json(report_2pi))
+        decades = {}
+        for n, gamma, prediction, _, rel_dev in parsed["rows"]:
+            exact = abs(Fraction(gamma) - Fraction(prediction)) / Fraction(gamma)
+            assert ulps(rel_dev, exact) <= 0.5, n
+            decades.setdefault(len(str(n)) - 1, []).append(rel_dev)
+        summary = parsed["summary"]
+        means = {int(e): v for e, v in summary["mean_rel_dev_per_decade"].items()}
+        assert set(means) == set(decades) == {0, 1, 2, 3}
+        for e, devs in decades.items():
+            exact = sum(map(Fraction, devs)) / len(devs)
+            assert ulps(means[e], exact) <= 2, e
+        assert summary["max_rel_dev"] == max(row[4] for row in parsed["rows"])
+
     def test_json_with_fit_block(self, report_2pi):
         fit = log_slope_fit(report_2pi)
         parsed = json.loads(report_to_json(report_2pi, fit))

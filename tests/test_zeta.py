@@ -99,7 +99,14 @@ class TestTheta:
 
 class TestZFunction:
     def test_value_at_origin_is_zeta_half(self):
-        sample = z_function(0.0, 1.0e-10)
+        # Z's bound raises no floating-point warning: the Riemann-Siegel
+        # power is taken only at heights from the crossover up, never at 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = z_function(0.0, 1.0e-10)
+            crossover = rzs._zkernels.CROSSOVER_T
+            for t in (math.nextafter(crossover, 0.0), crossover):
+                assert z_function(t, 1.0).est_abs_error > 0.0
         assert sample.z_value == pytest.approx(-1.4603545, abs=1.0e-6)
         assert sample.method == "euler_maclaurin"
         assert sample.est_abs_error <= 1.0e-10
@@ -181,7 +188,7 @@ class TestZFunction:
         # _z_block returns its theta, bit-equal to _theta_vec's on both
         # sides of the crossover and of THETA_SERIES_T.
         ts = np.concatenate([np.linspace(0.0, 40.0, 401), [1.0e3, 1.0e4]])
-        assert _bits(rzs._zkernels._z_block(ts)[2]) == _bits(
+        assert _bits(rzs._zkernels._z_block(ts)[1]) == _bits(
             rzs._zkernels._theta_vec(ts))
 
     def test_rejects_bad_arguments(self):
@@ -205,8 +212,8 @@ class TestRiemannSiegelKernel:
         ts = np.sort(np.exp(rng.uniform(math.log(30.0), math.log(1.0e4), 800)))
         assert set(np.floor(np.sqrt(ts / TWO_PI)).astype(int)) == set(range(2, 40))
         perm = rng.permutation(ts.size)
-        vals, errs = rzs._zkernels._z_block(ts)[:2]
-        shuffled_vals, shuffled_errs = rzs._zkernels._z_block(ts[perm])[:2]
+        vals, _, errs = _block_columns(ts)
+        shuffled_vals, _, shuffled_errs = _block_columns(ts[perm])
         assert np.array_equal(shuffled_vals, vals[perm])
         assert np.array_equal(shuffled_errs, errs[perm])
         single = np.array([rzs._zkernels._z_values(ts[i:i + 1])[0] for i in perm])
@@ -224,9 +231,9 @@ class TestRiemannSiegelKernel:
 
         # One sorted batch across the crossover, and the same batch shuffled.
         both = np.sort(np.concatenate([low, ts]))
-        both_vals, both_errs = rzs._zkernels._z_block(both)[:2]
+        both_vals, _, both_errs = _block_columns(both)
         perm = rng.permutation(both.size)
-        shuffled_vals, shuffled_errs = rzs._zkernels._z_block(both[perm])[:2]
+        shuffled_vals, _, shuffled_errs = _block_columns(both[perm])
         assert np.array_equal(shuffled_vals, both_vals[perm])
         assert np.array_equal(shuffled_errs, both_errs[perm])
 
@@ -241,7 +248,7 @@ class TestRiemannSiegelKernel:
         ts = np.where(rng.uniform(size=size) < 0.2,
                       rng.uniform(0.0, kernels.CROSSOVER_T, size),
                       rng.uniform(kernels.CROSSOVER_T, 1.0e4, size))
-        small = [kernels._z_block(part) for part in np.array_split(ts, size // 7)]
+        small = [_block_columns(part) for part in np.array_split(ts, size // 7)]
         _assert_blocks_give_the_bits_of(ts, small)
 
     def test_a_large_euler_maclaurin_batch_gives_the_bits_of_small_batches(self):
@@ -252,7 +259,7 @@ class TestRiemannSiegelKernel:
         # temporary below that size.
         ts = np.linspace(0.0, 40.0, 200001)[:146504]
         assert ts[-1] < rzs._zkernels.CROSSOVER_T
-        small = [rzs._zkernels._z_block(part) for part in np.array_split(ts, 147)]
+        small = [_block_columns(part) for part in np.array_split(ts, 147)]
         _assert_blocks_give_the_bits_of(ts, small)
 
 
@@ -321,15 +328,22 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+def _block_columns(ts):
+    """(Z, theta, bound) at at most _Z_BLOCK heights: _z_block's Z and
+    theta, and _z_bound's bound."""
+    return (*rzs._zkernels._z_block(ts), rzs._zkernels._z_bound(ts))
+
+
 def _assert_blocks_give_the_bits_of(ts, small):
-    """_z_values at ts, and the bound and theta of _z_block on each of its
-    _Z_BLOCK slices, bit-equal to the (Z, bound, theta) batches small
-    concatenated."""
+    """_z_values at ts, and the theta of _z_block and the bound of _z_bound
+    on each of its _Z_BLOCK slices, bit-equal to the (Z, theta, bound)
+    batches small, from _block_columns, concatenated."""
     block = rzs._zkernels._Z_BLOCK
-    blocks = [rzs._zkernels._z_block(ts[i:i + block]) for i in range(0, ts.size, block)]
+    blocks = [_block_columns(ts[i:i + block]) for i in range(0, ts.size, block)]
     assert len(blocks) > 1
     got = [rzs._zkernels._z_values(ts)] + [np.concatenate(part) for part in
                                            list(zip(*blocks))[1:]]
+    assert len(got) == 3
     for column, parts in zip(got, zip(*small)):
         assert _bits(column) == _bits(np.concatenate(parts))
 
@@ -464,7 +478,7 @@ class TestEulerMaclaurinKernel:
         # mpmath's Z at 30 digits.
         rng = np.random.default_rng(1737)
         ts = rng.permutation(np.concatenate((rng.uniform(0.0, 30.0, 300), [29.999])))
-        vals, errs = rzs._zkernels._z_block(ts)[:2]
+        vals, _, errs = _block_columns(ts)
         with mpmath.workdps(30):
             exact = [mpmath.siegelz(t) for t in ts.tolist()]
         for t, value, err, ref in zip(ts, vals, errs, exact):

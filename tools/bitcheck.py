@@ -8,7 +8,7 @@ tracked working tree, as `git stash create` commits it, or HEAD; the
 parent is HEAD while tracked files have uncommitted changes, else
 HEAD~1), copies both with `git archive` to a temporary directory and, in
 one child process per tree, evaluates rzs._zkernels on fixed grids:
-_z_values (Z), _z_block (the bound, one _Z_BLOCK slice at a time) and
+_z_values (Z), _z_bound (its bound, one _Z_BLOCK slice at a time) and
 _theta_vec at 200,001 heights in [0, 40] and 50,001 in [40, 1e4], and
 _gram_points for n = -1..10159; then scan_zeros(0, 1e4, 1e-8), whose
 gamma, bracket_lo and bracket_hi cover a change to the zero table or to
@@ -39,7 +39,9 @@ import rzs._zkernels as k
 from rzs import scan_zeros
 ts = np.concatenate([np.linspace(0.0, 40.0, 200001), np.linspace(40.0, 1.0e4, 50001)])
 z = k._z_values(ts)
-bound = np.concatenate([k._z_block(ts[i:i + k._Z_BLOCK])[1]
+# The default serves a tree before _z_bound(ts): delete once both trees have it.
+z_bound = getattr(k, "_z_bound", lambda part: k._z_block(part)[1])
+bound = np.concatenate([z_bound(ts[i:i + k._Z_BLOCK])
                         for i in range(0, ts.size, k._Z_BLOCK)])
 table = scan_zeros(0.0, 1.0e4, 1.0e-8)
 np.savez(sys.argv[1], z=z, bound=bound, theta=k._theta_vec(ts),
