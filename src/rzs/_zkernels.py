@@ -254,7 +254,7 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
         u /= w
         u *= rsqrt_n[n]
         acc[start:] += u
-    out = np.empty_like(acc)
+    out = u_buf  # free now: no fresh array beside the loop's dead ones
     out[order] = acc
     return out
 
@@ -336,19 +336,51 @@ def _gram_points(ns) -> np.ndarray:
 
 
 def _resolve_blocks(
-    ts: np.ndarray, zs: np.ndarray, block: np.ndarray, edge_n: np.ndarray
+    t_max: float, n_estimate: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subdivide Gram blocks until each shows one sign change per Gram interval.
+    """The scan's nodes ts, ascending, and Z there: the Gram points up to
+    g_B and t_max, each Gram block subdivided until it shows one sign
+    change per Gram interval; N(t_max) = n_estimate.
 
-    ts, zs are the sorted nodes and Z there; block[i] labels the gap from
-    node i to node i+1 with its Gram block, and edge_n holds the Gram
-    indices of the good Gram points, so block j spans k = edge_n[j+1] -
-    edge_n[j] Gram intervals and, by Rosser's rule, holds k zeros.  Each
-    level halves every gap of every block that does not show k sign
-    changes, all at once, with one batched Z call over the new midpoints;
-    both halves keep the gap's label.  A block still unresolved once its
-    widest gap is <= STRIDE_FLOOR raises AuditError.  Returns (ts, zs).
+    One batched Z call covers the Gram points and t_max, a node unless it
+    is <= g_-1 or a Gram point.  Below 1e4 no 3 consecutive Gram points
+    are bad, so the batch holds g_B, the first good one at or past t_max;
+    a batch without it raises AuditError.  The gap after node i is in Gram
+    block (good nodes up to i) - 1, as g_-1 is good: Z < 0 below 14.13,
+    and a Z that is not negative at g_-1 raises AuditError.
+
+    With edge_n the Gram indices of the good Gram points, block j spans
+    k = edge_n[j+1] - edge_n[j] Gram intervals and, by Rosser's rule,
+    holds k zeros.  Each level halves every gap of every block that does
+    not show k sign changes, all at once, with one batched Z call over
+    the new midpoints; both halves keep the gap's label.  A block still
+    unresolved once its widest gap is <= STRIDE_FLOOR raises AuditError.
     """
+    ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
+    ts = _gram_points(ns)
+    parity = np.where(ns % 2 == 0, 1.0, -1.0)  # 0.0 at t_max: never good
+    at = int(np.searchsorted(ts, t_max))
+    if 0 < at < ts.size and ts[at] != t_max:
+        ts = np.insert(ts, at, t_max)
+        ns = np.insert(ns, at, 0)
+        parity = np.insert(parity, at, 0.0)
+    zs = _z_values(ts)
+    good = parity * zs > 0.0
+    if not good[0]:
+        raise AuditError(f"scan_zeros: Z(g_-1) = {zs[0]:g} at t = {ts[0]:.6f}, "
+                         "where Z < 0")
+    past = np.flatnonzero(good & (ts >= t_max))
+    if past.size == 0:
+        raise AuditError(
+            f"scan_zeros: no good Gram point among g_{ns[0]}..g_{ns[-1]} "
+            f"(t in [{ts[0]:.6f}, {ts[-1]:.6f}]) at or past t_max = {t_max:g}"
+        )
+    stop = past[0] + 1
+    block = np.cumsum(good[:stop - 1], dtype=np.int32) - 1
+    edge_n = ns[:stop][good[:stop]]
+    # No other frame holds the grid, so the first level's inserts free its
+    # nodes, Z and labels.
+    ts, zs = ts[:stop], zs[:stop]
     k = np.diff(edge_n)
     while True:
         neg = zs < 0.0
@@ -400,14 +432,16 @@ def _refine_brackets(
         idx = np.flatnonzero(hi - lo > tol)
         if idx.size == 0:
             return lo, hi
-        a, b, wa = lo[idx], hi[idx], w_lo[idx]
-        x = b - a  # to a - w_lo (b - a) / (w_hi - w_lo), in place
-        x *= wa
-        x /= w_hi[idx] - wa
+        # x to a - w_lo (b - a) / (w_hi - w_lo) in place, a and b bound
+        # only after the division's temporaries are gone.
+        x = hi[idx] - lo[idx]
+        x *= w_lo[idx]
+        x /= w_hi[idx] - w_lo[idx]
+        a, b = lo[idx], hi[idx]
         np.subtract(a, x, out=x)
         np.copyto(x, 0.5 * (a + b), where=~np.isfinite(x))
         np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)
-        del a, b, wa  # gone before Z's batch, the scan's peak of memory
+        del a, b  # gone before Z's batch, the scan's peak of memory
         fx = _z_values(x)
         left = (z_lo[idx] < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
         gone = np.where(left, z_hi[idx], z_lo[idx])  # Z at the replaced end
@@ -419,9 +453,13 @@ def _refine_brackets(
                 (left, hi, z_hi, w_hi, w_lo, -1), (~left, lo, z_lo, w_lo, w_hi, 1)):
             twice = side & (was_kept == last)  # the kept end, kept last step too
             w_kept[idx[twice]] *= scale[twice]
-            at, x_side, f_side = idx[side], x[side], fx[side]
-            end[at], z_end[at], w_end[at] = x_side, f_side, f_side
+            at = idx[side]
+            end[at] = x[side]
+            z_end[at] = w_end[at] = fx[side]
             kept[at] = last
+        # The next round starts from the brackets, their weights and kept
+        # alone: this round's arrays would otherwise live through its Z batch.
+        del idx, x, fx, scale, left, was_kept, side, twice, at
 
 
 def _scan_brackets(
@@ -430,37 +468,11 @@ def _scan_brackets(
     """Unrefined brackets of every sign change of Z in (0, t_max], the
     scan_zeros method; N(t_max) = n_estimate.  Returns fresh arrays (lo,
     hi, Z(lo), Z(hi)), ascending, which scan_zeros hands to
-    _refine_brackets once this returns and the Gram grid is freed.
-
-    One batched Z call covers the Gram points and t_max, a node unless it
-    is <= g_-1 or a Gram point.  Below 1e4 no 3 consecutive Gram points
-    are bad, so the batch holds g_B, the first good one at or past t_max;
-    a batch without it raises AuditError.  The gap after node i is in Gram
-    block (good nodes up to i) - 1, as g_-1 is good: Z < 0 below 14.13,
-    and a Z that is not negative at g_-1 raises AuditError.
+    _refine_brackets once this returns and the Gram grid is freed.  The
+    nodes come from _resolve_blocks, whose locals, the grid and the
+    subdivision's bookkeeping, are gone before the brackets are cut.
     """
-    ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
-    ts = _gram_points(ns)
-    parity = np.where(ns % 2 == 0, 1.0, -1.0)  # 0.0 at t_max: never good
-    at = int(np.searchsorted(ts, t_max))
-    if 0 < at < ts.size and ts[at] != t_max:
-        ts = np.insert(ts, at, t_max)
-        ns = np.insert(ns, at, 0)
-        parity = np.insert(parity, at, 0.0)
-    zs = _z_values(ts)
-    good = parity * zs > 0.0
-    if not good[0]:
-        raise AuditError(f"scan_zeros: Z(g_-1) = {zs[0]:g} at t = {ts[0]:.6f}, "
-                         "where Z < 0")
-    past = np.flatnonzero(good & (ts >= t_max))
-    if past.size == 0:
-        raise AuditError(
-            f"scan_zeros: no good Gram point among g_{ns[0]}..g_{ns[-1]} "
-            f"(t in [{ts[0]:.6f}, {ts[-1]:.6f}]) at or past t_max = {t_max:g}"
-        )
-    stop = past[0] + 1
-    block = np.cumsum(good[:stop - 1], dtype=np.int32) - 1
-    ts, zs = _resolve_blocks(ts[:stop], zs[:stop], block, ns[:stop][good[:stop]])
+    ts, zs = _resolve_blocks(t_max, n_estimate)
 
     # A gap starting at t_max holds a zero in (0, t_max] where Z(t_max) = 0.0.
     neg = zs < 0.0

@@ -125,7 +125,10 @@ class TestZerosCommand:
         # 1.46 and 1.48 MB since a batch's Z is the concatenation of its
         # blocks, not a preallocated output the last block coexists with;
         # 1.39 and 1.43 MB since a block forms no error bound for Z, which
-        # only z_function asks of _z_bound.
+        # only z_function asks of _z_bound; 1.06 and 1.10 MB since each
+        # refinement round frees its arrays before the next round's guess
+        # and Z batch, and no caller holds the Gram grid through its
+        # subdivision.
         out = str(tmp_path / "zeros.csv")
         argv = ["zeros", "--t-max", "1e4", "--out-path", out]
         assert rzs.cli.main(argv) == 0  # warm: imports and lazy set-up
@@ -138,8 +141,8 @@ class TestZerosCommand:
             command_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert scan_peak <= 1.55e6
-        assert command_peak <= 1.55e6
+        assert scan_peak <= 1.30e6
+        assert command_peak <= 1.30e6
 
 
 # ----------------------------------------------------------------------

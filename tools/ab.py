@@ -23,9 +23,10 @@ metric's bound and the parent's relative interquartile range.  For each
 side and workload it also gives failed and attempted operations and the
 worst of each accuracy figure the runs print (ACCURACY).  For each side it
 gives the work of scan_zeros(0, 1e4, 1e-8), counted by wrapping the
-kernels (work_counters), under zeros_traced_peak_bytes the tracemalloc
-peak of one warm zeros --t-max 1e4 command (zeros_peak), a memory figure
-the host cannot move, and under warm_scan_s the warm in-process time
+kernels (work_counters), under scan_traced_peak_bytes and
+zeros_traced_peak_bytes the tracemalloc peaks of that scan and of one
+zeros --t-max 1e4 command, both warm (traced_peaks), memory figures the
+host cannot move, and under warm_scan_s the warm in-process time
 of that scan, one child per side in each of PAIRS alternating pairs
 (warm_scan), with the statistics of a metric.  It keeps every run's raw
 numbers.
@@ -85,20 +86,25 @@ table = scan_zeros(0.0, 1.0e4, 1.0e-8)
 print(json.dumps({"zeros": len(table.gamma), **work}))
 """
 
-# The tracemalloc peak, in bytes, of one warm zeros --t-max 1e4 command in
-# a child started in a copy's root: what Python and numpy allocate, which
-# the heap layout of the host does not move.
+# The tracemalloc peaks, in bytes, of one warm scan_zeros(0, 1e4, 1e-8) and
+# then one warm zeros --t-max 1e4 command in a child started in a copy's
+# root: what Python and numpy allocate, which the heap layout of the host
+# does not move.
 _PEAK = """
 import os, sys, tempfile, tracemalloc
 sys.path.insert(0, "src")
 import rzs.cli
+from rzs import scan_zeros
 with tempfile.TemporaryDirectory() as tmp:
     argv = ["zeros", "--t-max", "1e4", "--out-path", os.path.join(tmp, "zeros.csv")]
     status = rzs.cli.main(argv)  # warm: imports and lazy set-up
     tracemalloc.start()
+    scan_zeros(0.0, 1.0e4, 1.0e-8)
+    scan = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
     status = status or rzs.cli.main(argv)
-    peak = tracemalloc.get_traced_memory()[1]
-print(peak)
+    zeros = tracemalloc.get_traced_memory()[1]
+print(scan, zeros)
 sys.exit(status)
 """
 
@@ -183,10 +189,11 @@ def work_counters(root: str) -> dict:
     return json.loads(child(root, _WORK))
 
 
-def zeros_peak(root: str) -> int:
-    """The tracemalloc peak of a warm zeros --t-max 1e4, in bytes, in a
-    fresh child in the copy at root."""
-    return int(child(root, _PEAK))
+def traced_peaks(root: str) -> tuple[int, int]:
+    """The tracemalloc peaks of a warm scan_zeros(0, 1e4, 1e-8) and a warm
+    zeros --t-max 1e4, in bytes, in a fresh child in the copy at root."""
+    scan, zeros = child(root, _PEAK).split()
+    return int(scan), int(zeros)
 
 
 def warm_scan(root: str) -> float:
@@ -273,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         copy(base_rev, roots["base"])
         copy(change(), roots["head"])
         work = {side: work_counters(roots[side]) for side in SIDES}
-        peak = {side: zeros_peak(roots[side]) for side in SIDES}
+        peaks = {side: traced_peaks(roots[side]) for side in SIDES}
         warm = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in pair_order(i):
@@ -300,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"platform": platform.platform(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "work": work,
-        "zeros_traced_peak_bytes": peak,
+        "scan_traced_peak_bytes": {side: p[0] for side, p in peaks.items()},
+        "zeros_traced_peak_bytes": {side: p[1] for side, p in peaks.items()},
         "warm_scan_s": {**compare(warm, "lower"), "runs": warm},
         "workloads": summarize(runs, spec["end_to_end"]),
         "runs": runs,
