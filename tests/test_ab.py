@@ -229,7 +229,7 @@ def test_bitcheck_sees_one_changed_kernel_constant(tmp_path, monkeypatch, capsys
     assert "gamma: 10142 values, equal" not in out
 
 
-# The work of scan_zeros(0, 1e4, 1e-8), counted by ab's child.
+# The work of scan_zeros(0, 1e4, 1e-8), counted by the work probe.
 WORK_TO_1E4 = {"zeros": 10142, "evaluations": 75508, "calls": 19,
                "main_sum_terms": 2080416, "main_sum_iterations": 1243,
                "chebyshev_terms": 1660692, "clenshaw_calls": 64,
@@ -238,11 +238,15 @@ WORK_TO_1E4 = {"zeros": 10142, "evaluations": 75508, "calls": 19,
 
 def test_work_counters_of_the_deep_scan():
     # 75,508 Z evaluations in 19 calls and 32 blocks of at most 4,096
-    # heights; the 75,486 at or above the crossover take the 12 + 10
-    # Chebyshev terms of Psi and C1 in 2 Clenshaw calls per block, and each
-    # block's main sum runs to its own largest N.  theta runs once per
-    # evaluation and 6 times for each of the 10,151 Gram points.
-    assert ab.work_counters(str(_REPO)) == WORK_TO_1E4
+    # heights.  The calls are one over the Gram points and t_max, 5 block
+    # subdivision levels and 13 Anderson-Bjorck rounds; the scan refines
+    # every zero of the supported range at the smallest tol, so the call
+    # count also bounds the refinement steps of any zero.  The 75,486 at or
+    # above the crossover take the 12 + 10 Chebyshev terms of Psi and C1 in
+    # 2 Clenshaw calls per block, and each block's main sum runs to its own
+    # largest N.  theta runs once per evaluation and 6 times for each of
+    # the 10,151 Gram points.
+    assert ab.probe(str(_REPO), "work") == WORK_TO_1E4
 
 
 def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):

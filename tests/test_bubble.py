@@ -211,7 +211,7 @@ class TestPiClosed:
         assert pi_closed(1.0e-3, 1.0) == pytest.approx(pi_at_zero(1.0),
                                                        rel=1.0e-5)
 
-    def test_series_and_closed_branches_meet(self):
+    def test_continuous_where_log1p_avoids_cancellation(self):
         # Near p^2/m^2 = 1e-6 ln[(1+f)/(f-1)] cancels catastrophically
         # unless formed as log1p; Pi must stay continuous there.
         below = pi_closed(0.999999e-3, 1.0)

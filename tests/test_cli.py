@@ -12,13 +12,13 @@ import pathlib
 import random
 import subprocess
 import sys
-import tracemalloc
 
 import mpmath
 import pytest
 
 import rzs
 import rzs.cli
+from test_ab import ab
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +27,8 @@ TWO_PI = 2.0 * math.pi
 # inherited relative entry does not resolve in tmp_path).
 _RZS_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(rzs.__file__)))
 
-_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+_REPO = pathlib.Path(__file__).resolve().parents[1]
+_REFERENCE = _REPO / "bench" / "reference.json"
 
 
 # The variables through which OpenBLAS takes its thread count, highest
@@ -110,37 +111,11 @@ class TestZerosCommand:
         assert result.stderr.startswith("error: ")
         assert not out.exists()
 
-    def test_deep_scan_and_its_csv_stay_within_their_memory(self, tmp_path):
-        # tracemalloc counts the bytes Python and numpy ask for, whatever
-        # the heap layout.  Warm peaks on a 2-core x86-64 host (Python
-        # 3.11, numpy 2.4): scan_zeros(0, 1e4, 1e-8) 2.94 MB and the
-        # zeros command 2.98 MB while the scan kept the Gram grid and four
-        # copies of its brackets through refinement, and the command held
-        # its 624 KB CSV as blocks, one str and its UTF-8 copy; 2.17 and
-        # 2.21 MB once the grid was freed first, the brackets refined in
-        # place and the CSV written block by block; 1.57 and 1.60 MB since
-        # Z takes at most 4,096 heights at a time and the table keeps its
-        # columns as arrays; 1.50 and 1.54 MB since each block returns
-        # fresh arrays and the scan keeps Z alone, not its bound and theta;
-        # 1.46 and 1.48 MB since a batch's Z is the concatenation of its
-        # blocks, not a preallocated output the last block coexists with;
-        # 1.39 and 1.43 MB since a block forms no error bound for Z, which
-        # only z_function asks of _z_bound; 1.06 and 1.10 MB since each
-        # refinement round frees its arrays before the next round's guess
-        # and Z batch, and no caller holds the Gram grid through its
-        # subdivision.
-        out = str(tmp_path / "zeros.csv")
-        argv = ["zeros", "--t-max", "1e4", "--out-path", out]
-        assert rzs.cli.main(argv) == 0  # warm: imports and lazy set-up
-        tracemalloc.start()
-        try:
-            rzs.scan_zeros(0.0, 1.0e4, 1.0e-8)
-            scan_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            assert rzs.cli.main(argv) == 0
-            command_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_deep_scan_and_its_csv_stay_within_their_memory(self):
+        # The warm tracemalloc peaks of scan_zeros(0, 1e4, 1e-8) and of one
+        # zeros --t-max 1e4 command, in a fresh child, as tools/ab.py
+        # records them.
+        scan_peak, command_peak = ab.probe(str(_REPO), "peaks")
         assert scan_peak <= 1.30e6
         assert command_peak <= 1.30e6
 

@@ -973,33 +973,18 @@ class TestScanZeros:
         expected = bisect.bisect_right(_reference_zeros(), t_max)
         assert len(scan_zeros(0.0, t_max, 1.0e-8).gamma) == expected
 
-    def test_deep_scan_cost_and_brackets(self, monkeypatch):
-        real = rzs._zkernels._z_values
-        evaluated = []
-
-        def counting(ts):
-            evaluated.append(np.size(ts))
-            return real(ts)
-
-        monkeypatch.setattr(rzs._zkernels, "_z_values", counting)
+    def test_deep_scan_brackets(self):
+        # Its cost, 75,508 Z evaluations in 19 batched calls, is pinned by
+        # tests/test_ab.py::test_work_counters_of_the_deep_scan.
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
-        monkeypatch.undo()
         assert len(table.gamma) == 10142
-        # 75,508 evaluations in 19 batched calls: one over the Gram points
-        # and t_max, 5 block subdivision levels and 13 Anderson-Bjorck
-        # rounds (75,514 with the Psi series before its parity halving,
-        # whose Z moves by <= 2.6e-11 and closes 6 brackets one round
-        # earlier).  The scan refines every zero of the supported range at
-        # the smallest tol, and each round is one call, so the call count
-        # also bounds the refinement steps of any zero.
-        assert sum(evaluated) <= 75_514
-        assert len(evaluated) <= 19
         lo = np.array(table.bracket_lo)
         hi = np.array(table.bracket_hi)
         gamma = np.array(table.gamma)
         assert np.all((lo < gamma) & (gamma < hi))
         assert np.all(hi - lo <= 1.0e-8)
-        assert np.all(real(lo) * real(hi) < 0.0)
+        z = rzs._zkernels._z_values
+        assert np.all(z(lo) * z(hi) < 0.0)
 
     def test_non_finite_guess_falls_back_to_midpoint(self, monkeypatch):
         # Z near the largest double makes w_lo * (b - a) overflow, so the

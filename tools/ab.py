@@ -22,14 +22,15 @@ neither), the change's relative worsening of the median against the
 metric's bound and the parent's relative interquartile range.  For each
 side and workload it also gives failed and attempted operations and the
 worst of each accuracy figure the runs print (ACCURACY).  For each side it
-gives the work of scan_zeros(0, 1e4, 1e-8), counted by wrapping the
-kernels (work_counters), under scan_traced_peak_bytes and
-zeros_traced_peak_bytes the tracemalloc peaks of that scan and of one
-zeros --t-max 1e4 command, both warm (traced_peaks), memory figures the
-host cannot move, and under warm_scan_s the warm in-process time
-of that scan, one child per side in each of PAIRS alternating pairs
-(warm_scan), with the statistics of a metric.  It keeps every run's raw
-numbers.
+gives what the probes of tools/probes.py measure, each in a fresh child
+started in that side's copy (probe): under work the work of
+scan_zeros(0, 1e4, 1e-8), counted by wrapping the kernels (work), under
+scan_traced_peak_bytes and zeros_traced_peak_bytes the tracemalloc peaks
+of that scan and of one zeros --t-max 1e4 command, both warm (peaks),
+memory figures the host cannot move, and under warm_scan_s the warm
+in-process time of that scan, one child per side in each of PAIRS
+alternating pairs (warm), with the statistics of a metric.  It keeps
+every run's raw numbers.
 bench/ is read, never changed; both copies are removed afterwards.
 """
 
@@ -55,73 +56,7 @@ PAIRS = 10
 # "metric NAME = VALUE UNIT  [note]" before its last line; lower is better.
 ACCURACY = ("error_rate", "zero_err_max", "bracket_miss_share", "pi_rel_err_max")
 
-# Counts the work of scan_zeros(0, 1e4, 1e-8) in a child started in a
-# copy's root, by wrapping the kernels: Z evaluations and batched calls,
-# main-sum terms (N summed over heights) and loop iterations (the largest N
-# of each call), Chebyshev terms (series length summed over heights) and
-# Clenshaw calls, and theta evaluations.
-_WORK = """
-import json, sys
-sys.path.insert(0, "src")
-import numpy as np
-import rzs._zkernels as k
-from rzs import scan_zeros
-work = dict.fromkeys(["evaluations", "calls", "main_sum_terms",
-                      "main_sum_iterations", "chebyshev_terms",
-                      "clenshaw_calls", "theta_evaluations"], 0)
-def count(name, counts):
-    real = getattr(k, name)
-    def counting(*args):
-        for key, value in counts(*args).items():
-            work[key] += int(value)
-        return real(*args)
-    setattr(k, name, counting)
-count("_z_values", lambda ts: {"evaluations": np.size(ts), "calls": 1})
-count("_main_sum", lambda ts, th, big_n: {
-    "main_sum_terms": big_n.sum(), "main_sum_iterations": big_n.max(initial=0)})
-count("_chebyshev", lambda coef, y: {
-    "chebyshev_terms": len(coef) * np.size(y), "clenshaw_calls": 1})
-count("_theta_vec", lambda ts: {"theta_evaluations": np.size(ts)})
-table = scan_zeros(0.0, 1.0e4, 1.0e-8)
-print(json.dumps({"zeros": len(table.gamma), **work}))
-"""
-
-# The tracemalloc peaks, in bytes, of one warm scan_zeros(0, 1e4, 1e-8) and
-# then one warm zeros --t-max 1e4 command in a child started in a copy's
-# root: what Python and numpy allocate, which the heap layout of the host
-# does not move.
-_PEAK = """
-import os, sys, tempfile, tracemalloc
-sys.path.insert(0, "src")
-import rzs.cli
-from rzs import scan_zeros
-with tempfile.TemporaryDirectory() as tmp:
-    argv = ["zeros", "--t-max", "1e4", "--out-path", os.path.join(tmp, "zeros.csv")]
-    status = rzs.cli.main(argv)  # warm: imports and lazy set-up
-    tracemalloc.start()
-    scan_zeros(0.0, 1.0e4, 1.0e-8)
-    scan = tracemalloc.get_traced_memory()[1]
-    tracemalloc.reset_peak()
-    status = status or rzs.cli.main(argv)
-    zeros = tracemalloc.get_traced_memory()[1]
-print(scan, zeros)
-sys.exit(status)
-"""
-
-# Times scan_zeros(0, 1e4, 1e-8) in a child started in a copy's root:
-# after one untimed warm-up scan, the median of 5 timed scans, in seconds.
-_WARM = """
-import statistics, sys, time
-sys.path.insert(0, "src")
-from rzs import scan_zeros
-scan_zeros(0.0, 1.0e4, 1.0e-8)
-times = []
-for _ in range(5):
-    start = time.perf_counter()
-    scan_zeros(0.0, 1.0e4, 1.0e-8)
-    times.append(time.perf_counter() - start)
-print(statistics.median(times))
-"""
+PROBES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "probes.py")
 
 
 def git(*args: str) -> bytes:
@@ -178,28 +113,12 @@ def parse_run(out: str) -> dict:
     return {**json.loads(out.strip().splitlines()[-1]), "accuracy": accuracy}
 
 
-def child(root: str, code: str) -> str:
-    """The stdout of python -c code in a child started in the copy at root."""
-    return subprocess.run([sys.executable, "-c", code], cwd=root,
-                          check=True, capture_output=True, text=True).stdout
-
-
-def work_counters(root: str) -> dict:
-    """The work of scan_zeros(0, 1e4, 1e-8) in the copy at root."""
-    return json.loads(child(root, _WORK))
-
-
-def traced_peaks(root: str) -> tuple[int, int]:
-    """The tracemalloc peaks of a warm scan_zeros(0, 1e4, 1e-8) and a warm
-    zeros --t-max 1e4, in bytes, in a fresh child in the copy at root."""
-    scan, zeros = child(root, _PEAK).split()
-    return int(scan), int(zeros)
-
-
-def warm_scan(root: str) -> float:
-    """The warm time of scan_zeros(0, 1e4, 1e-8), in seconds, in a fresh
-    child in the copy at root."""
-    return float(child(root, _WARM))
+def probe(root: str, name: str, *args: str):
+    """The result of tools/probes.py's probe name, run with args in a fresh
+    child started in the tree at root."""
+    return json.loads(subprocess.run(
+        [sys.executable, PROBES, name, *args], cwd=root,
+        check=True, capture_output=True, text=True).stdout)
 
 
 def spread(values: list[float]) -> dict:
@@ -279,12 +198,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         copy(base_rev, roots["base"])
         copy(change(), roots["head"])
-        work = {side: work_counters(roots[side]) for side in SIDES}
-        peaks = {side: traced_peaks(roots[side]) for side in SIDES}
+        work = {side: probe(roots[side], "work") for side in SIDES}
+        peaks = {side: probe(roots[side], "peaks") for side in SIDES}
         warm = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in pair_order(i):
-                warm[side].append(warm_scan(roots[side]))
+                warm[side].append(probe(roots[side], "warm"))
         for w in spec["workloads"]:
             for i in range(PAIRS):
                 seed = 1000 * args.pr + i
