@@ -487,6 +487,21 @@ class TestEulerMaclaurinKernel:
             assert value == single.z_value and err == single.est_abs_error, t
             assert abs(mpmath.mpf(float(value)) - ref) <= err, t
 
+    def test_bound_is_the_first_omitted_term_to_one_ulp(self):
+        # Below the crossover the bound is |B_18/18!| N^{-17.5}/17.5 times
+        # prod_{j=0}^{17} |s + j|, s = 1/2 + it and N = 46, plus the 1e-13
+        # rounding floor: each value within 1 ulp of that sum at 30 digits.
+        rng = np.random.default_rng(1859)
+        ts = np.concatenate(([0.0, 29.999], rng.uniform(0.0, 30.0, 200)))
+        bound = rzs._zkernels._z_bound(ts)
+        with mpmath.workdps(30):
+            coef = abs(mpmath.bernoulli(18)) / mpmath.factorial(18) / 17.5
+            for t, value in zip(ts.tolist(), bound.tolist()):
+                s = mpmath.mpc(0.5, t)
+                terms = mpmath.fprod(abs(s + j) for j in range(18))
+                exact = float(coef * mpmath.mpf(46) ** -17.5 * terms + 1.0e-13)
+                assert abs(value - exact) <= np.spacing(exact), t
+
 
 class TestBernoulliTable:
     """_BERNOULLI is the one source of the kernels' Bernoulli numbers."""

@@ -27,10 +27,10 @@ started in that side's copy (probe): under work the work of
 scan_zeros(0, 1e4, 1e-8), counted by wrapping the kernels (work), under
 scan_traced_peak_bytes and zeros_traced_peak_bytes the tracemalloc peaks
 of that scan and of one zeros --t-max 1e4 command, both warm (peaks),
-memory figures the host cannot move, and under warm_scan_s the warm
-in-process time of that scan, one child per side in each of PAIRS
-alternating pairs (warm), with the statistics of a metric.  It keeps
-every run's raw numbers.
+which fresh processes of one tree read up to about 1 KB apart, and
+under warm_scan_s the warm in-process time of that scan, one child per
+side in each of PAIRS alternating pairs (warm), with the statistics of a
+metric.  It keeps every run's raw numbers.
 bench/ is read, never changed; both copies are removed afterwards.
 """
 

@@ -12,9 +12,10 @@ rzs._zkernels' Z, its bound and theta on fixed grids and the Gram
 points, then the gamma, bracket_lo and bracket_hi of
 scan_zeros(0, 1e4, 1e-8), which cover a change to the zero table or to
 refinement.  Prints one line per array, "equal" or the count of
-differing values and the largest absolute change, and exits 1 if any
-differ.  A change to the kernels or the scan that keeps every printed
-number runs this against its parent.
+differing values, the largest absolute change and the largest change in
+ulps of the parent's value, and exits 1 if any differ.  A change to the
+kernels or the scan that keeps every printed number runs this against
+its parent.
 """
 
 from __future__ import annotations
@@ -48,9 +49,11 @@ def main() -> int:
             differ += 1
             continue
         count = np.count_nonzero(a.view(np.uint64) != b.view(np.uint64))
+        moved = np.abs(b - a)
+        ulps = moved / np.spacing(np.abs(a))
         print(f"{name}: {a.size} values, " + (
-            f"{count} differ, max |change| {np.abs(b - a).max():.3g}" if count
-            else "equal"))
+            f"{count} differ, max |change| {moved.max():.3g}, "
+            f"max {ulps.max():.3g} ulp" if count else "equal"))
         differ += count
     return int(differ > 0)
 

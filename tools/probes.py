@@ -60,7 +60,8 @@ def work() -> dict[str, int]:
 def peaks() -> list[int]:
     """The tracemalloc peaks, in bytes, of one warm scan_zeros(0, 1e4, 1e-8)
     and then one warm zeros --t-max 1e4 command: what Python and numpy
-    allocate, which the heap layout of the host does not move."""
+    allocate.  Fresh processes of one tree read them up to about 1 KB
+    apart, so a smaller difference is no change."""
     import rzs.cli
     from rzs import scan_zeros
 
