@@ -27,7 +27,7 @@ from .errors import AuditError
 CROSSOVER_T = 30.0
 _EM_N = math.ceil(1.2 * CROSSOVER_T + 10.0)
 
-# _z_block and _z_bound take at most this many heights at a time.
+# _z_block takes at most this many heights at a time.
 _Z_BLOCK = 4096
 
 # theta(t) comes from its asymptotic series at t >= THETA_SERIES_T: the
@@ -107,13 +107,9 @@ def _theta_series(ts: np.ndarray) -> np.ndarray:
 def _theta_vec(ts) -> np.ndarray:
     """theta on an array (or sequence) of non-negative heights."""
     ts = np.asarray(ts, dtype=float)
-    out = np.empty_like(ts)
-    low = ts < THETA_SERIES_T
-    out[~low] = _theta_series(ts[~low])
-    if low.any():
-        t_low = ts[low]
-        out[low] = _log_gamma_imag(0.25 + 0.5j * t_low) - 0.5 * t_low * LN_PI
-    return out
+    return np.piecewise(ts, [ts < THETA_SERIES_T], [
+        lambda low: _log_gamma_imag(0.25 + 0.5j * low) - 0.5 * low * LN_PI,
+        _theta_series])
 
 
 # ----------------------------------------------------------------------
@@ -203,16 +199,14 @@ def _em_tail(ts: np.ndarray) -> np.ndarray:
     its bound."""
     s = 0.5 + 1j * ts
     n_pow = float(_EM_N) ** (-s)  # N^{-s}
-    tail = 0.5 * n_pow + n_pow * _EM_N / (s - 1.0)
-
-    # sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}, k = 1..8.
-    rising = s
-    q = n_pow / _EM_N  # N^{-s-1}
+    rising, q = s, n_pow / _EM_N  # N^{-s-1}
     n_inv2 = 1.0 / (_EM_N * _EM_N)
-    for k, coef in enumerate(_EM_COEF[:-1], start=1):
-        tail = tail + coef * rising * q
+    # sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}, k = 1..8.
+    tail = 0.5 * n_pow + n_pow * _EM_N / (s - 1.0) + _EM_COEF[0] * rising * q
+    for k, coef in enumerate(_EM_COEF[1:-1], start=1):
         rising = rising * (s + (2 * k - 1)) * (s + 2 * k)
         q = q * n_inv2
+        tail = tail + coef * rising * q
     return tail
 
 
@@ -294,14 +288,14 @@ def _z_block(ts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _z_bound(ts) -> np.ndarray:
-    """Z's error bound at at most _Z_BLOCK heights, the one home of its
-    model, a function of t alone: the proven Euler-Maclaurin truncation
+    """Z's error bound at a batch of heights of any size, the one home of
+    its model, a function of t alone: the proven Euler-Maclaurin truncation
     bound plus a 1e-13 rounding floor below CROSSOVER_T, and the measured
     _RS_ERR_COEF (t/2pi)^{-5/4} + 1e-11 up."""
     ts = np.asarray(ts, dtype=float)
     return np.piecewise(ts, [ts < CROSSOVER_T], [
-        lambda low: _EM_BOUND * np.prod(
-            np.hypot(np.arange(0.5, 18.0)[:, None], low), axis=0) + 1.0e-13,
+        lambda low: _EM_BOUND * math.prod(
+            np.hypot(j + 0.5, low) for j in range(18)) + 1.0e-13,
         lambda high: _RS_ERR_COEF * (high / math.tau) ** (-1.25) + 1.0e-11])
 
 

@@ -114,14 +114,14 @@ def f_kinematic(x: float) -> float:
     return math.sqrt(1.0 + 4.0 * x * x)
 
 
-def _quad(f, a: float, b: float, epsrel: float, limit: int = _QUAD_LIMIT) -> float:
+def _quad(f, a: float, b: float, epsrel: float) -> float:
     """Globally adaptive G7-K15 Gauss-Kronrod quadrature of f over [a, b].
 
     f maps one abscissa to one value; it runs at the 15 Kronrod nodes of
     every subinterval.  The estimate is accepted once the summed
     |K15 - G7| is at most epsrel * |total|; until then every subinterval
     whose error exceeds its share of that tolerance is bisected.  Raises
-    ConvergenceError when more than `limit` subintervals would be needed.
+    ConvergenceError when more than _QUAD_LIMIT subintervals would be needed.
     """
     live = []  # (|K15 - G7|, K15, lo, hi) of every subinterval in use
     new = [(float(a), float(b))]
@@ -140,10 +140,10 @@ def _quad(f, a: float, b: float, epsrel: float, limit: int = _QUAD_LIMIT) -> flo
             return total
         share = tol / len(live)
         split = [interval for interval in live if interval[0] > share]
-        if not math.isfinite(err) or len(live) + len(split) > limit:
+        if not math.isfinite(err) or len(live) + len(split) > _QUAD_LIMIT:
             raise ConvergenceError(
                 f"quadrature: error estimate {err:.3e} above the tolerance "
-                f"{tol:.3e} with {limit} subintervals"
+                f"{tol:.3e} with {_QUAD_LIMIT} subintervals"
             )
         live = [interval for interval in live if not interval[0] > share]
         new = []

@@ -24,6 +24,7 @@ from rzs import (
     pi_at_zero,
     pi_closed,
 )
+import rzs.bubble
 import rzs.cli
 from rzs.bubble import _quad
 from rzs.zeta import _SPEC
@@ -157,7 +158,7 @@ class TestQuad:
         assert len(calls) == 15 and len(set(calls)) == 15
         assert value == pytest.approx(exact, rel=1.0e-14)
 
-    def test_raises_beyond_the_subinterval_limit(self):
+    def test_raises_beyond_the_subinterval_limit(self, monkeypatch):
         # 1/x on [0, 1] diverges, so no number of subintervals suffices;
         # a tighter limit stops the tadpole at exponent 20 sooner.
         calls = []
@@ -173,8 +174,9 @@ class TestQuad:
         assert len(calls) % 15 == 0
         assert 1 + (len(calls) // 15 - 1) // 2 <= 200
         m2 = 1.0 / math.expm1(20.0)
+        monkeypatch.setattr(rzs.bubble, "_QUAD_LIMIT", 5)
         with pytest.raises(ConvergenceError):
-            _quad(lambda r: r / (r * r + m2), 0.0, 1.0, 1.0e-9, limit=5)
+            _quad(lambda r: r / (r * r + m2), 0.0, 1.0, 1.0e-9)
 
     def test_nan_integrand_raises(self):
         with pytest.raises(ConvergenceError):

@@ -240,8 +240,8 @@ class TestRiemannSiegelKernel:
     def test_a_batch_of_many_blocks_gives_the_bits_of_small_batches(self):
         # _z_values takes a batch _Z_BLOCK heights at a time, so a batch of
         # 2.5 blocks, a fifth of it below the crossover, is cut twice; every
-        # value, and every bound and theta of its blocks, is the one
-        # batches of 7 heights give.
+        # value and bound of the whole batch, and every theta of its blocks,
+        # is the one batches of 7 heights give.
         kernels = rzs._zkernels
         rng = np.random.default_rng(1737)
         size = 5 * kernels._Z_BLOCK // 2
@@ -255,8 +255,8 @@ class TestRiemannSiegelKernel:
         # Above 16,384 heights below the crossover, a complex temporary of
         # the Euler-Maclaurin tail passes numpy's 256 KiB elision size and
         # its product is taken in place, which rounds differently; in one
-        # batch the bound at t = 29.3006 was 1 ulp off.  Blocks keep every
-        # temporary below that size.
+        # batch a bound formed from that tail was 1 ulp off at t = 29.3006.
+        # Blocks keep every temporary below that size.
         ts = np.linspace(0.0, 40.0, 200001)[:146504]
         assert ts[-1] < rzs._zkernels.CROSSOVER_T
         small = [_block_columns(part) for part in np.array_split(ts, 147)]
@@ -335,16 +335,15 @@ def _block_columns(ts):
 
 
 def _assert_blocks_give_the_bits_of(ts, small):
-    """_z_values at ts, and the theta of _z_block and the bound of _z_bound
-    on each of its _Z_BLOCK slices, bit-equal to the (Z, theta, bound)
-    batches small, from _block_columns, concatenated."""
+    """_z_values and _z_bound at ts, a batch of more than one _Z_BLOCK, and
+    the theta of _z_block on each of its _Z_BLOCK slices, bit-equal to the
+    (Z, theta, bound) batches small, from _block_columns, concatenated."""
     block = rzs._zkernels._Z_BLOCK
-    blocks = [_block_columns(ts[i:i + block]) for i in range(0, ts.size, block)]
-    assert len(blocks) > 1
-    got = [rzs._zkernels._z_values(ts)] + [np.concatenate(part) for part in
-                                           list(zip(*blocks))[1:]]
-    assert len(got) == 3
-    for column, parts in zip(got, zip(*small)):
+    assert ts.size > block
+    theta = np.concatenate([rzs._zkernels._z_block(ts[i:i + block])[1]
+                            for i in range(0, ts.size, block)])
+    got = (rzs._zkernels._z_values(ts), theta, rzs._zkernels._z_bound(ts))
+    for column, parts in zip(got, zip(*small), strict=True):
         assert _bits(column) == _bits(np.concatenate(parts))
 
 
@@ -986,6 +985,20 @@ class TestScanZeros:
     @given(t_max=st.floats(min_value=100.0, max_value=3000.0))
     def test_count_matches_mpmath_reference(self, t_max):
         expected = bisect.bisect_right(_reference_zeros(), t_max)
+        assert len(scan_zeros(0.0, t_max, 1.0e-8).gamma) == expected
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="gamma_20 = 77.1448400689 lies just above t_max, where the "
+               "computed Z is -1.18e-4 against mpmath's +1.09e-4, inside the "
+               "8.7e-4 bound, so the scan counts it: 20 zeros for 19 until a "
+               "count treats |Z(t_max)| <= err as unknown (ROADMAP item 2) "
+               "or certifies its windows (ROADMAP item 1b)",
+    )
+    def test_count_matches_mpmath_within_the_bound_of_a_zero(self):
+        t_max = 77.14476515622218
+        expected = bisect.bisect_right(_reference_zeros(), t_max)
+        assert expected == 19
         assert len(scan_zeros(0.0, t_max, 1.0e-8).gamma) == expected
 
     def test_deep_scan_brackets(self):

@@ -95,22 +95,18 @@ def warm() -> float:
 
 def arrays(out: str) -> list[str]:
     """Saves to the .npz file out the kernels' arrays on fixed grids and the
-    scan's columns, and returns their names: _z_values (z), _z_bound (bound,
-    one _Z_BLOCK slice at a time) and _theta_vec (theta) at 200,001 heights
-    in [0, 40] and 50,001 in [40, 1e4], _gram_points for n = -1..10159
-    (gram), and the gamma, bracket_lo and bracket_hi of
-    scan_zeros(0, 1e4, 1e-8)."""
+    scan's columns, and returns their names: _z_values (z), _z_bound (bound)
+    and _theta_vec (theta) at 200,001 heights in [0, 40] and 50,001 in
+    [40, 1e4], _gram_points for n = -1..10159 (gram), and the gamma,
+    bracket_lo and bracket_hi of scan_zeros(0, 1e4, 1e-8)."""
     import numpy as np
 
     import rzs._zkernels as k
     from rzs import scan_zeros
 
     ts = np.concatenate([np.linspace(0.0, 40.0, 200001), np.linspace(40.0, 1.0e4, 50001)])
-    z = k._z_values(ts)
-    bound = np.concatenate([k._z_bound(ts[i:i + k._Z_BLOCK])
-                            for i in range(0, ts.size, k._Z_BLOCK)])
     table = scan_zeros(0.0, 1.0e4, 1.0e-8)
-    columns = {"z": z, "bound": bound, "theta": k._theta_vec(ts),
+    columns = {"z": k._z_values(ts), "bound": k._z_bound(ts), "theta": k._theta_vec(ts),
                "gram": k._gram_points(np.arange(-1, 10160)),
                **{name: np.asarray(getattr(table, name), dtype=float)
                   for name in ("gamma", "bracket_lo", "bracket_hi")}}
