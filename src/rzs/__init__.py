@@ -25,8 +25,7 @@ __version__ = "0.1.0"
 # Home module of every public name.
 _HOME = {name: module for module, names in (
     ("bubble", "BubbleSpec CorrelatorSample GapEquationSpec correlator_sample "
-               "f_kinematic feynman_integral gap_mass gap_residual pi_at_zero "
-               "pi_closed"),
+               "feynman_integral gap_mass gap_residual pi_at_zero pi_closed"),
     ("correspond", "CorrespondenceReport FitResult ReportRow ReportSummary "
                    "build_report log_slope_fit report_to_csv report_to_json"),
     ("errors", "AuditError ConvergenceError DomainError InsufficientZerosError "

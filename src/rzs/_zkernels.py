@@ -274,7 +274,7 @@ def _z_block(ts) -> tuple[np.ndarray, np.ndarray]:
     z = np.empty_like(ts)
     low = ts < CROSSOVER_T
     high = ~low
-    big_n = np.full(ts.shape, _EM_N - 1)
+    big_n = np.full(ts.shape, _EM_N - 1, dtype=np.int32)
     if high.any():
         a = np.sqrt(ts[high] / math.tau)
         big_n[high] = n = np.floor(a)
@@ -434,8 +434,9 @@ def _refine_brackets(
         np.subtract(a, x, out=x)
         np.copyto(x, 0.5 * (a + b), where=~np.isfinite(x))
         np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)
-        del a, b  # gone before Z's batch, the scan's peak of memory
+        del a, b, idx  # gone before Z's batch, the scan's peak of memory
         fx = _z_values(x)
+        idx = np.flatnonzero(hi - lo > tol)  # the same: no bracket moved yet
         left = (z_lo[idx] < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
         gone = np.where(left, z_hi[idx], z_lo[idx])  # Z at the replaced end
         scale = 1.0 - np.divide(fx, gone, out=np.ones_like(fx), where=gone != 0.0)

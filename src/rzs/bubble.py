@@ -39,7 +39,6 @@ __all__ = [
     "BubbleSpec",
     "CorrelatorSample",
     "GapEquationSpec",
-    "f_kinematic",
     "feynman_integral",
     "pi_closed",
     "pi_at_zero",
@@ -106,12 +105,6 @@ class GapEquationSpec(NamedTuple):
     coupling: float
     n_components: int
     cutoff: float
-
-
-def f_kinematic(x: float) -> float:
-    """f(x) = sqrt(1 + 4 x^2); even in x, always >= 1."""
-    x = float(x)
-    return math.sqrt(1.0 + 4.0 * x * x)
 
 
 def _quad(f, a: float, b: float, epsrel: float) -> float:

@@ -15,9 +15,8 @@ template of zeta._SPEC, 17 significant digits, and every table goes
 through zeta._format_rows, so re-running a command with identical flags
 produces byte-identical output.
 
-Only zeros and compare compute with arrays, so only they load numpy:
-zeros imports the scan kernels when it runs, and compare those and
-correspond.
+Each command imports the layers it runs, when it runs: only zeros and
+compare load numpy, and only bubble, gap and compare the bubble layer.
 
 main sets OPENBLAS_NUM_THREADS=1 in its own environment before numpy
 loads.  No code path of rzs calls BLAS or LAPACK (compare's slope fit
@@ -51,7 +50,6 @@ import sys
 import tempfile
 from typing import Iterator, NoReturn, TextIO
 
-from .bubble import GapEquationSpec, correlator_sample, gap_mass, gap_residual
 from .errors import DomainError, RzsError
 from .zeta import (_SPEC, T_SUPPORT_MAX, _format_rows, count_zeros, scan_zeros,
                    zero_table_to_csv)
@@ -132,6 +130,8 @@ def _log_grid(t_min: float, t_max: float, points: int) -> list[float]:
 
 
 def _cmd_bubble(ns: argparse.Namespace) -> None:
+    from .bubble import correlator_sample
+
     if not (0.0 < ns.t_min <= ns.t_max < math.inf):
         raise DomainError(
             "bubble: need finite 0 < t_min <= t_max for a log-spaced grid")
@@ -148,6 +148,8 @@ def _cmd_bubble(ns: argparse.Namespace) -> None:
 
 
 def _cmd_gap(ns: argparse.Namespace) -> None:
+    from .bubble import GapEquationSpec, gap_mass, gap_residual
+
     spec = GapEquationSpec(
         coupling=ns.coupling,
         n_components=ns.n_components,

@@ -339,10 +339,14 @@ _CSV_ROW = f"%d,{_SPEC},{_SPEC},{_SPEC}\n"
 def _format_rows(out: TextIO, row: str, records) -> None:
     """Write the records (tuples of the template's fields) to out, rendered
     by the % template row one after another; each % operation renders
-    _BLOCK of them, and each block goes to out as soon as it is made."""
+    _BLOCK of them, and each block goes to out as soon as it is made and
+    is dropped before the next is cut, so it holds one block at a time."""
     records = iter(records)
     while block := tuple(itertools.islice(records, _BLOCK)):
         out.write(row * len(block) % tuple(itertools.chain.from_iterable(block)))
+        # Unbind the written rows, or they live on while the walrus cuts
+        # the next block.
+        del block
 
 
 def _rows_text(row: str, records) -> str:
@@ -363,8 +367,7 @@ def zero_table_to_csv(table: ZeroTable, file: TextIO | None = None) -> str | Non
     out = io.StringIO() if file is None else file
     out.write("n,gamma,bracket_lo,bracket_hi\n")
     columns = table.gamma, table.bracket_lo, table.bracket_hi
-    _format_rows(out, _CSV_ROW, itertools.chain.from_iterable(
-        zip(itertools.count(table.n_first + i),
-            *(column[i:i + _BLOCK].tolist() for column in columns))
-        for i in range(0, len(table.gamma), _BLOCK)))
+    for i in range(0, len(table.gamma), _BLOCK):
+        _format_rows(out, _CSV_ROW, zip(itertools.count(table.n_first + i),
+                                        *(c[i:i + _BLOCK].tolist() for c in columns)))
     return out.getvalue() if file is None else None

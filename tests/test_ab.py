@@ -271,7 +271,7 @@ def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
     record = json.loads((repo / "BENCH_7.json").read_text())
     assert record["work"] == {"base": WORK_TO_1E4, "head": WORK_TO_1E4}
     # One warm scan_zeros(0, 1e4, 1e-8) and one warm zeros --t-max 1e4 a
-    # side, traced: 1.06 and 1.10 MB at this commit.  The command runs the
+    # side, traced: 1.02 and 1.05 MB at this commit.  The command runs the
     # same scan and then writes its CSV, so it peaks higher.
     scan, zeros = record["scan_traced_peak_bytes"], record["zeros_traced_peak_bytes"]
     assert sorted(scan) == sorted(zeros) == sorted(ab.SIDES)
@@ -279,6 +279,11 @@ def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
         assert all(isinstance(p, int) and 1.0e6 < p < 1.0e7
                    for p in (scan[side], zeros[side]))
         assert scan[side] < zeros[side]
+    # The row writer holds one 1,024-row block of the CSV at a time: its
+    # tuples, ints and 3,072 floats, about 5,150 live pymalloc blocks at
+    # this commit against 10,270 when it kept the written block alive.
+    assert sorted(record["csv_peak_blocks"]) == sorted(ab.SIDES)
+    assert all(4_000 < blocks < 6_000 for blocks in record["csv_peak_blocks"].values())
     assert [r["side"] for r in record["runs"]] == ["base", "head", "head", "base"]
     assert record["workloads"]["w"]["head"]["accuracy"] == canned["accuracy"]
     # Two real warm scans a side, each the median of 5 scans in a child.

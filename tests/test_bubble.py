@@ -17,7 +17,6 @@ from rzs import (
     NoSolutionError,
     RzsError,
     correlator_sample,
-    f_kinematic,
     feynman_integral,
     gap_mass,
     gap_residual,
@@ -35,21 +34,6 @@ TWO_PI = 2.0 * math.pi
 
 GRID_P = (0.1, 1.0, 10.0)
 GRID_M = (0.5, 1.0, 2.0)
-
-
-# ----------------------------------------------------------------------
-# f_kinematic
-# ----------------------------------------------------------------------
-
-class TestFKinematic:
-    def test_value_at_half(self):
-        assert f_kinematic(0.5) == pytest.approx(math.sqrt(2.0), rel=1.0e-15)
-
-    def test_even_in_x(self):
-        assert f_kinematic(-3.7) == f_kinematic(3.7)
-
-    def test_value_at_zero(self):
-        assert f_kinematic(0.0) == 1.0
 
 
 # ----------------------------------------------------------------------

@@ -249,7 +249,7 @@ class TestBubbleCommand:
         # file and leaves the existing output as it was.
         out = tmp_path / "bubble.csv"
         out.write_bytes(b"old,output\n")
-        real, calls, on_disk = rzs.cli.correlator_sample, [], []
+        real, calls, on_disk = rzs.bubble.correlator_sample, [], []
 
         def failing(t, mass2):
             calls.append(t)
@@ -258,7 +258,8 @@ class TestBubbleCommand:
                 raise rzs.DomainError("bubble: injected failure")
             return real(t, mass2)
 
-        monkeypatch.setattr(rzs.cli, "correlator_sample", failing)
+        # The bubble command imports correlator_sample when it runs.
+        monkeypatch.setattr(rzs.bubble, "correlator_sample", failing)
         argv = ["bubble", "--t-min", "1", "--t-max", "1e4", "--points", "2000",
                 "--out-path", str(out)]
         assert rzs.cli.main(argv) == 1
@@ -756,6 +757,25 @@ class TestImport:
         result = _run([], tmp_path, python_args=("-c", code))
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-3:] == ["False", "True False", "False"]
+
+    def test_count_and_zeros_leave_the_bubble_layer_unloaded(self, tmp_path):
+        # Each command imports the layers it runs, when it runs: count and
+        # zeros never load rzs.bubble, while bubble, gap and compare, run
+        # after them in the same process, still load it and succeed.
+        code = ("import sys, rzs.cli; main = rzs.cli.main; "
+                "print(main(['count', '--t', '100']), "
+                "main(['zeros', '--t-max', '50', '--out-path', 'zeros.csv']), "
+                "'rzs.bubble' in sys.modules); "
+                "print(main(['bubble', '--t-min', '0.5', '--t-max', '1e6', "
+                "'--out-path', 'bubble.csv']), "
+                "main(['gap', '--coupling', '1', '--n-components', '3', "
+                "'--cutoff', '10']), "
+                "main(['compare', '--n-max', '60', '--out-path', 'report.json']), "
+                "'rzs.bubble' in sys.modules)")
+        result = _run([], tmp_path, python_args=("-c", code))
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()  # count and gap print their own
+        assert "0 0 False" in lines and lines[-1] == "0 0 0 True"
 
     _THREADS_AFTER_ZEROS = (
         "import os, rzs.cli; "

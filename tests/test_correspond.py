@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from rzs import (
     CorrespondenceReport,
     DomainError,
     InsufficientZerosError,
+    ReportRow,
+    ReportSummary,
     ZeroTable,
     build_report,
     gamma_asymptotic,
@@ -202,7 +205,9 @@ class TestLogSlopeFit:
         # residual 1.8e-15, 4.1e-16, 4.1e-15 relative and 1.2e-17 absolute
         # on the synthetic rows, whose exact residual is itself only
         # 8.5e-17.  Bounds: 1 ulp, 4 ulps of mean(y), and 1e-14 relative
-        # or 1e-16 absolute.
+        # or 1e-16 absolute.  The slope's proven bound is 1.5 ulps (two
+        # roundings, test_slope_is_two_roundings_from_the_exact_fit); 1 ulp
+        # pins what these windows measure.
         if window is None:
             report, lo, hi = build_report(_synthetic_table(120), TWO_PI, 120), 7, 120
         else:
@@ -221,6 +226,24 @@ class TestLogSlopeFit:
         assert abs(Fraction(fit.slope) - slope) <= math.ulp(float(slope))
         assert abs(Fraction(fit.intercept) - intercept) <= 4 * math.ulp(float(y_mean))
         assert fit.residual == pytest.approx(residual, rel=1.0e-14, abs=1.0e-16)
+
+    @pytest.mark.parametrize("size", [200, 16384])
+    def test_slope_is_two_roundings_from_the_exact_fit(self, size):
+        # On scattered heights, in a small window and in the largest the
+        # bound covers, 16,384 consecutive n: the slope is the exact
+        # numerator sum(xc * y) rounded once, divided by the exact sum of
+        # xc^2.  Rounding y - mean(y) and each product before the sum
+        # moves the 200-row slope by 2 ulps.
+        rng = random.Random(99)
+        rows = tuple(ReportRow(n, rng.uniform(0.5, 1.5) * gamma_asymptotic(n),
+                               0.0, 0.0, 0.0) for n in range(7, 7 + size))
+        report = CorrespondenceReport(TWO_PI, rows, ReportSummary(0.0, ()))
+        x_mean = Fraction(rows[0].n + rows[-1].n, 2)
+        xcs = [r.n - x_mean for r in rows]
+        numerator = sum(xc * Fraction(r.gamma_n * math.log(r.n / math.tau))
+                        for xc, r in zip(xcs, rows))
+        denominator = sum(xc * xc for xc in xcs)
+        assert log_slope_fit(report).slope == float(numerator) / float(denominator)
 
     def test_residual_improves_in_the_deeper_window(self, report_2pi):
         early = log_slope_fit(report_2pi, n_min=100, n_max=1000)

@@ -10,6 +10,7 @@ import math
 import pathlib
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -1141,6 +1142,29 @@ class TestZeroTableCsv:
         assert len(text) > 300_000
         assert max(map(len, writes)) < 100_000
         assert "".join(writes) == text
+
+    def test_the_row_writer_drops_each_written_block(self):
+        # As each block's first row is drawn, no value of the block before
+        # it is left alive: the row writer holds one block of records at a
+        # time, and the formatted text of the values is all that remains.
+        class Value(float):  # a float that takes a weak reference
+            pass
+
+        refs, alive_at_block_start = [], []
+
+        def records():
+            for i in range(3 * rzs.zeta._BLOCK + 5):
+                if i and i % rzs.zeta._BLOCK == 0:
+                    previous = refs[i - rzs.zeta._BLOCK:i]
+                    alive_at_block_start.append(sum(r() is not None for r in previous))
+                value = Value(i)
+                refs.append(weakref.ref(value))
+                yield (value,)
+                del value
+
+        text = rzs.zeta._rows_text("%g\n", records())
+        assert text == "".join(f"{i}\n" for i in range(3 * rzs.zeta._BLOCK + 5))
+        assert alive_at_block_start == [0, 0, 0]
 
     def test_serialization_is_deterministic(self, table_500):
         assert zero_table_to_csv(table_500) == zero_table_to_csv(table_500)

@@ -27,8 +27,10 @@ started in that side's copy (probe): under work the work of
 scan_zeros(0, 1e4, 1e-8), counted by wrapping the kernels (work), under
 scan_traced_peak_bytes and zeros_traced_peak_bytes the tracemalloc peaks
 of that scan and of one zeros --t-max 1e4 command, both warm (peaks),
-which fresh processes of one tree read up to about 1 KB apart, and
-under warm_scan_s the warm in-process time of that scan, one child per
+which fresh processes of one tree read up to about 1 KB apart, under
+csv_peak_blocks the largest rise of live pymalloc blocks while
+zero_table_to_csv writes that scan's table (csv_blocks), and under
+warm_scan_s the warm in-process time of that scan, one child per
 side in each of PAIRS alternating pairs (warm), with the statistics of a
 metric.  It keeps every run's raw numbers.
 bench/ is read, never changed; both copies are removed afterwards.
@@ -200,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         copy(change(), roots["head"])
         work = {side: probe(roots[side], "work") for side in SIDES}
         peaks = {side: probe(roots[side], "peaks") for side in SIDES}
+        csv_blocks = {side: probe(roots[side], "csv_blocks") for side in SIDES}
         warm = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in pair_order(i):
@@ -228,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         "work": work,
         "scan_traced_peak_bytes": {side: p[0] for side, p in peaks.items()},
         "zeros_traced_peak_bytes": {side: p[1] for side, p in peaks.items()},
+        "csv_peak_blocks": csv_blocks,
         "warm_scan_s": {**compare(warm, "lower"), "runs": warm},
         "workloads": summarize(runs, spec["end_to_end"]),
         "runs": runs,

@@ -1,5 +1,5 @@
 """Measurement probes of rzs: the work, memory and time of its deep scan,
-and the bits of its Z kernels.
+the memory of its row writer, and the bits of its Z kernels.
 
     python3 tools/probes.py NAME [ARG ...]
 
@@ -79,6 +79,34 @@ def peaks() -> list[int]:
     return [scan, zeros]
 
 
+def csv_blocks() -> int:
+    """The largest rise of sys.getallocatedblocks(), the live pymalloc
+    blocks, while zero_table_to_csv writes the table of
+    scan_zeros(0, 1e4, 1e-8) to os.devnull, sampled at each record the row
+    writer draws through a wrapped zeta._format_rows."""
+    import gc
+
+    import rzs.zeta as zeta
+
+    table = zeta.scan_zeros(0.0, 1.0e4, 1.0e-8)
+    real, peak = zeta._format_rows, 0
+
+    def sample(record):
+        nonlocal peak
+        peak = max(peak, sys.getallocatedblocks() - base)
+        return record
+
+    def sampling(out, row, records):
+        real(out, row, map(sample, records))
+
+    zeta._format_rows = sampling
+    with open(os.devnull, "w") as out:
+        gc.collect()
+        base = sys.getallocatedblocks()
+        zeta.zero_table_to_csv(table, file=out)
+    return peak
+
+
 def warm() -> float:
     """The warm time of scan_zeros(0, 1e4, 1e-8), in seconds: after one
     untimed warm-up scan, the median of 5 timed scans."""
@@ -117,5 +145,6 @@ def arrays(out: str) -> list[str]:
 if __name__ == "__main__":
     sys.path.insert(0, "src")
     name, *args = sys.argv[1:]
-    probe = {"work": work, "peaks": peaks, "warm": warm, "arrays": arrays}[name]
+    probe = {"work": work, "peaks": peaks, "csv_blocks": csv_blocks, "warm": warm,
+             "arrays": arrays}[name]
     print(json.dumps(probe(*args)))
