@@ -70,25 +70,32 @@ _BUBBLE_ROW = f"{_SPEC},{_SPEC},{_SPEC},{_SPEC}\n"
 def _atomic_open(path: str) -> Iterator[TextIO]:
     """A text file whose content replaces path's when the with block ends.
 
-    Writes go to a temp file in path's directory, renamed onto path once
-    the block completes and removed if it raises, so an error leaves path
-    as it was even after blocks have been written.  path gets the mode
-    open(path, "w") leaves: an existing file keeps its own, a new one
-    gets 0o666 less the umask.
+    Writes go to a temp file beside the file path names, renamed onto it
+    once the block completes and removed if it raises, so an error leaves
+    that file as it was even after blocks have been written.  A symlink
+    is followed, as open(path, "w") follows it, and stays a link.  The
+    file gets the mode open(path, "w") leaves: an existing file keeps its
+    own, a new one gets 0o666 less the umask.  An existing path that is
+    not a regular file (a directory, FIFO or device) raises OSError and
+    is left untouched.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        st = os.stat(target)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".rzs-tmp-")
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(f"{path}: not a regular file")
+        mode = stat.S_IMODE(st.st_mode)
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rzs-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
         os.chmod(tmp_path, mode)
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, target)
     except BaseException:
         try:
             os.unlink(tmp_path)
@@ -98,11 +105,12 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
 
 
 def _print(ns: argparse.Namespace, text: str) -> None:
-    """Print text; with --out-path, also write it there."""
-    sys.stdout.write(text)
+    """Print text; with --out-path, write it there first, so a failed
+    write prints only its error."""
     if ns.out_path is not None:
         with _atomic_open(ns.out_path) as out:
             out.write(text)
+    sys.stdout.write(text)
 
 
 def _cmd_zeros(ns: argparse.Namespace) -> None:
