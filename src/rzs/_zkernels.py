@@ -332,13 +332,13 @@ def _resolve_blocks(
     t_max: float, n_estimate: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The scan's nodes ts, ascending, and Z there: the Gram points up to
-    g_B and t_max, each Gram block subdivided until it shows one sign
-    change per Gram interval; N(t_max) = n_estimate.
+    g_B, each Gram block subdivided until it shows one sign change per
+    Gram interval; N(t_max) = n_estimate.
 
-    One batched Z call covers the Gram points and t_max, a node unless it
-    is <= g_-1 or a Gram point.  Below 1e4 no 3 consecutive Gram points
-    are bad, so the batch holds g_B, the first good one at or past t_max;
-    a batch without it raises AuditError.  The gap after node i is in Gram
+    One batched Z call covers the Gram points.  Below 1e4 no 3
+    consecutive Gram points are bad, so the batch holds g_B, the first
+    good one at or past t_max; a batch without it raises AuditError.
+    t_max selects g_B and is no node.  The gap after node i is in Gram
     block (good nodes up to i) - 1, as g_-1 is good: Z < 0 below 14.13,
     and a Z that is not negative at g_-1 raises AuditError.
 
@@ -351,14 +351,8 @@ def _resolve_blocks(
     """
     ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
     ts = _gram_points(ns)
-    parity = np.where(ns % 2 == 0, 1.0, -1.0)  # 0.0 at t_max: never good
-    at = int(np.searchsorted(ts, t_max))
-    if 0 < at < ts.size and ts[at] != t_max:
-        ts = np.insert(ts, at, t_max)
-        ns = np.insert(ns, at, 0)
-        parity = np.insert(parity, at, 0.0)
     zs = _z_values(ts)
-    good = parity * zs > 0.0
+    good = np.where(ns % 2 == 0, zs, -zs) > 0.0
     if not good[0]:
         raise AuditError(f"scan_zeros: Z(g_-1) = {zs[0]:g} at t = {ts[0]:.6f}, "
                          "where Z < 0")
@@ -459,17 +453,16 @@ def _refine_brackets(
 def _scan_brackets(
     t_max: float, n_estimate: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unrefined brackets of every sign change of Z in (0, t_max], the
-    scan_zeros method; N(t_max) = n_estimate.  Returns fresh arrays (lo,
-    hi, Z(lo), Z(hi)), ascending, which scan_zeros hands to
-    _refine_brackets once this returns and the Gram grid is freed.  The
-    nodes come from _resolve_blocks, whose locals, the grid and the
-    subdivision's bookkeeping, are gone before the brackets are cut.
+    """Unrefined brackets of every sign change of Z on the nodes up to
+    g_B, the first good Gram point at or past t_max, the scan_zeros
+    method; N(t_max) = n_estimate.  Returns fresh arrays (lo, hi, Z(lo),
+    Z(hi)), ascending, which scan_zeros hands to _refine_brackets once
+    this returns and the Gram grid is freed; scan_zeros cuts the refined
+    zeros at t_max.  The nodes come from _resolve_blocks, whose locals,
+    the grid and the subdivision's bookkeeping, are gone before the
+    brackets are cut.
     """
     ts, zs = _resolve_blocks(t_max, n_estimate)
-
-    # A gap starting at t_max holds a zero in (0, t_max] where Z(t_max) = 0.0.
     neg = zs < 0.0
-    inside = (ts[:-1] < t_max) | ((ts[:-1] == t_max) & (zs[:-1] == 0.0))
-    idx = np.flatnonzero((neg[:-1] != neg[1:]) & inside)
+    idx = np.flatnonzero(neg[:-1] != neg[1:])
     return ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]

@@ -275,14 +275,15 @@ def gamma_asymptotic(n: int) -> float:
 def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     """Locate every sign-change zero of Z in (t_min, t_max].
 
-    The scan always covers (0, t_max] internally so indices n are global
-    counts from t = 0; zeros below t_min are dropped from the output
-    only after indexing, so the table's n_first is the global index of
-    its first zero.
+    The scan always starts from t = 0 internally so indices n are global
+    counts from t = 0.  Both ends cut the refined zeros alike, after
+    indexing: the table keeps those with t_min < gamma <= t_max, so its
+    n_first is the global index of its first zero, and a zero's row is
+    the same in every table that holds it.
 
     Z is evaluated in one batch on the Gram points g_n (theta(g_n) = n pi)
-    from g_-1 ~ 9.67 on and on t_max, a node so that no bracket crosses
-    it; the grid ends at the first good one at or above t_max.
+    from g_-1 ~ 9.67 on; the grid ends at the first good one at or above
+    t_max, and t_max is no node.
     Consecutive good Gram points bound Gram blocks.  By Rosser's rule,
     which holds for every block far beyond t = 1e4 (Brent, Math. Comp.
     33, 1979), a block of k Gram intervals holds exactly k zeros.  The
@@ -317,8 +318,8 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     n_estimate = count_zeros(max(t_max, math.tau)).n_estimate
     lo, hi = _refine_brackets(*_scan_brackets(t_max, n_estimate), tol)
     gammas = 0.5 * (lo + hi)
-    start = int(gammas.searchsorted(t_min, "right"))  # gammas ascend
-    columns = gammas[start:], lo[start:], hi[start:]
+    start, stop = gammas.searchsorted([t_min, t_max], "right").tolist()  # gammas ascend
+    columns = gammas[start:stop], lo[start:stop], hi[start:stop]
     for column in columns:
         column.flags.writeable = False
     return ZeroTable(start + 1, *columns, refined_tol=tol, t_max=t_max)

@@ -815,6 +815,24 @@ class TestScanZeros:
         assert table.n_first == 2
         assert table.gamma == pytest.approx((21.022040, 25.010858), abs=1.0e-5)
 
+    def test_every_window_is_a_slice_of_the_deep_scan(self, full_table):
+        # Both ends of (t_min, t_max] cut the refined zeros, so a zero's
+        # row does not depend on the window: every table is its rows of
+        # the table to 5520, bit for bit.  Half the windows end in
+        # [14, 200], where Gram points lie far apart and t_max most often
+        # falls inside the last bracket.
+        rng = random.Random(14134)
+        windows = [(0.0, rng.uniform(14.0, 200.0)) for _ in range(20)]
+        for _ in range(20):
+            t_min, t_max = sorted(rng.uniform(0.0, 5520.0) for _ in range(2))
+            windows.append((t_min, t_max))
+        for t_min, t_max in windows:
+            table = scan_zeros(t_min, t_max, 1.0e-8)
+            rows = slice(table.n_first - 1, table.n_first - 1 + len(table.gamma))
+            for field in ("gamma", "bracket_lo", "bracket_hi"):
+                column = getattr(table, field)
+                assert column.tobytes() == getattr(full_table, field)[rows].tobytes()
+
     def test_determinism(self):
         a = scan_zeros(0.0, 100.0, 1.0e-8)
         b = scan_zeros(0.0, 100.0, 1.0e-8)
@@ -918,13 +936,13 @@ class TestScanZeros:
         (lambda ts: ts - 14.0, (14.0,)),
         (lambda ts: -(ts - 12.0) * (ts - 14.0), (12.0, 14.0)),
     ], ids=["rising", "falling"])
-    def test_exact_zero_at_a_grid_node_closes_its_bracket(
-            self, monkeypatch, z, zeros):
-        # Z is 0.0 at the node t_max = 14.  Rising there, Z >= 0 makes the
-        # node end the bracket of the sign change, between the good Gram
-        # points g_-1 ~ 9.67 and g_0 ~ 17.85.  Falling there, g_0 is bad,
-        # the block g_-1..g_1 holds the zeros 12 and 14, and the sign
-        # change at 14 lies in the gap after t_max, which the scan keeps.
+    def test_exact_zero_at_t_max_is_kept(self, monkeypatch, z, zeros):
+        # Z is 0.0 at t_max = 14, which is no node.  Rising there, the
+        # sign change lies between the good Gram points g_-1 ~ 9.67 and
+        # g_0 ~ 17.85.  Falling there, g_0 is bad, and the block g_-1..g_1
+        # holds the zeros 12 and 14.  Either way the bracket of the zero
+        # at 14 reaches past t_max, and its refined gamma, at or below 14,
+        # is kept by the cut at t_max.
         def exact(ts):
             ts = np.asarray(ts, dtype=float)
             return z(ts)
@@ -992,9 +1010,9 @@ class TestScanZeros:
         strict=True,
         reason="gamma_20 = 77.1448400689 lies just above t_max, where the "
                "computed Z is -1.18e-4 against mpmath's +1.09e-4, inside the "
-               "8.7e-4 bound, so the scan counts it: 20 zeros for 19 until a "
-               "count treats |Z(t_max)| <= err as unknown (ROADMAP item 2) "
-               "or certifies its windows (ROADMAP item 1b)",
+               "8.7e-4 bound, so the computed root falls below t_max and the "
+               "scan counts it: 20 zeros for 19 until the count at t_max is "
+               "decided or refused where |Z(t_max)| <= err (ROADMAP item 16)",
     )
     def test_count_matches_mpmath_within_the_bound_of_a_zero(self):
         t_max = 77.14476515622218
@@ -1003,7 +1021,7 @@ class TestScanZeros:
         assert len(scan_zeros(0.0, t_max, 1.0e-8).gamma) == expected
 
     def test_deep_scan_brackets(self):
-        # Its cost, 75,508 Z evaluations in 19 batched calls, is pinned by
+        # Its cost, 75,521 Z evaluations in 19 batched calls, is pinned by
         # tests/test_ab.py::test_work_counters_of_the_deep_scan.
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
         assert len(table.gamma) == 10142

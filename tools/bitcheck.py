@@ -11,7 +11,9 @@ one child process per tree, runs the arrays probe of tools/probes.py:
 rzs._zkernels' Z, its bound and theta on fixed grids and the Gram
 points, then the gamma, bracket_lo and bracket_hi of
 scan_zeros(0, 1e4, 1e-8), which cover a change to the zero table or to
-refinement.  Prints one line per array, "equal" or the count of
+refinement: as both ends of a window cut the refined zeros, the table
+of any window is a slice of these columns, so they hold every window's
+rows.  Prints one line per array, "equal" or the count of
 differing values, the largest absolute change and the largest change in
 ulps of the parent's value, and exits 1 if any differ.  A change to the
 kernels or the scan that keeps every printed number runs this against

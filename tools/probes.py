@@ -7,8 +7,14 @@ puts src under the working directory first on sys.path, so that a probe
 measures the tree it is started in, runs the probe NAME with the given
 arguments and prints its result as JSON.  tools/ab.py and
 tools/bitcheck.py run each probe in a fresh child started in a tree's
-root (ab.probe), and the Tier-1 tests of the deep scan's work and memory
-run work and peaks the same way in the repository's root.
+root (ab.probe).  One Tier-1 test runs each probe the same way:
+
+    work                tests/test_ab.py::test_work_counters_of_the_deep_scan
+    peaks               tests/test_cli.py::TestZerosCommand::
+                            test_deep_scan_and_its_csv_stay_within_their_memory
+    csv_blocks, warm    tests/test_ab.py::test_row_writer_blocks_and_warm_scan_time
+    arrays              tests/test_ab.py::test_bitcheck_sees_one_changed_kernel_constant
+                            (through tools/bitcheck.py)
 """
 
 from __future__ import annotations
