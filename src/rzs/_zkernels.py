@@ -453,16 +453,18 @@ def _refine_brackets(
 def _scan_brackets(
     t_max: float, n_estimate: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unrefined brackets of every sign change of Z on the nodes up to
+    """Unrefined brackets of the sign changes of Z on the nodes up to
     g_B, the first good Gram point at or past t_max, the scan_zeros
-    method; N(t_max) = n_estimate.  Returns fresh arrays (lo, hi, Z(lo),
-    Z(hi)), ascending, which scan_zeros hands to _refine_brackets once
-    this returns and the Gram grid is freed; scan_zeros cuts the refined
+    method; N(t_max) = n_estimate.  A bracket whose lo lies above t_max
+    is left out: its zero, at least lo, falls to scan_zeros' cut at
+    t_max anyway.  Returns fresh arrays (lo, hi, Z(lo), Z(hi)),
+    ascending, which scan_zeros hands to _refine_brackets once this
+    returns and the Gram grid is freed; scan_zeros cuts the refined
     zeros at t_max.  The nodes come from _resolve_blocks, whose locals,
     the grid and the subdivision's bookkeeping, are gone before the
     brackets are cut.
     """
     ts, zs = _resolve_blocks(t_max, n_estimate)
     neg = zs < 0.0
-    idx = np.flatnonzero(neg[:-1] != neg[1:])
+    idx = np.flatnonzero((neg[:-1] != neg[1:]) & (ts[:-1] <= t_max))
     return ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]

@@ -13,18 +13,12 @@ computed from its real asymptotic series in 1/t from t = 10 up, and
 below that from the Stirling series for ln Gamma after a recurrence
 shift.  Z itself comes from one main sum,
 sum_{n<=N} cos(theta(t) - t ln n)/sqrt(n), for both of its methods:
-truncated Euler-Maclaurin summation below the crossover t = 30 (N = 45
-terms plus the Bernoulli tail for every height) and the Riemann-Siegel
-expansion from it up (twice the sum to N = floor(sqrt(t/2pi)) plus two
-correction terms: Psi, even about p = 1/2, from its committed series of
-12 Chebyshev terms, and Psi''', odd, from 10 derived from it at import).
-A batch is evaluated in blocks of at most 4,096 heights, so its
-temporaries are bounded whatever its size.  The sum runs over the
-heights of a block sorted by N, one term n at a time across the
-contiguous run of heights that need it; each height adds its own terms
-in order, so a value does not depend on its batch.  Each cosine comes
-from the tangent of the half phase, cos x = (1 - u^2)/(1 + u^2) with
-u = tan(x/2), which numpy vectorises.  Only z_function bounds Z's error.
+truncated Euler-Maclaurin summation, with its Bernoulli tail, below the
+crossover t = 30, and the Riemann-Siegel expansion, with its correction
+terms in Psi and Psi''', from it up.  rzs._zkernels holds their term
+counts and evaluates a batch in blocks; each height adds its own terms
+in order, so a value does not depend on its batch.  Only z_function
+bounds Z's error.
 
 Zeros are located on the Gram-point grid, g_n with theta(g_n) = n pi.
 Consecutive good Gram points ((-1)^n Z(g_n) > 0) bound Gram blocks, and
@@ -367,8 +361,8 @@ def zero_table_to_csv(table: ZeroTable, file: TextIO | None = None) -> str | Non
     """
     out = io.StringIO() if file is None else file
     out.write("n,gamma,bracket_lo,bracket_hi\n")
-    columns = table.gamma, table.bracket_lo, table.bracket_hi
-    for i in range(0, len(table.gamma), _BLOCK):
-        _format_rows(out, _CSV_ROW, zip(itertools.count(table.n_first + i),
-                                        *(c[i:i + _BLOCK].tolist() for c in columns)))
+    # np.float64 subclasses float, so _SPEC renders a column's scalars as
+    # it renders Python floats.
+    _format_rows(out, _CSV_ROW, zip(itertools.count(table.n_first), table.gamma,
+                                    table.bracket_lo, table.bracket_hi))
     return out.getvalue() if file is None else None

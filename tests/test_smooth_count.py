@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-import rzs._zkernels
 from rzs import scan_zeros
 from rzs.cli import main
 
@@ -39,22 +38,15 @@ def _window_means(gamma) -> np.ndarray:
     return delta[: delta.size // _WINDOW * _WINDOW].reshape(-1, _WINDOW).mean(axis=1)
 
 
-def test_every_window_of_the_deep_scan_sits_on_the_smooth_count(monkeypatch):
+def test_every_window_of_the_deep_scan_sits_on_the_smooth_count():
     # Measured: every mean in [-0.0013, +0.0027], 90 times inside the
     # bound; losing zero 5001 moves the means after it into [0.998, 1.002].
     table = scan_zeros(0.0, 1.0e4, 1.0e-8)
     assert table.n_first == 1 and len(table.gamma) == 10142
     assert np.abs(_window_means(table.gamma)).max() < 0.25
 
-    real = rzs._zkernels._scan_brackets
-
-    def losing_one(t_max, n_estimate):
-        return tuple(np.delete(a, 5000) for a in real(t_max, n_estimate))
-
-    monkeypatch.setattr(rzs._zkernels, "_scan_brackets", losing_one)
-    faulty = scan_zeros(0.0, 1.0e4, 1.0e-8)
-    assert len(faulty.gamma) == 10141
-    means = _window_means(faulty.gamma)
+    # The table of a scan that lost the bracket of zero 5001.
+    means = _window_means(np.delete(table.gamma, 5000))
     assert np.abs(means[:10]).max() < 0.25
     assert np.all(np.abs(means[10:]) > 0.25)
 

@@ -1114,8 +1114,10 @@ class TestZeroTableCsv:
         # Every table rzs writes goes through one block formatter.  Each
         # text here spans several 1,024-row blocks and a partial one, and
         # is checked against per-row {:.17g} formatting.  The zero-table
-        # window from 20 starts at zero 2.
-        for table in (full_table, scan_zeros(20.0, 30.0, 1.0e-8)):
+        # windows from 20 and from 100 start past zero 1, and the one from
+        # 100 keeps its indices running across its blocks.
+        for table in (full_table, scan_zeros(20.0, 30.0, 1.0e-8),
+                      scan_zeros(100.0, 5520.0, 1.0e-8)):
             rows = zip(range(table.n_first, table.n_first + len(table.gamma)),
                        table.gamma, table.bracket_lo, table.bracket_hi)
             expected = "n,gamma,bracket_lo,bracket_hi\n" + "".join(
