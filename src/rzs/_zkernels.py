@@ -245,7 +245,7 @@ def _main_sum(ts: np.ndarray, th: np.ndarray, big_n: np.ndarray) -> np.ndarray:
         u /= w
         u *= rsqrt_n[n]
         acc[start:] += u
-    out = u_buf  # free now: no fresh array beside the loop's dead ones
+    out = np.empty_like(acc)
     out[order] = acc
     return out
 
@@ -279,7 +279,6 @@ def _z_block(ts) -> tuple[np.ndarray, np.ndarray]:
         a = np.sqrt(ts[high] / math.tau)
         big_n[high] = n = np.floor(a)
         z[high] = _rs_correction(a, n)
-        del a, n  # gone before the main sum's buffers
     vals = _main_sum(ts, th, big_n)
     if low.any():
         z[low] = vals[low] + (np.exp(1j * th[low]) * _em_tail(ts[low])).real
@@ -338,15 +337,15 @@ def _resolve_blocks(
     One batched Z call covers the Gram points.  Below 1e4 no 3
     consecutive Gram points are bad, so the batch holds g_B, the first
     good one at or past t_max; a batch without it raises AuditError.
-    t_max selects g_B and is no node.  The gap after node i is in Gram
-    block (good nodes up to i) - 1, as g_-1 is good: Z < 0 below 14.13,
-    and a Z that is not negative at g_-1 raises AuditError.
+    t_max selects g_B and is no node.  g_-1 is good, as Z < 0 below
+    14.13, and a Z that is not negative there raises AuditError.
 
-    With edge_n the Gram indices of the good Gram points, block j spans
-    k = edge_n[j+1] - edge_n[j] Gram intervals and, by Rosser's rule,
-    holds k zeros.  Each level halves every gap of every block that does
-    not show k sign changes, all at once, with one batched Z call over
-    the new midpoints; both halves keep the gap's label.  A block still
+    With edge_n and edge_t the Gram indices and heights of the good Gram
+    points, block j spans k = edge_n[j+1] - edge_n[j] Gram intervals and,
+    by Rosser's rule, holds k zeros; the gap after node i is in the block
+    of the last good Gram point at or below it.  Each level halves every
+    gap of every block that does not show k sign changes, all at once,
+    with one batched Z call over the new midpoints.  A block still
     unresolved once its widest gap is <= STRIDE_FLOOR raises AuditError.
     """
     ns = np.arange(-1, max(int(n_estimate), 0) + _GRAM_PAD)
@@ -363,37 +362,33 @@ def _resolve_blocks(
             f"(t in [{ts[0]:.6f}, {ts[-1]:.6f}]) at or past t_max = {t_max:g}"
         )
     stop = past[0] + 1
-    block = np.cumsum(good[:stop - 1], dtype=np.int32) - 1
-    edge_n = ns[:stop][good[:stop]]
+    edge_n, edge_t = ns[:stop][good[:stop]], ts[:stop][good[:stop]]
     # No other frame holds the grid, so the first level's inserts free its
-    # nodes, Z and labels.
+    # nodes and Z.
     ts, zs = ts[:stop], zs[:stop]
     k = np.diff(edge_n)
     while True:
+        block = np.searchsorted(edge_t, ts[:-1], "right") - 1
         neg = zs < 0.0
         found = np.bincount(block[neg[:-1] != neg[1:]], minlength=k.size)
         unresolved = found != k
         if not unresolved.any():
             return ts, zs
         gaps = np.flatnonzero(unresolved[block])
-        labels = block[gaps]
-        firsts = np.flatnonzero(np.diff(labels, prepend=-1))  # label starts
-        widest = np.maximum.reduceat(ts[gaps + 1] - ts[gaps], firsts)
-        stuck = widest <= STRIDE_FLOOR
+        widest = np.zeros(k.size)
+        np.maximum.at(widest, block[gaps], ts[gaps + 1] - ts[gaps])
+        stuck = unresolved & (widest <= STRIDE_FLOOR)
         if stuck.any():
-            i = int(np.argmax(stuck))
-            j = labels[firsts[i]]
-            lo, hi = np.searchsorted(block, [j, j + 1])
+            j = int(np.argmax(stuck))
             raise AuditError(
                 f"scan_zeros: Gram block g_{edge_n[j]}..g_{edge_n[j + 1]} "
-                f"(t in [{ts[lo]:.6f}, {ts[hi]:.6f}]) shows "
+                f"(t in [{edge_t[j]:.6f}, {edge_t[j + 1]:.6f}]) shows "
                 f"{found[j]} sign changes for {k[j]} Gram intervals at node "
-                f"spacing {widest[i]:.3g} (floor {STRIDE_FLOOR:g})"
+                f"spacing {widest[j]:.3g} (floor {STRIDE_FLOOR:g})"
             )
         mids = 0.5 * (ts[gaps] + ts[gaps + 1])
         zs = np.insert(zs, gaps + 1, _z_values(mids))
         ts = np.insert(ts, gaps + 1, mids)
-        block = np.insert(block, gaps + 1, labels)
 
 
 def _refine_brackets(

@@ -186,7 +186,8 @@ def test_parent_is_head_until_the_change_is_committed(tmp_path, monkeypatch):
         ab.parent()
 
 
-def test_bitcheck_sees_one_changed_kernel_constant(tmp_path, monkeypatch, capsys):
+def test_bitcheck_tells_which_arrays_a_wrapped_kernel_moves(
+        tmp_path, monkeypatch, capsys):
     repo = _scratch_repo(tmp_path, monkeypatch)
     monkeypatch.setitem(sys.modules, "ab", ab)  # bitcheck imports it
     bitcheck = _load("bitcheck")

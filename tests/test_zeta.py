@@ -838,23 +838,37 @@ class TestScanZeros:
         b = scan_zeros(0.0, 100.0, 1.0e-8)
         assert a == b
 
-    def test_unresolvable_gram_block_raises_audit_error(self, monkeypatch):
+    @pytest.mark.parametrize("windows, message", [
+        ([(18.0, 27.0)],
+         r"Gram block g_0\.\.g_2 \(t in \[17\.845600, 27\.670182\]\) "
+         r"shows 0 sign changes for 2 Gram intervals "),
+        ([(18.0, 27.0), (36.0, 41.5)],
+         r"Gram block g_4\.\.g_6 \(t in \[35\.467184, 42\.363550\]\) "
+         r"shows 0 sign changes for 2 Gram intervals at node spacing "
+         r"0\.000862 "),
+    ], ids=["first_block_stuck", "later_block_stuck"])
+    def test_unresolvable_gram_block_raises_audit_error(
+            self, monkeypatch, windows, message):
         # Gram points g_0 = 17.846, g_1 = 23.170 and g_2 = 27.670 are all
         # good.  Reporting |Z| on (18, 27), which holds the zeros at 21.02
         # and 25.01 and the Gram point g_1, makes g_1 bad and leaves the
         # block g_0..g_2 with no sign change for its 2 Gram intervals.
+        # |Z| on (36, 41.5) as well, over the zeros at 37.59 and 40.92 and
+        # g_5, does the same to g_4..g_6, whose narrower Gram intervals
+        # reach the node spacing floor one level earlier: the stuck block
+        # is then not the first unresolved one.
         real = rzs._zkernels._z_values
 
         def one_signed(ts):
             ts = np.asarray(ts, dtype=float)
             vals = real(ts)
-            inside = (ts > 18.0) & (ts < 27.0)
+            inside = np.zeros(ts.shape, dtype=bool)
+            for lo, hi in windows:
+                inside |= (ts > lo) & (ts < hi)
             return np.where(inside, np.abs(vals), vals)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", one_signed)
-        with pytest.raises(AuditError, match=(
-                r"Gram block g_0\.\.g_2 \(t in \[17\.845600, 27\.670182\]\) "
-                r"shows 0 sign changes for 2 Gram intervals ")):
+        with pytest.raises(AuditError, match=message):
             scan_zeros(0.0, 50.0, 1.0e-8)
 
     def test_no_good_gram_point_past_t_max_raises_audit_error(self, monkeypatch):
@@ -1021,7 +1035,7 @@ class TestScanZeros:
         assert len(scan_zeros(0.0, t_max, 1.0e-8).gamma) == expected
 
     def test_deep_scan_brackets(self):
-        # Its cost, 75,521 Z evaluations in 19 batched calls, is pinned by
+        # Its cost, 75,506 Z evaluations in 19 batched calls, is pinned by
         # tests/test_ab.py::test_work_counters_of_the_deep_scan.
         table = scan_zeros(0.0, 1.0e4, 1.0e-8)
         assert len(table.gamma) == 10142

@@ -13,7 +13,7 @@ root (ab.probe).  One Tier-1 test runs each probe the same way:
     peaks               tests/test_cli.py::TestZerosCommand::
                             test_deep_scan_and_its_csv_stay_within_their_memory
     csv_blocks, warm    tests/test_ab.py::test_row_writer_blocks_and_warm_scan_time
-    arrays              tests/test_ab.py::test_bitcheck_sees_one_changed_kernel_constant
+    arrays              tests/test_ab.py::test_bitcheck_tells_which_arrays_a_wrapped_kernel_moves
                             (through tools/bitcheck.py)
 """
 
