@@ -391,75 +391,66 @@ def _resolve_blocks(
         ts = np.insert(ts, gaps + 1, mids)
 
 
-def _refine_brackets(
-    lo: np.ndarray, hi: np.ndarray, z_lo: np.ndarray, z_hi: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink every bracket to width <= tol by batched Anderson-Bjorck steps.
+def _refine_brackets(t: np.ndarray, z: np.ndarray, tol: float) -> None:
+    """Shrink every bracket to width <= tol by batched Anderson-Bjorck
+    steps, in place: t holds its ends, row 0 lo and row 1 hi, and z Z there.
 
-    A step evaluates Z at the regula falsi point of the endpoint weights,
-    which are the endpoint Z values, except that an endpoint kept twice
-    in a row has its weight scaled by 1 - Z(x)/Z(replaced end), or by 1/2
-    where that is <= 0 or Z(replaced end) is 0.0 (Anderson and Bjorck,
-    BIT 13, 1973; the Illinois rule always halves).  A guess that is not
-    finite, as where weights overflow, falls back to the midpoint.  The
-    point stays at least tol/2 inside the bracket, so every step shrinks
-    the bracket by at least tol/2, and a converged guess closes it on the
-    next step.
-
-    Refines lo, hi, z_lo and z_hi in place, and returns (lo, hi).
+    A step evaluates Z at the regula falsi point of the end weights, which
+    are the ends' Z values, except that an end kept twice in a row has its
+    weight scaled by 1 - Z(x)/Z(replaced end), or by 1/2 where that is <= 0
+    or Z(replaced end) is 0.0 (Anderson and Bjorck, BIT 13, 1973; the
+    Illinois rule always halves).  A guess that is not finite, as where
+    weights overflow, falls back to the midpoint.  The point stays at least
+    tol/2 inside the bracket, so every step shrinks the bracket by at least
+    tol/2, and a converged guess closes it on the next step.
     """
-    w_lo, w_hi = z_lo.copy(), z_hi.copy()
-    kept = np.zeros(lo.size, dtype=np.int8)  # end kept last step: -1 lo, +1 hi
+    w = z.copy()
+    last = np.full(t.shape[1], -1, dtype=np.int8)  # end replaced last step
     while True:
-        idx = np.flatnonzero(hi - lo > tol)
+        idx = np.flatnonzero(t[1] - t[0] > tol)
         if idx.size == 0:
-            return lo, hi
-        # x to a - w_lo (b - a) / (w_hi - w_lo) in place, a and b bound
+            return
+        # x to a - w[0] (b - a) / (w[1] - w[0]) in place, a and b bound
         # only after the division's temporaries are gone.
-        x = hi[idx] - lo[idx]
-        x *= w_lo[idx]
-        x /= w_hi[idx] - w_lo[idx]
-        a, b = lo[idx], hi[idx]
+        x = t[1, idx] - t[0, idx]
+        x *= w[0, idx]
+        x /= w[1, idx] - w[0, idx]
+        a, b = t[0, idx], t[1, idx]
         np.subtract(a, x, out=x)
         np.copyto(x, 0.5 * (a + b), where=~np.isfinite(x))
         np.clip(x, a + 0.5 * tol, b - 0.5 * tol, out=x)
         del a, b, idx  # gone before Z's batch, the scan's peak of memory
         fx = _z_values(x)
-        idx = np.flatnonzero(hi - lo > tol)  # the same: no bracket moved yet
-        left = (z_lo[idx] < 0.0) != (fx < 0.0)  # sign change in [a, x]: x is hi
-        gone = np.where(left, z_hi[idx], z_lo[idx])  # Z at the replaced end
+        idx = np.flatnonzero(t[1] - t[0] > tol)  # the same: no bracket moved yet
+        end = ((z[0, idx] < 0.0) != (fx < 0.0)).view(np.int8)  # 1: x is hi
+        gone = z[end, idx]
         scale = 1.0 - np.divide(fx, gone, out=np.ones_like(fx), where=gone != 0.0)
         scale[~(scale > 0.0)] = 0.5
         del gone
-        was_kept = kept[idx]
-        for side, end, z_end, w_end, w_kept, last in (
-                (left, hi, z_hi, w_hi, w_lo, -1), (~left, lo, z_lo, w_lo, w_hi, 1)):
-            twice = side & (was_kept == last)  # the kept end, kept last step too
-            w_kept[idx[twice]] *= scale[twice]
-            at = idx[side]
-            end[at] = x[side]
-            z_end[at] = w_end[at] = fx[side]
-            kept[at] = last
-        # The next round starts from the brackets, their weights and kept
+        twice = last[idx] == end  # so the other end is kept twice in a row
+        w[1 - end[twice], idx[twice]] *= scale[twice]
+        t[end, idx] = x
+        z[end, idx] = w[end, idx] = fx
+        last[idx] = end
+        # The next round starts from the brackets, their weights and last
         # alone: this round's arrays would otherwise live through its Z batch.
-        del idx, x, fx, scale, left, was_kept, side, twice, at
+        del idx, x, fx, scale, end, twice
 
 
-def _scan_brackets(
-    t_max: float, n_estimate: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _scan_brackets(t_max: float, n_estimate: float) -> tuple[np.ndarray, np.ndarray]:
     """Unrefined brackets of the sign changes of Z on the nodes up to
     g_B, the first good Gram point at or past t_max, the scan_zeros
     method; N(t_max) = n_estimate.  A bracket whose lo lies above t_max
     is left out: its zero, at least lo, falls to scan_zeros' cut at
-    t_max anyway.  Returns fresh arrays (lo, hi, Z(lo), Z(hi)),
-    ascending, which scan_zeros hands to _refine_brackets once this
-    returns and the Gram grid is freed; scan_zeros cuts the refined
-    zeros at t_max.  The nodes come from _resolve_blocks, whose locals,
-    the grid and the subdivision's bookkeeping, are gone before the
-    brackets are cut.
+    t_max anyway.  Returns fresh (2, n) arrays (t, z), the ends and Z
+    there, row 0 lo and row 1 hi, ascending, which scan_zeros hands to
+    _refine_brackets once this returns and the Gram grid is freed;
+    scan_zeros cuts the refined zeros at t_max.  The nodes come from
+    _resolve_blocks, whose locals, the grid and the subdivision's
+    bookkeeping, are gone before the brackets are cut.
     """
     ts, zs = _resolve_blocks(t_max, n_estimate)
     neg = zs < 0.0
     idx = np.flatnonzero((neg[:-1] != neg[1:]) & (ts[:-1] <= t_max))
-    return ts[idx], ts[idx + 1], zs[idx], zs[idx + 1]
+    ends = np.stack((idx, idx + 1))
+    return ts[ends], zs[ends]

@@ -286,7 +286,8 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
     there raises AuditError.  Z < 0 on (0, 14.13), so g_-1 is good and
     (0, g_-1] holds no zero: the i-th sign change is zero n = i.  Each
     bracket is then refined by bracketed Anderson-Bjorck steps to width
-    <= tol, in place, once the arrays of the Gram grid are freed.
+    <= tol, in place, once the arrays of the Gram grid are freed; the
+    table's bracket columns are slices of the rows of their ends.
 
     Equal arguments give equal batches, so the result is deterministic.
     """
@@ -310,7 +311,9 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
 
     # N(T) < 1 up to 2pi e: any t_max below 2pi sizes the grid as 2pi does.
     n_estimate = count_zeros(max(t_max, math.tau)).n_estimate
-    lo, hi = _refine_brackets(*_scan_brackets(t_max, n_estimate), tol)
+    t, z = _scan_brackets(t_max, n_estimate)
+    _refine_brackets(t, z, tol)
+    lo, hi = t
     gammas = 0.5 * (lo + hi)
     start, stop = gammas.searchsorted([t_min, t_max], "right").tolist()  # gammas ascend
     columns = gammas[start:stop], lo[start:stop], hi[start:stop]

@@ -226,8 +226,8 @@ def test_bitcheck_tells_which_arrays_a_wrapped_kernel_moves(
     kernels.write_text(text + textwrap.dedent("""
         _real_refine_brackets, _real_z_bound = _refine_brackets, _z_bound
 
-        def _refine_brackets(lo, hi, z_lo, z_hi, tol):
-            return _real_refine_brackets(lo, hi, z_lo, z_hi, tol / 2)
+        def _refine_brackets(t, z, tol):
+            return _real_refine_brackets(t, z, tol / 2)
 
         def _z_bound(ts):
             return _real_z_bound(ts) * 1.03

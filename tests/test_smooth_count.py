@@ -22,18 +22,19 @@ from rzs.cli import main
 import oracles
 
 _WINDOW = 500
+_DEEP_ZEROS = 10142  # the zeros of the deep scan to 1e4
 
 
 @functools.cache
-def _smooth_zeros(n_max: int) -> np.ndarray:
-    """gamma~_1 .. gamma~_{n_max}."""
-    return np.array([oracles.smooth_zero(n) for n in range(1, n_max + 1)])
+def _smooth_zeros() -> np.ndarray:
+    """gamma~_1 .. gamma~_{_DEEP_ZEROS}, built once; each test slices it."""
+    return np.array([oracles.smooth_zero(n) for n in range(1, _DEEP_ZEROS + 1)])
 
 
 def _window_means(gamma) -> np.ndarray:
     """Mean delta_n over consecutive windows of _WINDOW zeros, n from 1."""
     gamma = np.asarray(gamma)
-    delta = ((gamma - _smooth_zeros(gamma.size)) * np.log(gamma / math.tau)
+    delta = ((gamma - _smooth_zeros()[:gamma.size]) * np.log(gamma / math.tau)
              / math.tau)
     return delta[: delta.size // _WINDOW * _WINDOW].reshape(-1, _WINDOW).mean(axis=1)
 
@@ -60,7 +61,7 @@ def test_compare_slope_is_the_smooth_count_slope(tmp_path):
     slope = json.loads(out.read_text())["fit"]["slope"]
 
     n = np.arange(7, 5001)
-    x, y = n.astype(float), _smooth_zeros(5000)[6:] * np.log(n / math.tau)
+    x, y = n.astype(float), _smooth_zeros()[6:5000] * np.log(n / math.tau)
     xc = x - math.fsum(x) / x.size
     smooth = math.fsum(xc * (y - math.fsum(y) / y.size)) / math.fsum(xc * xc)
     assert abs(slope / smooth - 1.0) <= 1.0e-6
@@ -70,7 +71,7 @@ def test_band_misses_are_those_of_the_smooth_count(report_2pi):
     # Criterion 4's band: gamma_n / prediction in [0.8, 1.2] for n >= 10.
     # The same rows, n = 10..38, leave it with gamma~_n in place of
     # gamma_n, so the misses come from the smooth count, not the scan.
-    smooth = _smooth_zeros(5000)
+    smooth = _smooth_zeros()[:5000]
     rows = [r for r in report_2pi.rows if r.n >= 10]
     scanned = [r.n for r in rows if not 0.8 <= r.gamma_n / r.prediction <= 1.2]
     predicted = [r.n for r in rows

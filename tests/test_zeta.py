@@ -707,8 +707,8 @@ class TestGramPoints:
         # The scan evaluates Z on g_-1 .. g_{N(t_max)+7} in one batch and
         # needs a good Gram point ((-1)^n Z(g_n) > 0) at or past t_max
         # among them: below 1e4 no three consecutive Gram points are bad.
-        # Its block labels count good Gram points from g_-1, which is good
-        # as Z < 0 below the first zero.
+        # Its Gram blocks start at g_-1, the first good Gram point, as Z < 0
+        # below the first zero.
         ns = np.arange(-1, 10160)
         zs = rzs._zkernels._z_values(rzs._zkernels._gram_points(ns))
         assert zs[0] < 0.0
@@ -723,6 +723,35 @@ class TestGramPoints:
         residual = np.abs(rzs._zkernels._theta_vec(gs) - math.pi * ns)
         assert residual.max() <= 1.0e-11
         assert np.all(np.diff(gs) > 0.0)
+
+
+def _anderson_bjorck(z, lo, hi, tol):
+    """The Anderson-Bjorck rule of _refine_brackets' docstring on the one
+    bracket [lo, hi], in plain floats, with z taking one height to Z:
+    (the points it evaluates, its final ends, Z there, the cases it met)."""
+    ends, zs = [lo, hi], [z(lo), z(hi)]
+    weights, last, points, cases = zs[:], None, [], set()
+    while ends[1] - ends[0] > tol:
+        (a, b), (w_lo, w_hi) = ends, weights
+        x = a - w_lo * (b - a) / (w_hi - w_lo)
+        if not math.isfinite(x):
+            x = 0.5 * (a + b)
+        x = min(max(x, a + 0.5 * tol), b - 0.5 * tol)
+        points.append(x)
+        fx = z(x)
+        end = int((zs[0] < 0.0) != (fx < 0.0))  # 1: Z changes sign in [a, x]
+        gone = zs[end]
+        scale = 1.0 - fx / gone if gone != 0.0 else 0.0
+        if end == last:  # the other end is kept twice in a row
+            cases.add(("lo", "hi")[1 - end] + " kept twice")
+            if not scale > 0.0:
+                cases.add("Z(replaced end) = 0.0" if gone == 0.0 else "scale 1/2")
+                scale = 0.5
+            weights[1 - end] *= scale
+        ends[end] = x
+        zs[end] = weights[end] = fx
+        last = end
+    return points, ends, zs, cases
 
 
 class TestScanZeros:
@@ -982,10 +1011,10 @@ class TestScanZeros:
             return slope * (ts - 12.0)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", linear)
+        t, z = np.array([[8.0], [16.0]]), np.array([[-4.0], [4.0]]) * slope
         with np.errstate(all="raise"):
-            lo, hi = rzs._zkernels._refine_brackets(
-                np.array([8.0]), np.array([16.0]),
-                np.array([-4.0 * slope]), np.array([4.0 * slope]), 1.0e-8)
+            rzs._zkernels._refine_brackets(t, z, 1.0e-8)
+        lo, hi = t
         assert points[0] == 12.0
         assert lo[0] <= 12.0 <= hi[0]
         assert hi[0] - lo[0] <= 1.0e-8
@@ -999,12 +1028,51 @@ class TestScanZeros:
             return (ts - 10.0) * (ts - 12.0) ** 2
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", touching)
+        t, z = np.array([[8.0], [12.0]]), np.array([[-32.0], [0.0]])
         with np.errstate(all="raise"):
-            lo, hi = rzs._zkernels._refine_brackets(
-                np.array([8.0]), np.array([12.0]),
-                np.array([-32.0]), np.array([0.0]), 1.0e-8)
+            rzs._zkernels._refine_brackets(t, z, 1.0e-8)
+        lo, hi = t
         assert lo[0] <= 10.0 <= hi[0]
         assert hi[0] - lo[0] <= 1.0e-8
+
+    def test_refinement_follows_the_anderson_bjorck_rule(self, monkeypatch):
+        # Three brackets in one batch, against the docstring's rule applied
+        # to each alone.  On [8, 14] Z = (t - 10)(t - 12)^2 has Z = 0.0 at
+        # the first point, 12, and is positive just below it, so the hi end
+        # is replaced twice with Z(replaced end) = 0.0, then again with the
+        # scale at 1/2.  (t - 20)^2 - 2 is convex and rising on [21, 22],
+        # so the hi end is kept; (t - 33)^2 - 2 is convex and falling on
+        # [31, 32], so the lo end is kept.
+        def z_exact(ts):
+            u = np.asarray(ts, dtype=float)
+            return np.where(u < 16.0, (u - 10.0) * (u - 12.0) * (u - 12.0),
+                            np.where(u < 26.0, (u - 20.0) * (u - 20.0) - 2.0,
+                                     (u - 33.0) * (u - 33.0) - 2.0))
+
+        def z_scalar(t):
+            return float(z_exact([t])[0])
+
+        tol = 1.0e-8
+        t = np.array([[8.0, 21.0, 31.0], [14.0, 22.0, 32.0]])
+        expected = [_anderson_bjorck(z_scalar, lo, hi, tol) for lo, hi in t.T.tolist()]
+        assert set().union(*(cases for *_, cases in expected)) == {
+            "lo kept twice", "hi kept twice", "scale 1/2", "Z(replaced end) = 0.0"}
+        batches = []
+
+        def recording(ts):
+            batches.append(_bits(ts))
+            return z_exact(ts)
+
+        monkeypatch.setattr(rzs._zkernels, "_z_values", recording)
+        z = z_exact(t)
+        with np.errstate(all="raise"):
+            rzs._zkernels._refine_brackets(t, z, tol)
+        steps = max(len(points) for points, *_ in expected)
+        assert batches == [_bits([points[i] for points, *_ in expected
+                                  if i < len(points)]) for i in range(steps)]
+        for row in range(2):
+            assert _bits(t[row]) == _bits([ends[row] for _, ends, _, _ in expected])
+            assert _bits(z[row]) == _bits([zs[row] for _, _, zs, _ in expected])
 
     @pytest.mark.parametrize("t_max, count", [(1339.03, 931), (1420.65, 1001)])
     def test_close_pair_heights_give_exact_counts(self, t_max, count):
@@ -1057,10 +1125,10 @@ class TestScanZeros:
             return 1.0e308 * np.tanh(ts - root)
 
         monkeypatch.setattr(rzs._zkernels, "_z_values", huge)
+        t, z = np.array([[10.0], [40.0]]), np.array([[-1.0e308], [1.0e308]])
         with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = rzs._zkernels._refine_brackets(
-                np.array([10.0]), np.array([40.0]),
-                np.array([-1.0e308]), np.array([1.0e308]), 1.0e-8)
+            rzs._zkernels._refine_brackets(t, z, 1.0e-8)
+        lo, hi = t
         assert lo[0] < root < hi[0]
         assert hi[0] - lo[0] <= 1.0e-8
 
