@@ -277,10 +277,10 @@ def correlator_sample(t: float, m2: float) -> CorrelatorSample:
     """
     t = float(t)
     m2 = float(m2)
-    if not t > 0.0:
-        raise DomainError("correlator_sample: t must be positive")
-    if not m2 > 0.0:
-        raise DomainError("correlator_sample: m2 must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("correlator_sample: t must be positive and finite")
+    if not 0.0 < m2 < math.inf:
+        raise DomainError("correlator_sample: m2 must be positive and finite")
     pi_value = pi_closed(math.sqrt(t), math.sqrt(m2))
     correlator = 1.0 / pi_value
     asymptote = math.tau * t / _log_quotient(t, m2) if t > m2 else None

@@ -94,8 +94,8 @@ def build_report(zeros: ZeroTable, m2: float, n_max: int) -> CorrespondenceRepor
     n_max = _integer("build_report: n_max", n_max)
     if n_max < 10:
         raise DomainError("build_report: need n_max >= 10")
-    if not m2 > 0.0:
-        raise DomainError("build_report: m2 must be positive")
+    if not 0.0 < m2 < math.inf:
+        raise DomainError("build_report: m2 must be positive and finite")
     m2 = float(m2)
     if len(zeros.gamma) < n_max:
         raise InsufficientZerosError(

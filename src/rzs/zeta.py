@@ -153,18 +153,25 @@ class ZeroCountEstimate(NamedTuple):
 # theta(t) and Z(t); the array kernels live in rzs._zkernels
 # ----------------------------------------------------------------------
 
+def _height(name: str, t) -> float:
+    """t as a float, the one check of every height argument: DomainError
+    where it is not finite, PrecisionError where |t| > T_SUPPORT_MAX."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"{name}: height must be finite")
+    if abs(t) > T_SUPPORT_MAX:
+        raise PrecisionError(
+            f"{name}: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
+        )
+    return t
+
+
 def theta(t: float) -> float:
     """Riemann-Siegel theta, theta(t) = arg Gamma(1/4 + it/2) - (t/2) ln pi.
 
     Odd in t.  Raises PrecisionError outside the supported height range.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError("theta: height must be finite")
-    if abs(t) > T_SUPPORT_MAX:
-        raise PrecisionError(
-            f"theta: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
-        )
+    t = _height("theta", t)
     if t < 0.0:
         return -theta(-t)
     from ._zkernels import _theta_vec
@@ -186,16 +193,10 @@ def z_function(t: float, tol: float) -> CriticalLineSample:
     tolerance is unreachable at this height with the configured term
     counts, so tight tolerances are only servable below the crossover.
     """
-    t = float(t)
+    t = _height("z_function", t)
     tol = float(tol)
-    if not math.isfinite(t):
-        raise DomainError("z_function: height must be finite")
     if not tol > 0.0:
         raise DomainError("z_function: tol must be positive")
-    if abs(t) > T_SUPPORT_MAX:
-        raise PrecisionError(
-            f"z_function: |t| = {abs(t):g} exceeds supported height {T_SUPPORT_MAX:g}"
-        )
     from ._zkernels import CROSSOVER_T, _z_block, _z_bound
 
     at = abs(t)
@@ -302,10 +303,7 @@ def scan_zeros(t_min: float, t_max: float, tol: float) -> ZeroTable:
         raise PrecisionError(
             f"scan_zeros: tol = {tol:g} below supported minimum {TOL_SUPPORT_MIN:g}"
         )
-    if t_max > T_SUPPORT_MAX:
-        raise PrecisionError(
-            f"scan_zeros: t_max = {t_max:g} exceeds supported height {T_SUPPORT_MAX:g}"
-        )
+    _height("scan_zeros", t_max)
 
     from ._zkernels import _refine_brackets, _scan_brackets
 

@@ -271,6 +271,26 @@ def test_row_writer_blocks_and_warm_scan_time():
     assert 0.0 < ab.probe(str(_REPO), "warm") < 10.0
 
 
+def test_accuracy_figures_of_the_deep_scan():
+    # The figures go into the BENCH files; only what every tree must keep
+    # is checked here.
+    figures = ab.probe(str(_REPO), "accuracy")
+    assert set(figures) == {
+        "bands", "sampled", "brackets_without_opposite_signs", "ends_at_zero",
+        "ends", "ends_within_err", "gram_points", "gram_margin_min",
+        "gram_margin_min_t", "nodes", "nodes_within_err", "nodes_within_err_t"}
+    assert list(figures["bands"]) == [
+        "[30, 60)", "[60, 200)", "[200, 1000)", "[1000, 10000]"]
+    for band in figures["bands"].values():
+        assert set(band) == {"z_err_max", "z_err_ratio_max", "ends",
+                             "ends_within_err", "end_margin_min"}
+        assert band["z_err_ratio_max"] < 1.0
+    assert set(figures["sampled"]) == {"zeros_checked", "zero_err_max",
+                                       "brackets_checked", "bracket_misses"}
+    assert figures["brackets_without_opposite_signs"] == 0
+    assert figures["gram_margin_min"] > 1.0
+
+
 def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
     repo = _scratch_repo(tmp_path, monkeypatch)
     spec = {"command": ["true"], "run_seconds": 1, "workloads": [{"name": "w"}],
@@ -288,8 +308,10 @@ def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
     monkeypatch.setattr(ab, "bench_run", lambda root, w, seed, seconds: canned)
     # Each side's probe answers, unequal so that a swapped side shows, given
     # by the copy a probe runs in: only the change's holds notes.
-    answers = {"base": {"work": {"zeros": 1}, "peaks": [2, 3], "csv_blocks": 4, "warm": 0.5},
-               "head": {"work": {"zeros": 6}, "peaks": [7, 8], "csv_blocks": 9, "warm": 0.25}}
+    answers = {"base": {"work": {"zeros": 1}, "accuracy": {"ends": 10}, "peaks": [2, 3],
+                        "csv_blocks": 4, "warm": 0.5},
+               "head": {"work": {"zeros": 6}, "accuracy": {"ends": 11}, "peaks": [7, 8],
+                        "csv_blocks": 9, "warm": 0.25}}
     monkeypatch.setattr(ab, "probe", lambda root, name: answers[
         "head" if (pathlib.Path(root) / "notes").exists() else "base"][name])
 
@@ -297,6 +319,7 @@ def test_the_record_carries_both_sides_work(tmp_path, monkeypatch):
     record = json.loads((repo / "BENCH_7.json").read_text())
     for side, answer in answers.items():
         assert record["work"][side] == answer["work"]
+        assert record["accuracy"][side] == answer["accuracy"]
         assert [record["scan_traced_peak_bytes"][side],
                 record["zeros_traced_peak_bytes"][side]] == answer["peaks"]
         assert record["csv_peak_blocks"][side] == answer["csv_blocks"]

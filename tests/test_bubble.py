@@ -343,6 +343,9 @@ class TestCorrelatorSample:
             correlator_sample(0.0, 1.0)
         with pytest.raises(DomainError):
             correlator_sample(1.0, 0.0)
+        for t, m2 in ((math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                correlator_sample(t, m2)
 
     def test_overflowing_denominator_raises(self):
         # At t = 1e308 the asymptote 2 pi t / ln t overflows; at m^2 near

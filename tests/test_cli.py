@@ -872,6 +872,23 @@ class TestImport:
         for module in ("bubble", "correspond", "errors", "zeta"):
             assert getattr(rzs, module) is sys.modules[f"rzs.{module}"]
 
+    def test_home_table_matches_each_layers_all(self):
+        # rzs resolves names through _HOME and bench/tracing.py wraps each
+        # layer's __all__, so a name added to one list only fails here.
+        for module in ("bubble", "correspond", "zeta"):
+            homed = {name for name, home in rzs._HOME.items() if home == module}
+            assert homed == set(getattr(rzs, module).__all__), module
+        for name in (name for name, home in rzs._HOME.items() if home == "errors"):
+            cls = getattr(rzs.errors, name)
+            assert issubclass(cls, rzs.errors.RzsError), name
+            assert cls.__module__ == "rzs.errors", name
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == rzs.__version__
+
     def test_dir_and_star_import_cover_all(self):
         assert set(rzs.__all__) <= set(dir(rzs))
         namespace = {}

@@ -129,6 +129,8 @@ class TestBuildReport:
     def test_rejects_bad_arguments(self, full_table):
         with pytest.raises(DomainError):
             build_report(full_table, 0.0, 100)
+        with pytest.raises(DomainError, match="m2 must be positive and finite"):
+            build_report(full_table, math.inf, 100)
         with pytest.raises(DomainError):
             build_report(full_table, TWO_PI, 9)
         for n_max in (100.5, 100.0, math.nan, math.inf, True):

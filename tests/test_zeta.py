@@ -1146,8 +1146,11 @@ class TestScanZeros:
             scan_zeros(0.0, 10.0, 0.0)
         with pytest.raises(PrecisionError):
             scan_zeros(0.0, 10.0, 1.0e-9)
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError, match=r"\|t\| = 20000 exceeds"):
             scan_zeros(0.0, 2.0e4, 1.0e-8)
+        # An infinite height is a DomainError here as for theta and Z.
+        with pytest.raises(DomainError, match="height must be finite"):
+            scan_zeros(0.0, math.inf, 1.0e-8)
 
 
 # ----------------------------------------------------------------------

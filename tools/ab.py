@@ -25,9 +25,12 @@ worst of each accuracy figure the runs print (ACCURACY).  For each side it
 gives what the probes of tools/probes.py measure, each in a fresh child
 started in that side's copy (probe): under work the work of
 scan_zeros(0, 1e4, 1e-8), counted by wrapping the kernels (work), under
-scan_traced_peak_bytes and zeros_traced_peak_bytes the tracemalloc peaks
-of that scan and of one zeros --t-max 1e4 command, both warm (peaks),
-which fresh processes of one tree read up to about 1 KB apart, under
+accuracy that scan's Z against mpmath.siegelz, its zeros against
+bench/reference.json, the signs of its bracket ends and the margins of
+its Gram points and nodes (accuracy), under scan_traced_peak_bytes and
+zeros_traced_peak_bytes the tracemalloc peaks of that scan and of one
+zeros --t-max 1e4 command, both warm (peaks), which fresh processes of
+one tree read up to about 1 KB apart, under
 csv_peak_blocks the largest rise of live pymalloc blocks while
 zero_table_to_csv writes that scan's table (csv_blocks), and under
 warm_scan_s the warm in-process time of that scan, one child per
@@ -201,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         copy(base_rev, roots["base"])
         copy(change(), roots["head"])
         work = {side: probe(roots[side], "work") for side in SIDES}
+        accuracy = {side: probe(roots[side], "accuracy") for side in SIDES}
         peaks = {side: probe(roots[side], "peaks") for side in SIDES}
         csv_blocks = {side: probe(roots[side], "csv_blocks") for side in SIDES}
         warm = {side: [] for side in SIDES}
@@ -229,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"platform": platform.platform(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "work": work,
+        "accuracy": accuracy,
         "scan_traced_peak_bytes": {side: p[0] for side, p in peaks.items()},
         "zeros_traced_peak_bytes": {side: p[1] for side, p in peaks.items()},
         "csv_peak_blocks": csv_blocks,
